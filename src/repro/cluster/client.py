@@ -3,248 +3,136 @@
 Each client thread owns one session and keeps a window of ``w``
 outstanding operations, sent as batches of ``b`` — the paper's
 ``w = 16 b`` default keeps roughly two batches in flight per worker on
-an 8-machine cluster.  Sessions do full DPR bookkeeping at batch
-granularity (exactly the granularity libDPR itself works at): the
-``Vs`` scalar, dependency headers, commit tracking against piggybacked
-cuts, and world-line failure handling with abort accounting.
-
-Clients assume only at-least-once delivery from the network: a RETRY
-reply backs off exponentially with seeded jitter before re-issuing, an
-abandoned (timed-out) batch whose reply eventually straggles in is
-reconciled back into the completed counts, and batch ids are allocated
-per client machine so concurrent clusters in one process never share a
-counter.
+an 8-machine cluster.  The DPR bookkeeping itself (``Vs``, dependency
+headers, commit tracking against piggybacked cuts, world-line handling,
+at-least-once tolerance, RETRY backoff) is
+:class:`repro.core.session.Session`'s; this module frames it for the
+cluster wire format (:class:`BatchSession`) and schedules it
+(:class:`ClientMachine`: issue loops, reply dispatch, the timeout
+sweeper).  Batch ids are allocated per client machine so concurrent
+clusters in one process never share a counter.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.messages import (
+    BatchIds,
     BatchReply,
     BatchRequest,
     ReplicaReadReply,
     ReplicaReadRequest,
+    batch_request,
 )
 from repro.cluster.stats import ClusterStats
 from repro.core.cuts import DprCut
-from repro.core.versioning import Token
+from repro.core.session import Session, Span
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.rand import make_rng, spawn
 from repro.workloads.ycsb import WorkloadSpec
 
 
-class BatchRecord:
-    """One in-flight or completed-but-uncommitted batch.
-
-    A ``__slots__`` class: one record is allocated per batch sent, so
-    this sits on the same hot path as the messages module.
-    """
-
-    __slots__ = ("batch_id", "object_id", "first_seqno", "op_count",
-                 "created_at", "version", "completed_at")
-
-    def __init__(self, batch_id: int, object_id: str, first_seqno: int,
-                 op_count: int, created_at: float,
-                 version: Optional[int] = None,
-                 completed_at: Optional[float] = None):
-        self.batch_id = batch_id
-        self.object_id = object_id
-        self.first_seqno = first_seqno
-        self.op_count = op_count
-        self.created_at = created_at
-        self.version = version
-        self.completed_at = completed_at
-
-
-class BatchIds:
-    """Monotonic batch-id allocator, scoped to one client machine.
-
-    Batch ids only need to be unique within the (session, worker)
-    conversations of a single machine; a process-global counter would
-    leak allocation state across independently seeded cluster
-    instances and break run-to-run determinism.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def allocate(self) -> int:
-        self._next += 1
-        return self._next
-
-
 class BatchSession:
-    """Client-side DPR session operating at batch granularity."""
+    """Closed-loop adapter over one :class:`~repro.core.session.Session`.
+
+    The protocol — seqno spans, ``Vs``, deps, world-line, commit
+    tracking, backoff — is the core session's (``self.session``), whose
+    window this adapter keys by batch id because that is what a
+    ``BatchReply`` echoes.  What is left here is what the cluster wire
+    format and the benchmark harness add: ``BatchRequest`` /
+    ``BatchReply`` framing and ``ClusterStats`` / tracer accounting.
+    """
 
     def __init__(self, session_id: str, stats: ClusterStats,
                  ids: Optional[BatchIds] = None, tracer=None):
         self.session_id = session_id
+        self.session = Session(session_id)
         self.stats = stats
         self.tracer = tracer
         self._ids = ids if ids is not None else BatchIds()
-        self.world_line = 0
-        #: Vs — the largest version seen (§3.2).
-        self.version_scalar = 0
-        self._next_seqno = 1
-        #: Completions since the last send become the next batch's deps.
-        self._recent: Dict[str, int] = {}
-        #: In-flight and completed-but-uncommitted batches, send order.
-        self.records: "OrderedDict[int, BatchRecord]" = OrderedDict()
-        self.outstanding_ops = 0
-        self.committed_ops = 0
-        self.aborted_ops = 0
-        #: Ops first counted aborted by the timeout sweeper, then moved
-        #: back to completed when the straggler reply arrived after all.
-        self.reconciled_ops = 0
-        #: Consecutive RETRY replies; drives exponential backoff.
-        self.retry_attempts = 0
-        #: Set after a rollback; the issuing loop waits it out (§7.4).
-        self.paused_until = 0.0
-        #: Versions of the last cut folded in — workers piggyback cuts
-        #: on replies, so comparing by value avoids rescanning the
-        #: uncommitted window for every duplicate of the same cut
-        #: (delivery may duplicate messages; identity is meaningless).
-        self._last_cut_seen: Optional[Dict[str, int]] = None
-        #: batch_id -> op_count for batches the sweeper gave up on,
-        #: kept so a straggling reply can be reconciled.
-        self._abandoned: Dict[int, int] = {}
+        #: batch id -> span: in-flight and completed-but-uncommitted
+        #: batches in send order (the session's own window).
+        self.records: Dict[int, Span] = self.session.window
 
     def new_batch(self, object_id: str, op_count: int, write_count: int,
                   now: float, reply_to: str,
                   partition: Optional[int] = None) -> BatchRequest:
         batch_id = self._ids.allocate()
-        recent = self._recent
-        if recent:
-            deps = tuple(Token(obj, ver) for obj, ver in recent.items())
-            recent.clear()
-        else:
-            deps = ()
-        first_seqno = self._next_seqno
-        # Positional construction: this pair of allocations runs once per
-        # batch sent, and keyword calls measurably lag positional ones.
-        request = BatchRequest(
-            batch_id, self.session_id, reply_to, self.world_line,
-            self.version_scalar, first_seqno, op_count, write_count,
-            deps, now, None, partition)
-        self._next_seqno = first_seqno + op_count
-        self.records[batch_id] = BatchRecord(
-            batch_id, object_id, first_seqno, op_count, now)
-        self.outstanding_ops += op_count
-        return request
+        span = self.session.issue(object_id, now, op_count, batch_id)
+        return batch_request(self.session_id, span, batch_id, reply_to,
+                             write_count, None, partition)
 
     # -- responses ----------------------------------------------------------
 
     def complete(self, reply: BatchReply, now: float) -> None:
-        record = self.records.get(reply.batch_id)
-        if record is None:
-            self._reconcile_straggler(reply.batch_id, now)
-            return  # lost to a rollback or already retired (duplicate)
-        if record.completed_at is not None:
-            return  # duplicated reply; the first copy did the accounting
-        self.retry_attempts = 0
-        if reply.object_id != record.object_id:
-            # Live rebalancing (§5.3): the batch executed on a different
-            # shard than it was issued against; commit tracking must
-            # test its version against the executing object's cut entry.
-            record.object_id = reply.object_id
-        record.version = reply.version
-        record.completed_at = now
-        self.outstanding_ops -= record.op_count
-        if reply.version > self.version_scalar:
-            self.version_scalar = reply.version
-        existing = self._recent.get(record.object_id, 0)
-        if reply.version > existing:
-            self._recent[record.object_id] = reply.version
-        self.stats.completed.add(now, record.op_count)
-        self.stats.operation_latency.add(now - record.created_at)
-        if reply.cut is not None and reply.cut.versions != self._last_cut_seen:
-            self.refresh_commit(reply.cut, now)
-
-    def _reconcile_straggler(self, batch_id: int, now: float) -> None:
-        """A reply for a batch the timeout sweeper already wrote off:
-        the ops *did* run, so move them from aborted back to completed
-        instead of leaving the ledger skewed."""
-        op_count = self._abandoned.pop(batch_id, None)
-        if op_count is None:
+        stats = self.stats
+        span = self.records.get(reply.batch_id)
+        if span is None:
+            # Lost to a rollback, already retired (duplicate) — or a
+            # reply for a batch the timeout sweeper wrote off: those
+            # ops *did* run, so move them from aborted back to
+            # completed instead of leaving the ledger skewed.
+            ops = self.session.reconcile(reply.batch_id)
+            if ops:
+                stats.aborted.add(now, -ops)
+                stats.completed.add(now, ops)
             return
-        # The straggler proves the worker is serving again; without this
-        # reset one recovery window would permanently inflate this
-        # session's exponential backoff.
-        self.retry_attempts = 0
-        self.aborted_ops -= op_count
-        self.reconciled_ops += op_count
-        self.stats.aborted.add(now, -op_count)
-        self.stats.completed.add(now, op_count)
+        retired = self.session.absorb(reply.batch_id, reply.version, now,
+                                      reply.object_id, reply.cut)
+        if retired is None:
+            return  # duplicated reply; the first copy did the accounting
+        stats.completed.add(now, span.op_count)
+        stats.operation_latency.add(now - span.issued_at)
+        if retired:
+            self._retire(retired, now)
 
-    def abandon(self, record: BatchRecord, now: float) -> None:
-        """Write a stuck batch off as aborted, remembering it so a
-        straggling reply can still be reconciled."""
-        self.records.pop(record.batch_id, None)
-        self.outstanding_ops -= record.op_count
-        self.aborted_ops += record.op_count
-        self.stats.aborted.add(now, record.op_count)
-        self._abandoned[record.batch_id] = record.op_count
-
-    def drop(self, batch_id: int) -> None:
-        """Forget a batch the server refused (RETRY); ops never ran."""
-        record = self.records.pop(batch_id, None)
-        if record is not None and record.version is None:
-            self.outstanding_ops -= record.op_count
+    def abandon(self, span: Span, now: float) -> None:
+        """Write a stuck batch off as aborted; a straggling reply can
+        still be reconciled."""
+        ops = self.session.abandon(span.key)
+        if ops:
+            self.stats.aborted.add(now, ops)
 
     def refresh_commit(self, cut: DprCut, now: float) -> None:
         """Retire completed batches the cut covers (relaxed DPR: pending
         batches do not block later independent ones, §5.4)."""
-        self._last_cut_seen = dict(cut.versions)
-        retired = []
-        for batch_id, record in self.records.items():
-            if record.version is None:
-                continue
-            if record.version <= cut.version_of(record.object_id):
-                retired.append(batch_id)
-        for batch_id in retired:
-            record = self.records.pop(batch_id)
-            self.committed_ops += record.op_count
-            self.stats.committed.add(now, record.op_count)
-            self.stats.commit_latency.add(now - record.created_at)
-            if self.tracer is not None:
-                self.tracer.span("client.commit", now,
-                                 now - record.created_at,
-                                 session=self.session_id)
+        self._retire(self.session.refresh_commit(cut, now), now)
+
+    def _retire(self, retired, now: float) -> None:
+        stats = self.stats
+        tracer = self.tracer
+        for span in retired:
+            latency = now - span.issued_at
+            stats.committed.add(now, span.op_count)
+            stats.commit_latency.add(latency)
+            if tracer is not None:
+                tracer.span("client.commit", now, latency,
+                            session=self.session_id)
 
     # -- failure handling -------------------------------------------------------
 
     def handle_rollback(self, new_world_line: int, cut: Optional[DprCut],
                         now: float, pause: float) -> None:
-        """World-line bump: commit what the cut covers, abort the rest."""
-        if new_world_line <= self.world_line:
+        """World-line bump: commit what the cut covers, abort the rest.
+
+        Fleet clients have no application above them to surface the
+        surviving prefix to, so the rollback is acknowledged at once
+        and the issuing loop just waits out the recovery pause (§7.4).
+        """
+        session = self.session
+        error = session.observe_failure(new_world_line, cut, now)
+        if error is None:
             return  # duplicate notification
-        self.world_line = new_world_line
-        cut = cut or DprCut()
-        for record in list(self.records.values()):
-            if (record.version is not None
-                    and record.version <= cut.version_of(record.object_id)):
-                self.committed_ops += record.op_count
-                self.stats.committed.add(now, record.op_count)
-            else:
-                self.aborted_ops += record.op_count
-                self.stats.aborted.add(now, record.op_count)
-                if record.version is None:
-                    self.outstanding_ops -= record.op_count
-        self.records.clear()
-        self.outstanding_ops = 0
-        self._recent.clear()
-        # The new world-line invalidates cached commit state: the next
-        # piggybacked cut must be rescanned, and straggling replies from
-        # the old world-line describe effects that were rolled back —
-        # they stay aborted rather than being reconciled.
-        self._last_cut_seen = None
-        self._abandoned.clear()
-        self.retry_attempts = 0
-        self.paused_until = now + pause
+        session.acknowledge_rollback()
+        stats = self.stats
+        for span in error.committed:
+            stats.committed.add(now, span.op_count)
+        for span in error.aborted:
+            stats.aborted.add(now, span.op_count)
+        session.paused_until = now + pause
 
 
 class ClientMachine:
@@ -319,16 +207,17 @@ class ClientMachine:
         address = self.address
         send = self.net.send
         new_batch = session.new_batch
+        dpr = session.session
         write_count_of = self.workload.batch_write_count
         window_name = "window:" + session.session_id
         # A tiny issue cost keeps a thread from queueing its whole
         # window at one instant (client-side CPU).
         issue_cost = 1e-6 + 20e-9 * batch_size
         while self.running:
-            if env.now < session.paused_until:
-                yield session.paused_until - env.now
+            if env.now < dpr.paused_until:
+                yield dpr.paused_until - env.now
                 continue
-            if session.outstanding_ops + batch_size > window:
+            if dpr.outstanding_ops + batch_size > window:
                 event = env.event(name=window_name)
                 self._wakeups[session.session_id] = event
                 yield event
@@ -376,6 +265,7 @@ class ClientMachine:
         session = self.sessions.get(reply.session_id)
         if session is None:
             return
+        dpr = session.session
         if reply.status == "rolled_back":
             session.handle_rollback(reply.world_line, reply.cut, env.now,
                                     self.recovery_pause)
@@ -383,26 +273,16 @@ class ClientMachine:
             # Bounced off a stale owner mapping (§5.3): the ops
             # never ran, so forget the batch, invalidate the cached
             # entry, and let the issue loop re-resolve the owner.
-            session.drop(reply.batch_id)
+            dpr.drop(reply.batch_id)
             self.not_owner_bounces += 1
             if reply.partition is not None:
                 self._owner_cache.pop(reply.partition, None)
-            session.paused_until = max(session.paused_until,
-                                       env.now + self.retry_delay)
+            dpr.paused_until = max(dpr.paused_until,
+                                   env.now + self.retry_delay)
         elif reply.status == "retry":
-            session.drop(reply.batch_id)
-            # Exponential backoff with seeded jitter: repeated
-            # RETRYs mean the worker is still recovering, and a
-            # fleet of sessions hammering it in lockstep only
-            # prolongs that.  Jitter in [backoff/2, backoff]
-            # de-synchronizes the herd without unbounded waits.
-            exponent = min(session.retry_attempts, 6)
-            session.retry_attempts += 1
-            backoff = min(self.retry_delay * (2 ** exponent),
-                          self.retry_backoff_cap)
-            backoff *= 0.5 + 0.5 * self._rng.random()
-            session.paused_until = max(session.paused_until,
-                                       env.now + backoff)
+            dpr.drop(reply.batch_id)
+            dpr.backoff(env.now, self.retry_delay, self.retry_backoff_cap,
+                        self._rng.random())
         else:
             session.complete(reply, env.now)
         self._wake(reply.session_id)
@@ -417,11 +297,11 @@ class ClientMachine:
             deadline = env.now - self.request_timeout
             for session in self.sessions.values():
                 stuck = [
-                    record for record in session.records.values()
-                    if record.version is None and record.created_at < deadline
+                    span for span in session.records.values()
+                    if span.version is None and span.issued_at < deadline
                 ]
-                for record in stuck:
-                    session.abandon(record, env.now)
+                for span in stuck:
+                    session.abandon(span, env.now)
                 if stuck:
                     self._wake(session.session_id)
 
@@ -431,10 +311,10 @@ class ClientMachine:
         self.running = False
 
     def total_committed(self) -> int:
-        return sum(s.committed_ops for s in self.sessions.values())
+        return sum(s.session.committed_ops for s in self.sessions.values())
 
     def total_aborted(self) -> int:
-        return sum(s.aborted_ops for s in self.sessions.values())
+        return sum(s.session.aborted_ops for s in self.sessions.values())
 
 
 class _ReadGiveUp:

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.cluster.client import BatchIds, BatchSession, ClientMachine
+from repro.cluster.client import BatchSession, ClientMachine
 from repro.cluster.costmodel import CostModel
-from repro.cluster.messages import BatchReply, BatchRequest
+from repro.cluster.messages import BatchIds, BatchReply, BatchRequest
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.modeled import ModeledStore
 from repro.cluster.services import ClusterManager, FinderService
@@ -426,7 +426,7 @@ class _ColocatedDriver:
             session.handle_rollback(reply.world_line, reply.cut, now,
                                     self.cluster.config.cost.client_recovery_pause)
         elif reply.status == "retry":
-            session.drop(reply.batch_id)
+            session.session.drop(reply.batch_id)
         else:
             session.complete(reply, now)
 
@@ -457,9 +457,10 @@ class _ColocatedDriver:
         # remote requests meanwhile), which is why small batches crater
         # at high remote fractions in Figure 15.
         next_is_local: Optional[bool] = None
+        dpr = session.session
         while True:
-            if env.now < session.paused_until:
-                yield session.paused_until - env.now
+            if env.now < dpr.paused_until:
+                yield dpr.paused_until - env.now
                 continue
             # Serve remote requests first ("spare cycles" rule, §7.3).
             item = worker.work.try_get()
@@ -486,7 +487,7 @@ class _ColocatedDriver:
                 yield from self._local_chunk(session, rng)
                 next_is_local = None
             else:
-                if session.outstanding_ops + self.batch_size > self.window:
+                if dpr.outstanding_ops + self.batch_size > self.window:
                     yield self.POLL
                     continue
                 # Client-side cost of the remote path competes with
@@ -525,8 +526,8 @@ class _ColocatedDriver:
                                         worker.cached_cut, env.now,
                                         cost.client_recovery_pause)
             else:
-                session.drop(request.batch_id)
-                session.paused_until = env.now + 2e-3
+                session.session.drop(request.batch_id)
+                session.session.paused_until = env.now + 2e-3
             return
         worker._enqueue_autosealed()
         reply = BatchReply(

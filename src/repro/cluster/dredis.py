@@ -37,7 +37,7 @@ from repro.cluster.messages import (
 )
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.modeled import ModeledStore
-from repro.cluster.ownership import StaleLeaseError
+from repro.cluster.ownership import LeaseHolder, StaleLeaseError
 from repro.cluster.services import ClusterManager, FinderService
 from repro.cluster.stats import ClusterStats
 from repro.cluster.worker import REPLY_CACHE
@@ -134,7 +134,7 @@ class _RedisInstance:
             respond(request)
 
 
-class _DRedisProxy:
+class _DRedisProxy(LeaseHolder):
     """The D-Redis wrapper process on each shard VM (Figure 9).
 
     In PROXY mode it only forwards (charging forwarding cost); in DPR
@@ -169,7 +169,7 @@ class _DRedisProxy:
         #: streaming this proxy's batch/seal log to standby replicas.
         self.replication = None
         #: Optional lease-guarded ownership view (§5.3), mirroring
-        #: DFasterWorker; set via :meth:`attach_ownership`.
+        #: DFasterWorker; set via ``LeaseHolder.attach_ownership``.
         self.ownership = None
         self._lease_metadata = None
         self.not_owner_rejections = 0
@@ -190,34 +190,6 @@ class _DRedisProxy:
         env.process(self._egress_loop(), name=f"proxy-out:{self.address}")
         if self.dpr and config.checkpoints_enabled:
             env.process(self._commit_loop(), name=f"proxy-ckpt:{self.address}")
-
-    # -- ownership (§5.3) -------------------------------------------------
-
-    def attach_ownership(self, view, metadata=None) -> None:
-        """Install a lease-guarded ownership view (see DFasterWorker)."""
-        self.ownership = view
-        self._lease_metadata = metadata
-        if metadata is not None:
-            self.env.process(self._lease_renewal_loop(view),
-                             name=f"lease-renew:{self.address}")
-
-    def _lease_renewal_loop(self, view):
-        period = view.lease_duration / 3.0
-        while self.running and self.ownership is view:
-            yield period
-            if self.crashed or self.ownership is not view:
-                continue
-            metadata = self._lease_metadata
-            yield metadata.access()
-            # Re-validate after the timed access: the proxy may have
-            # crashed, stopped, or been re-homed while the metadata
-            # read was in flight — renewing then would refresh a lease
-            # this proxy no longer holds.
-            if (self.crashed or not self.running
-                    or self.ownership is not view
-                    or metadata is not self._lease_metadata):
-                continue
-            view.refresh_against(metadata.owner_of)
 
     # -- request path -----------------------------------------------------
 

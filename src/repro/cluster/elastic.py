@@ -41,7 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.messages import BatchReply, BatchRequest
+from repro.cluster.messages import (
+    BatchIds,
+    BatchReply,
+    BatchRequest,
+    batch_request,
+)
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.ownership import HashPartitioner, OwnershipView
 from repro.core.cuts import DprCut
@@ -373,12 +378,15 @@ class _GiveUp:
 class PartitionedClient:
     """A DPR-aware client routing single batches by partition (§5.3).
 
-    Runs a real :class:`~repro.core.session.Session` at batch
-    granularity; see the module docstring for the guarantees this
-    carries through migrations.  Used by migration tests and examples;
-    the high-throughput fleet clients
+    Drives one :class:`~repro.core.session.Session` a single batch at
+    a time; see the module docstring for the guarantees this carries
+    through migrations.  Nothing outside ``tests/`` reaches it (no
+    figure, example or ledger workload): it is the instrument the
+    migration, replication and chaos tests assert prefix
+    recoverability with.  The high-throughput fleet clients
     (:class:`repro.cluster.client.ClientMachine` with a ``router``)
-    keep their own windowed sessions.
+    drive the same session class through
+    :class:`~repro.cluster.client.BatchSession`.
     """
 
     def __init__(self, env: Environment, net: Network, address: str,
@@ -407,7 +415,7 @@ class PartitionedClient:
         #: Locally cached partition -> owner mapping (§5.3: clients
         #: cache and only consult the store on changes).
         self._cached_owners: Dict[int, str] = {}
-        self._next_batch = 0
+        self._batch_ids = BatchIds()
         self.metadata_refreshes = 0
         self.retries = 0
         self.resends = 0
@@ -467,21 +475,9 @@ class PartitionedClient:
                 # same span under a fresh batch id.
                 header = session.issue(owner, now=env.now, count=len(ops))
             if request is None:
-                self._next_batch += 1
-                request = BatchRequest(
-                    batch_id=self._next_batch,
-                    session_id=self.address,
-                    reply_to=self.address,
-                    world_line=header.world_line,
-                    min_version=header.min_version,
-                    first_seqno=header.seqno,
-                    op_count=len(ops),
-                    write_count=write_count,
-                    ops=ops,
-                    deps=header.deps,
-                    created_at=env.now,
-                    partition=partition,
-                )
+                request = batch_request(
+                    self.address, header, self._batch_ids.allocate(),
+                    self.address, write_count, ops, partition)
             reply = yield from self._send_and_await(owner, request)
             if reply is None:
                 # The addressee never answered (crashed; possibly
@@ -514,10 +510,8 @@ class PartitionedClient:
                 error = session.observe_failure(reply.world_line, cut)
                 self.rollbacks.append(error)
                 raise error
-            session.complete(header.seqno, reply.version, now=env.now,
-                             object_id=reply.object_id)
-            if reply.cut is not None:
-                session.refresh_commit(reply.cut, now=env.now)
+            session.absorb(header.seqno, reply.version, env.now,
+                           reply.object_id, reply.cut)
             self.history.append({
                 "batch_id": request.batch_id,
                 "first_seqno": header.seqno,

@@ -58,6 +58,40 @@ class BatchRequest:
                 f"session_id={self.session_id!r}, op_count={self.op_count})")
 
 
+class BatchIds:
+    """Monotonic batch-id allocator, scoped to one client endpoint.
+
+    Batch ids only need to be unique within the (session, worker)
+    conversations of a single endpoint; a process-global counter would
+    leak allocation state across independently seeded cluster
+    instances and break run-to-run determinism.
+    """
+
+    def __init__(self) -> None:
+        self._next = 0
+
+    def allocate(self) -> int:
+        self._next += 1
+        return self._next
+
+
+def batch_request(session_id: str, span, batch_id: int, reply_to: str,
+                  write_count: int, ops: Optional[Tuple] = None,
+                  partition: Optional[int] = None) -> BatchRequest:
+    """Frame one issued :class:`~repro.core.session.Span` as a request.
+
+    Every cluster driver puts the session's header on the wire through
+    here, so the DPR fields of a request (world-line, ``Vs``, seqno
+    span, deps) are copied from the span in exactly one place.
+    Positional construction: this runs once per batch sent, and keyword
+    calls measurably lag positional ones.
+    """
+    return BatchRequest(
+        batch_id, session_id, reply_to, span.world_line, span.min_version,
+        span.seqno, span.op_count, write_count, span.deps, span.issued_at,
+        ops, partition)
+
+
 class BatchReply:
     """Server response; carries the worker's cached DPR cut so clients
     learn commits by piggyback, with no extra round trips (§2)."""

@@ -156,6 +156,48 @@ class OwnershipView:
         return [p for p, l in self._leases.items() if l.valid_at(now)]
 
 
+class LeaseHolder:
+    """Mixin for servers that validate requests against a lease view.
+
+    The host class provides ``env``, ``address``, ``running`` and
+    ``crashed`` and initialises ``ownership`` / ``_lease_metadata`` to
+    None; D-FASTER workers and D-Redis proxies both do.
+    """
+
+    def attach_ownership(self, view: OwnershipView, metadata=None) -> None:
+        """Install a lease-guarded ownership view on this server.
+
+        When a metadata store is given, a renewal loop also starts:
+        every third of the lease duration the server pays one timed
+        metadata access and re-grants (or drops) each lease the store
+        still (or no longer) assigns to it.  Only elastic deployments
+        call this, so non-elastic runs carry no renewal traffic.
+        """
+        self.ownership = view
+        self._lease_metadata = metadata
+        if metadata is not None:
+            self.env.process(self._lease_renewal_loop(view),
+                             name=f"lease-renew:{self.address}")
+
+    def _lease_renewal_loop(self, view: OwnershipView):
+        period = view.lease_duration / 3.0
+        while self.running and self.ownership is view:
+            yield period
+            if self.crashed or self.ownership is not view:
+                continue
+            metadata = self._lease_metadata
+            yield metadata.access()
+            # Re-validate after the timed access: the server may have
+            # crashed, stopped, or been re-homed while the metadata
+            # read was in flight — renewing then would refresh a lease
+            # it no longer holds.
+            if (self.crashed or not self.running
+                    or self.ownership is not view
+                    or metadata is not self._lease_metadata):
+                continue
+            view.refresh_against(metadata.owner_of)
+
+
 class OwnershipTransfer:
     """The §5.3 transfer protocol, deferred to checkpoint boundaries.
 

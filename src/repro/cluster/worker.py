@@ -39,7 +39,7 @@ from repro.cluster.messages import (
     SealReport,
 )
 from repro.cluster.modeled import ModeledStore
-from repro.cluster.ownership import StaleLeaseError
+from repro.cluster.ownership import LeaseHolder, StaleLeaseError
 from repro.cluster.stats import ClusterStats
 from repro.core.cuts import DprCut
 from repro.core.state_object import StateObject, WorldLineMismatch
@@ -58,7 +58,7 @@ from repro.workloads.ycsb import WorkloadSpec
 REPLY_CACHE = 4096
 
 
-class DFasterWorker:
+class DFasterWorker(LeaseHolder):
     """One worker VM: shard engine + server threads + DPR machinery."""
 
     def __init__(
@@ -200,39 +200,7 @@ class DFasterWorker:
         return True
 
     # -- ownership (§5.3) ----------------------------------------------------
-
-    def attach_ownership(self, view, metadata=None) -> None:
-        """Install a lease-guarded ownership view on this worker.
-
-        When a metadata store is given, a renewal loop also starts:
-        every third of the lease duration the worker pays one timed
-        metadata access and re-grants (or drops) each lease the store
-        still (or no longer) assigns to it.  Only elastic deployments
-        call this, so non-elastic runs carry no renewal traffic.
-        """
-        self.ownership = view
-        self._lease_metadata = metadata
-        if metadata is not None:
-            self.env.process(self._lease_renewal_loop(view),
-                             name=f"lease-renew:{self.address}")
-
-    def _lease_renewal_loop(self, view):
-        period = view.lease_duration / 3.0
-        while self.running and self.ownership is view:
-            yield period
-            if self.crashed or self.ownership is not view:
-                continue
-            metadata = self._lease_metadata
-            yield metadata.access()
-            # Re-validate after the timed access: the worker may have
-            # crashed, stopped, or been re-homed while the metadata
-            # read was in flight — renewing then would refresh a lease
-            # this worker no longer holds.
-            if (self.crashed or not self.running
-                    or self.ownership is not view
-                    or metadata is not self._lease_metadata):
-                continue
-            view.refresh_against(metadata.owner_of)
+    # attach_ownership() and the lease-renewal loop are LeaseHolder's.
 
     def request_checkpoint(self) -> bool:
         """Seal a version out of band (transfer step 2, §5.3).

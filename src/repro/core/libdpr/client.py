@@ -1,9 +1,9 @@
 """Client half of libDPR (§6).
 
-Wraps a :class:`repro.core.session.Session` with the batch-oriented
-interface the D-Redis client wrapper uses: it cuts operation streams
-into batches, stamps each with a :class:`DprBatchHeader`, folds
-responses back into the SessionOrder, tracks the committed prefix
+A thin driver over :class:`repro.core.session.Session` with the
+batch-oriented interface the D-Redis client wrapper uses: it stamps
+each batch with a :class:`DprBatchHeader` (one seqno span per batch),
+folds responses back into the session, tracks the committed prefix
 against published cuts, and turns world-line bumps into
 :class:`~repro.core.session.RollbackError` with the exact surviving
 prefix.
@@ -11,12 +11,11 @@ prefix.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional
 
 from repro.core.cuts import DprCut
 from repro.core.libdpr.messages import BatchStatus, DprBatchHeader, DprBatchResponse
 from repro.core.session import RollbackError, Session
-from repro.core.versioning import Token
 
 
 class DprClientSession:
@@ -24,8 +23,6 @@ class DprClientSession:
 
     def __init__(self, session_id: str, strict: bool = False):
         self.session = Session(session_id, strict=strict)
-        #: Batches sent but not yet answered: first_seqno -> op count.
-        self._inflight: Dict[int, int] = {}
 
     @property
     def session_id(self) -> str:
@@ -46,22 +43,15 @@ class DprClientSession:
         """Assign seqnos to ``count`` operations and build the header."""
         if count < 1:
             raise ValueError("a batch contains at least one operation")
-        headers = [self.session.issue(object_id, now=now) for _ in range(count)]
-        first = headers[0]
-        # Per-op deps collapse into the batch header: the first issue()
-        # call consumed the session's recent-completions set; later ones
-        # in the same batch are empty by construction.
-        deps: Tuple[Token, ...] = first.deps
-        header = DprBatchHeader(
-            session_id=first.session_id,
-            world_line=first.world_line,
-            min_version=first.min_version,
-            first_seqno=first.seqno,
+        span = self.session.issue(object_id, now=now, count=count)
+        return DprBatchHeader(
+            session_id=self.session.session_id,
+            world_line=span.world_line,
+            min_version=span.min_version,
+            first_seqno=span.seqno,
             count=count,
-            deps=deps,
+            deps=span.deps,
         )
-        self._inflight[header.first_seqno] = count
-        return header
 
     # -- incoming -----------------------------------------------------------
 
@@ -72,27 +62,30 @@ class DprClientSession:
         Returns the per-operation results on success.  Raises
         :class:`RollbackError` when the server reports a world-line the
         session has not seen (the §4.2 REJECT path) — the error carries
-        the surviving prefix computed against the last known cut.
+        the surviving prefix computed against the last known cut.  The
+        network is at-least-once: a second copy of any response changes
+        nothing.
         """
         if response.status is BatchStatus.ROLLED_BACK:
-            raise self.observe_failure(response.world_line, self._last_cut)
+            error = self.session.observe_failure(response.world_line, now=now)
+            if error is None:
+                return []  # a copy of a rollback already handled
+            raise error
         if response.status is BatchStatus.RETRY:
             # Leave the ops pending; the caller re-sends the same batch.
             return []
-        self._inflight.pop(response.first_seqno, None)
-        for offset, version in enumerate(response.versions):
-            self.session.complete(response.first_seqno + offset, version,
-                                  now=now)
+        # Versions never decrease within a batch, so the last one is the
+        # version the whole span is committed by.
+        self.session.absorb(response.first_seqno, response.versions[-1],
+                            now, response.object_id or None)
         return list(response.results)
 
     # -- commit tracking -------------------------------------------------------
 
-    _last_cut: DprCut = DprCut()
-
     def refresh_commit(self, cut: DprCut, now: float = 0.0) -> int:
         """Fold a freshly published DPR-cut into the committed prefix."""
-        self._last_cut = cut
-        return self.session.refresh_commit(cut, now=now)
+        self.session.refresh_commit(cut, now)
+        return self.session.committed_seqno
 
     def committed(self, seqno: int) -> bool:
         """Whether operation ``seqno`` is covered by the guarantee."""
@@ -103,13 +96,11 @@ class DprClientSession:
     # -- failure handling ---------------------------------------------------------
 
     def observe_failure(self, new_world_line: int,
-                        cut: Optional[DprCut] = None) -> RollbackError:
-        """Handle a world-line bump; returns the rollback error to raise."""
-        self._inflight.clear()
-        error = self.session.observe_failure(
-            new_world_line, cut if cut is not None else self._last_cut
-        )
-        return error
+                        cut: Optional[DprCut] = None
+                        ) -> Optional[RollbackError]:
+        """Handle a world-line bump; returns the rollback error to raise
+        (None if the session already is on that world-line)."""
+        return self.session.observe_failure(new_world_line, cut)
 
     def acknowledge_rollback(self) -> None:
         self.session.acknowledge_rollback()

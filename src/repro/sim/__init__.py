@@ -8,8 +8,6 @@ time.
 """
 
 from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -35,8 +33,6 @@ from repro.sim.storage import (
 )
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",

@@ -25,16 +25,16 @@ between forms never perturbs event ordering — the determinism rule all
 optimization work in this repo lives by (``docs/PERFORMANCE.md``).
 
 Only the features the reproduction needs are implemented: one-shot
-events, timeouts, process-join, ``AllOf``/``AnyOf`` combinators,
-interrupts, and the :class:`Channel` wait protocol used by
-:mod:`repro.sim.queues`.  Ties in the event heap are broken by
-insertion order, which makes every run deterministic for a fixed seed.
+events, timeouts, process-join, interrupts, and the :class:`Channel`
+wait protocol used by :mod:`repro.sim.queues`.  Ties in the event heap
+are broken by insertion order, which makes every run deterministic for
+a fixed seed.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 # -- event-kind tags --------------------------------------------------------
 #
@@ -192,8 +192,8 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically after a fixed delay.
 
-    Only constructed when the caller needs a waitable handle (e.g. to
-    pass to :class:`AnyOf`); fire-and-forget delays use
+    Only constructed when the caller needs a waitable handle;
+    fire-and-forget delays use
     :meth:`Environment.call_later` and plain ``yield delay`` sleeps use
     the ``_K_SLEEP`` fast path, neither of which allocates an Event.
     The constructor is written flat (no ``super().__init__`` chain, no
@@ -512,54 +512,6 @@ class Process(Event):
             self._resume(event)
 
 
-class AllOf(Event):
-    """Fires once every child event has fired successfully.
-
-    The value is the list of child values, in the order given.  If any
-    child fails, this event fails with that child's exception.
-    """
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, name="all_of")
-        self._children = list(events)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            return
-        if not child._ok:
-            self.fail(child._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c._value for c in self._children])
-
-
-class AnyOf(Event):
-    """Fires when the first child event fires; value is ``(index, value)``."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, name="any_of")
-        self._children = list(events)
-        if not self._children:
-            raise ValueError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
-            child.add_callback(lambda c, i=index: self._on_child(i, c))
-
-    def _on_child(self, index: int, child: Event) -> None:
-        if self._triggered:
-            return
-        if child._ok:
-            self.succeed((index, child._value))
-        else:
-            self.fail(child._value)
-
-
 class Environment:
     """Event loop holding the simulation clock and the pending-event heap.
 
@@ -643,16 +595,6 @@ class Environment:
             self._ev_c.append(c)
         return handle
 
-    def _schedule_at(self, when: float, event: Event) -> None:
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (when, self._sequence,
-                        self._alloc(_K_EVENT, event, None, None)))
-
-    def _schedule_trigger(self, event: Event) -> None:
-        """Schedule callbacks of an already-triggered event at time now."""
-        self._schedule_at(self._now, event)
-
     def _schedule_resume(self, process: Process, channel: Channel,
                          value: Any) -> None:
         """Hand ``value`` to a channel-waiting process at time now
@@ -719,12 +661,6 @@ class Environment:
         if self.tracer is not None:
             self.tracer.counter("kernel.processes")
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or simulated time reaches ``until``.

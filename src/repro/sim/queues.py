@@ -14,7 +14,7 @@ wait styles, cheapest first:
    ``_K_RESUME`` fast path — no per-get Event allocation.
 3. **Legacy get** (``yield queue.get()``): returns an :class:`Event`
    that fires with the next item.  Still the right call when the event
-   handle itself is needed (combinators, ``AnyOf`` timeouts).
+   handle itself is needed.
 
 All three consume items from one FIFO and wake waiters in FIFO order,
 and each hand-off costs exactly one kernel sequence number regardless
@@ -160,7 +160,7 @@ class Queue(Channel):
         """Return an event that fires with the next item.
 
         Prefer ``yield queue`` (no Event allocation) unless the handle
-        itself is needed, e.g. for :class:`repro.sim.kernel.AnyOf`.
+        itself is needed.
         """
         event = Event(self.env, name=self._get_name)
         items = self._items

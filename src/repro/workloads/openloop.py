@@ -24,11 +24,13 @@ The pieces, front to back:
   cluster, observable through the queue's depth gauge, watermark, and
   shed counters (docs/OBSERVABILITY.md).
 - **DPR driver** — admitted sessions coalesce into
-  :class:`~repro.cluster.messages.BatchRequest`\\ s on real DPR
-  sessions (one per target): Vs headers, dependency tokens, commit
-  tracking against piggybacked cuts, and world-line rollback handling,
-  so commit latency here means the same thing it means for the
-  closed-loop clients.
+  :class:`~repro.cluster.messages.BatchRequest`\\ s issued on one
+  :class:`repro.core.session.Session` spanning every target (the
+  paper's model: a session crosses StateObjects).  Vs headers,
+  dependency tokens, commit tracking against piggybacked cuts, RETRY
+  backoff and world-line rollback handling are that class's — the same
+  one the closed-loop clients drive — so commit latency here means the
+  same thing it means there.
 
 Scenarios are declarative dicts validated up front
 (:func:`validate_scenario`): a typo'd key or out-of-range value fails
@@ -42,13 +44,12 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.messages import BatchRequest
+from repro.cluster.messages import BatchIds, batch_request
 from repro.cluster.stats import ClusterStats
 from repro.core.cuts import DprCut
-from repro.core.versioning import Token
+from repro.core.session import Session, Span
 from repro.obs import interpolated_percentile
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -263,12 +264,18 @@ class SessionTable:
         self._free.append(handle)
 
 
+def _ack_order(span: Span):
+    return span.tag[0]
+
+
 class OpenLoopDriver:
     """Open-loop session generator + admission stack for one cluster.
 
-    Registers one network endpoint and speaks real DPR sessions (one
-    per target address) at batch granularity.  Attach to a cluster
-    built with ``n_client_machines=0`` via :func:`attach_open_loop`.
+    Registers one network endpoint and drives one DPR session across
+    every target at batch granularity; what stays here is arrivals,
+    admission, the session table and exact latencies.  Attach to a
+    cluster built with ``n_client_machines=0`` via
+    :func:`attach_open_loop`.
     """
 
     def __init__(
@@ -313,28 +320,21 @@ class OpenLoopDriver:
         else:
             self.bucket = None
 
-        # DPR bookkeeping, driver-wide (§3.2 at batch granularity).
-        self.world_line = 0
-        self.version_scalar = 0
-        # Driver-local batch ids (like client.BatchIds, which is not
-        # imported here: repro.cluster.client imports repro.workloads,
-        # so depending on it from this package would be circular).
-        self._next_batch = 0
-        self._session_ids = [f"{address}/{t}" for t in self.targets]
-        self._next_seqno = [1] * len(self.targets)
+        #: The DPR session: Vs, deps, world-line, commit window, backoff.
+        self.session = Session(address)
+        self._batch_ids = BatchIds()
+        #: Batches awaiting a reply, per target.  The session's window
+        #: is keyed by batch id; each span's ``tag`` is the batch's
+        #: (target index, session handles) until it is acknowledged,
+        #: then (ack order, session handles).
         self._inflight = [0] * len(self.targets)
         self._rr = 0
-        #: batch_id -> (target index, handle tuple) for in-flight batches.
-        self._batches: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-        #: object_id -> deque of (version, handle tuple), completed but
-        #: not yet covered by a cut; insertion-ordered and versions are
-        #: monotone per object, so commit absorption pops from the left.
-        self._uncommitted: Dict[str, deque] = {}
-        #: Completions since the last send become the next batch's deps.
-        self._recent: Dict[str, int] = {}
-        self._last_cut_seen: Optional[Dict[str, int]] = None
-        self.retry_attempts = 0
-        self.paused_until = 0.0
+        #: object id -> rank by first acknowledgement, and acks so far:
+        #: commit latencies are recorded per StateObject in ack order.
+        #: (The shared ``ClusterStats`` reservoir samples, so the order
+        #: it is fed in is part of the pinned BENCH output.)
+        self._ack_rank: Dict[str, int] = {}
+        self._acks = 0
 
         #: Exact per-session commit latencies (the SLO report computes
         #: exact percentiles; the shared stats reservoir still samples).
@@ -389,7 +389,7 @@ class OpenLoopDriver:
         """
         env = self.env
         now = env.now
-        if now < self.paused_until:
+        if now < self.session.paused_until:
             return
         admit = self.admit
         if not len(admit):
@@ -433,54 +433,41 @@ class OpenLoopDriver:
 
     def _send_batch(self, target_idx: int, handles: Tuple[int, ...],
                     now: float, send, address: str) -> None:
-        recent = self._recent
-        if recent:
-            deps = tuple(Token(obj, ver) for obj, ver in recent.items())
-            recent.clear()
-        else:
-            deps = ()
+        target = self.targets[target_idx]
         op_count = len(handles) * self._ops
-        write_count = len(handles) * self._write_count
-        self._next_batch += 1
-        batch_id = self._next_batch
-        first_seqno = self._next_seqno[target_idx]
-        self._next_seqno[target_idx] = first_seqno + op_count
-        request = BatchRequest(
-            batch_id, self._session_ids[target_idx], address,
-            self.world_line, self.version_scalar, first_seqno, op_count,
-            write_count, deps, now, None, None)
-        self._batches[batch_id] = (target_idx, handles)
-        send(address, self.targets[target_idx], request, size_ops=op_count)
+        batch_id = self._batch_ids.allocate()
+        span = self.session.issue(target, now, op_count, batch_id,
+                                  (target_idx, handles))
+        send(address, target,
+             batch_request(address, span, batch_id, address,
+                           len(handles) * self._write_count),
+             size_ops=op_count)
 
     # -- receiving --------------------------------------------------------------
 
     def _on_reply(self, message) -> None:
         """Inbox sink handler: fold one reply into the driver."""
-        env = self.env
         reply = message.payload
-        now = env.now
+        now = self.env.now
         status = reply.status
         if status == "rolled_back":
             self._handle_rollback(reply.world_line, reply.cut, now)
             return
-        entry = self._batches.pop(reply.batch_id, None)
-        if entry is None:
+        span = self.session.window.get(reply.batch_id)
+        if span is None or span.version is not None:
             return  # straggler from before a rollback, or a duplicate
-        target_idx, handles = entry
+        target_idx, handles = span.tag
         self._inflight[target_idx] -= 1
         if status == "ok":
-            self._complete(reply, handles, now)
+            self._complete(reply, span, now)
         else:
             # "retry" / "not_owner": the ops never ran.  Back off and
             # push the sessions back through admission — under pressure
             # they compete with fresh arrivals and may be shed, which
             # is exactly what an admission stack is for.
-            exponent = min(self.retry_attempts, 6)
-            self.retry_attempts += 1
-            backoff = min(self.retry_delay * (2 ** exponent),
-                          self.retry_backoff_cap)
-            backoff *= 0.5 + 0.5 * self._rng.random()
-            self.paused_until = max(self.paused_until, now + backoff)
+            self.session.drop(span.key)
+            self.session.backoff(now, self.retry_delay,
+                                 self.retry_backoff_cap, self._rng.random())
             state = self.table.state
             put = self.admit.put
             for handle in handles:
@@ -488,14 +475,14 @@ class OpenLoopDriver:
                 put(handle)
         self._dispatch()
 
-    def _complete(self, reply, handles: Tuple[int, ...], now: float) -> None:
-        self.retry_attempts = 0
-        version = reply.version
-        object_id = reply.object_id
-        if version > self.version_scalar:
-            self.version_scalar = version
-        if version > self._recent.get(object_id, 0):
-            self._recent[object_id] = version
+    def _complete(self, reply, span: Span, now: float) -> None:
+        handles = span.tag[1]
+        ranks = self._ack_rank
+        self._acks += 1
+        span.tag = ((ranks.setdefault(reply.object_id, len(ranks)),
+                     self._acks), handles)
+        retired = self.session.absorb(span.key, reply.version, now,
+                                      reply.object_id, reply.cut)
         state = self.table.state
         arrival = self.table.arrival
         op_latency = self.stats.operation_latency.add
@@ -503,71 +490,51 @@ class OpenLoopDriver:
             state[handle] = ACKED
             op_latency(now - arrival[handle])
         self.completed_sessions += len(handles)
-        self.stats.completed.add(now, reply.op_count)
-        pending = self._uncommitted.get(object_id)
-        if pending is None:
-            pending = self._uncommitted[object_id] = deque()
-        pending.append((version, handles))
-        cut = reply.cut
-        if cut is not None and cut.versions != self._last_cut_seen:
-            self._absorb_cut(cut, now)
+        self.stats.completed.add(now, span.op_count)
+        if retired:
+            self._commit(retired, now)
 
-    def _absorb_cut(self, cut: DprCut, now: float) -> None:
-        """Retire ACKED sessions the cut covers; their commit latency
-        is arrival-to-cut, the open-loop number a knee curve plots."""
-        self._last_cut_seen = dict(cut.versions)
+    def _commit(self, retired: Sequence[Span], now: float) -> None:
+        """Release the ACKED sessions of committed batches; their commit
+        latency is arrival-to-cut, the open-loop number a knee curve
+        plots."""
         arrival = self.table.arrival
         release = self.table.release
         lat_append = self.commit_latencies.append
         commit_lat = self.stats.commit_latency.add
         committed = self.stats.committed
-        ops = self._ops
-        version_of = cut.version_of
-        for object_id, pending in self._uncommitted.items():
-            cover = version_of(object_id)
-            while pending and pending[0][0] <= cover:
-                _, handles = pending.popleft()
-                for handle in handles:
-                    latency = now - arrival[handle]
-                    lat_append(latency)
-                    commit_lat(latency)
-                    release(handle)
-                committed.add(now, len(handles) * ops)
-                self.committed_sessions += len(handles)
+        for span in sorted(retired, key=_ack_order):
+            handles = span.tag[1]
+            for handle in handles:
+                latency = now - arrival[handle]
+                lat_append(latency)
+                commit_lat(latency)
+                release(handle)
+            committed.add(now, span.op_count)
+            self.committed_sessions += len(handles)
 
     def _handle_rollback(self, new_world_line: int, cut: Optional[DprCut],
                          now: float) -> None:
         """World-line bump: commit what the cut covers, abort the rest,
         pause dispatch for the recovery window."""
-        if new_world_line <= self.world_line:
+        session = self.session
+        error = session.observe_failure(new_world_line, cut, now)
+        if error is None:
             return  # duplicate notification
-        self.world_line = new_world_line
-        self._absorb_cut(cut if cut is not None else DprCut(), now)
+        session.acknowledge_rollback()
+        self._commit(error.committed, now)
         release = self.table.release
         aborted = self.stats.aborted
-        ops = self._ops
-        for pending in self._uncommitted.values():
-            while pending:
-                _, handles = pending.popleft()
-                for handle in handles:
-                    release(handle)
-                aborted.add(now, len(handles) * ops)
-                self.aborted_sessions += len(handles)
-        # In-flight batches died with the old world-line; their
-        # straggling replies describe rolled-back effects.
-        inflight = self._inflight
-        for batch_id in sorted(self._batches):
-            target_idx, handles = self._batches[batch_id]
-            inflight[target_idx] -= 1
+        for span in error.aborted:
+            handles = span.tag[1]
             for handle in handles:
                 release(handle)
-            aborted.add(now, len(handles) * ops)
+            aborted.add(now, span.op_count)
             self.aborted_sessions += len(handles)
-        self._batches.clear()
-        self._recent.clear()
-        self._last_cut_seen = None
-        self.retry_attempts = 0
-        self.paused_until = now + self.recovery_pause
+        # In-flight batches died with the old world-line; their
+        # straggling replies describe rolled-back effects.
+        self._inflight = [0] * len(self.targets)
+        session.paused_until = now + self.recovery_pause
 
     # -- control ----------------------------------------------------------------
 

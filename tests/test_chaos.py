@@ -54,10 +54,11 @@ def assert_accounting(cluster, require_commits=True):
     """Prefix recoverability, client view: ops are never double counted
     and (reconciliation aside) never invented."""
     for client in cluster.clients:
-        for session in client.sessions.values():
-            issued = session._next_seqno - 1
+        for batch_session in client.sessions.values():
+            session = batch_session.session  # the core DPR session
+            issued = session.last_issued_seqno
             tracked = session.committed_ops + session.aborted_ops
-            in_flight = sum(r.op_count for r in session.records.values())
+            in_flight = sum(r.op_count for r in session.window.values())
             assert tracked + in_flight <= issued
             assert session.committed_ops >= 0
             assert session.aborted_ops >= 0
@@ -245,8 +246,8 @@ class TestChaosDeterminism:
     @staticmethod
     def _fingerprint(cluster, plan, stats):
         sessions = {
-            sid: (s.committed_ops, s.aborted_ops, s.reconciled_ops,
-                  s._next_seqno)
+            sid: (s.session.committed_ops, s.session.aborted_ops,
+                  s.session.reconciled_ops, s.session.last_issued_seqno)
             for client in cluster.clients
             for sid, s in client.sessions.items()
         }

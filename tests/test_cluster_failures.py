@@ -88,10 +88,10 @@ class TestChaos:
         cluster.schedule_crash(worker_index=1, at_time=0.65)
         cluster.run(1.6, warmup=0.05)
         for client in cluster.clients:
-            for session in client.sessions.values():
-                issued = session._next_seqno - 1
+            for session in (s.session for s in client.sessions.values()):
+                issued = session.last_issued_seqno
                 tracked = session.committed_ops + session.aborted_ops
-                in_flight = sum(r.op_count for r in session.records.values())
+                in_flight = sum(r.op_count for r in session.window.values())
                 # Every issued op is committed, aborted, or still
                 # tracked (in flight / awaiting a cut) — never double
                 # counted, never dropped.  (RETRY'd batches are dropped
@@ -144,8 +144,9 @@ class TestDeliveryHardening:
         for a, b in zip(first.clients, second.clients):
             assert a._batch_ids._next == b._batch_ids._next
             for sa, sb in zip(a.sessions.values(), b.sessions.values()):
-                assert sa._next_seqno == sb._next_seqno
-                assert sa.committed_ops == sb.committed_ops
+                assert (sa.session.last_issued_seqno
+                        == sb.session.last_issued_seqno)
+                assert sa.session.committed_ops == sb.session.committed_ops
 
     def test_sweeper_reconciles_straggler_reply(self):
         # The timeout sweeper writes a stuck batch off as aborted; if
@@ -157,20 +158,20 @@ class TestDeliveryHardening:
                                     reply_to="client-0")
         record = session.records[request.batch_id]
         session.abandon(record, now=0.5)
-        assert session.aborted_ops == 32
-        assert session.outstanding_ops == 0
+        assert session.session.aborted_ops == 32
+        assert session.session.outstanding_ops == 0
         reply = BatchReply(batch_id=request.batch_id, session_id="s",
                            object_id="worker-0", status="ok",
                            world_line=0, version=1, op_count=32,
                            served_at=0.6)
         session.complete(reply, now=0.6)
-        assert session.aborted_ops == 0
-        assert session.reconciled_ops == 32
+        assert session.session.aborted_ops == 0
+        assert session.session.reconciled_ops == 32
         assert stats.aborted.total() == 0
         assert stats.completed.total() == 32
         # A duplicate of the straggler changes nothing further.
         session.complete(reply, now=0.7)
-        assert session.reconciled_ops == 32
+        assert session.session.reconciled_ops == 32
         assert stats.completed.total() == 32
 
     def test_rollback_clears_abandoned_ledger(self):
@@ -187,8 +188,8 @@ class TestDeliveryHardening:
                            world_line=0, version=1, op_count=32,
                            served_at=0.7)
         session.complete(reply, now=0.7)
-        assert session.aborted_ops == 32
-        assert session.reconciled_ops == 0
+        assert session.session.aborted_ops == 32
+        assert session.session.reconciled_ops == 0
 
     def test_duplicate_reply_accounted_once(self):
         stats = ClusterStats()
@@ -201,7 +202,7 @@ class TestDeliveryHardening:
                            served_at=0.1)
         session.complete(reply, now=0.1)
         session.complete(reply, now=0.1)
-        assert session.outstanding_ops == 0
+        assert session.session.outstanding_ops == 0
         assert stats.completed.total() == 32
 
     def test_straggler_reconciliation_resets_backoff(self):
@@ -213,15 +214,15 @@ class TestDeliveryHardening:
         session = BatchSession("s", stats)
         request = session.new_batch("worker-0", 32, 16, now=0.0,
                                     reply_to="client-0")
-        session.retry_attempts = 5  # inflated during the outage
+        session.session.retry_attempts = 5  # inflated during the outage
         session.abandon(session.records[request.batch_id], now=0.5)
         reply = BatchReply(batch_id=request.batch_id, session_id="s",
                            object_id="worker-0", status="ok",
                            world_line=0, version=1, op_count=32,
                            served_at=0.6)
         session.complete(reply, now=0.6)
-        assert session.reconciled_ops == 32
-        assert session.retry_attempts == 0
+        assert session.session.reconciled_ops == 32
+        assert session.session.retry_attempts == 0
 
     def test_post_recovery_session_returns_to_base_retry_delay(self):
         # End to end through _on_reply: after the straggler reset, the
@@ -235,7 +236,7 @@ class TestDeliveryHardening:
         session = next(iter(machine.sessions.values()))
         request = session.new_batch("worker-0", 32, 16, now=0.0,
                                     reply_to="client-0")
-        session.retry_attempts = 6  # a full recovery window of RETRYs
+        session.session.retry_attempts = 6  # a full recovery window of RETRYs
         session.abandon(session.records[request.batch_id], now=0.0)
         straggler = BatchReply(batch_id=request.batch_id,
                                session_id=session.session_id,
@@ -251,8 +252,8 @@ class TestDeliveryHardening:
         machine._on_reply(SimpleNamespace(payload=retry))
         # Base-exponent backoff lands (jittered) within one retry_delay;
         # the inflated exponent would pause ~0.05s or more.
-        assert session.retry_attempts == 1
-        assert session.paused_until - env.now <= machine.retry_delay
+        assert session.session.retry_attempts == 1
+        assert session.session.paused_until - env.now <= machine.retry_delay
 
     def test_stop_quiesces_the_simulation(self):
         # stop() must also stop the timeout sweeper; before the fix it
@@ -312,11 +313,11 @@ class TestDeliveryHardening:
         assert plan.injected["duplicated"] > 0
         assert sum(w.duplicate_batches for w in cluster.workers) > 0
         for client in cluster.clients:
-            for session in client.sessions.values():
-                issued = session._next_seqno - 1
+            for session in (s.session for s in client.sessions.values()):
+                issued = session.last_issued_seqno
                 tracked = session.committed_ops + session.aborted_ops
                 in_flight = sum(r.op_count
-                                for r in session.records.values())
+                                for r in session.window.values())
                 assert tracked + in_flight <= issued
                 assert session.committed_ops > 0
 

@@ -89,7 +89,7 @@ class TestMigrationUnderChaos:
             for index in range(30):
                 reply = yield from client.request(
                     "k", [("set", "k", index)], 1)
-                replies.append((reply, client._next_batch))
+                replies.append((reply, client._batch_ids._next))
                 yield 5e-3
 
         def migration():

@@ -188,3 +188,50 @@ class TestServerCommit:
         response = servers["A"].process_batch(header, [("get", "x")])
         session.absorb_response(response)
         session.prepare_batch("A", 1)  # fine now
+
+
+class TestAtLeastOnceDelivery:
+    """The network may duplicate or delay any response
+    (docs/PROTOCOL.md §8); the client must fold each one once."""
+
+    def test_duplicated_ok_response_is_folded_once(self, stack):
+        finder, _, servers = stack
+        session = DprClientSession("c")
+        header = session.prepare_batch("A", 2)
+        response = servers["A"].process_batch(
+            header, [("set", "x", 1), ("get", "x")])
+        assert session.absorb_response(response) == [None, 1]
+        assert session.absorb_response(response) == [None, 1]
+        # One completion: the next batch depends on A-1 exactly once,
+        # and nothing is left in flight.
+        assert session.session.outstanding_ops == 0
+        assert session.prepare_batch("B", 1).deps == (Token("A", 1),)
+
+    def test_response_arriving_after_the_commit_is_ignored(self, stack):
+        finder, _, servers = stack
+        session = DprClientSession("c")
+        header = session.prepare_batch("A", 1)
+        response = servers["A"].process_batch(header, [("set", "x", 1)])
+        session.absorb_response(response)
+        servers["A"].commit()
+        session.refresh_commit(finder.tick())
+        assert session.committed_seqno == 1
+        session.absorb_response(response)  # the late copy
+        assert session.committed_seqno == 1
+        assert not session.session.window
+
+    def test_duplicated_rollback_notice_raises_once(self, stack):
+        finder, _, servers = stack
+        session = DprClientSession("c")
+        roundtrip(session, servers, "A", ("set", "x", 1))
+        servers["A"].commit()
+        cut = finder.tick()
+        session.refresh_commit(cut)
+        servers["A"].restore(cut.version_of("A"), world_line=1)
+        header = session.prepare_batch("A", 1)
+        response = servers["A"].process_batch(header, [("get", "x")])
+        with pytest.raises(RollbackError):
+            session.absorb_response(response)
+        session.acknowledge_rollback()
+        assert session.absorb_response(response) == []
+        session.prepare_batch("A", 1)  # still usable: not re-broken

@@ -196,7 +196,7 @@ class TestOpenLoopDriver:
         cluster.env.process(probe(), name="probe")
         cluster.run(1.0, warmup=0.05)
         report = slo_report(driver)
-        assert driver.world_line >= 1
+        assert driver.session.world_line.current >= 1
         assert report["aborted_sessions"] > 0
         # No committed session was lost to the rollback, and commits
         # resumed on the new world line.

@@ -27,6 +27,7 @@ from repro.core.finder import (
 )
 from repro.core.libdpr import DprClientSession, DprServer
 from repro.core.recovery import RecoveryController
+from repro.core.session import RollbackError
 from repro.core.versioning import Token
 from repro.faster.checkpoint import materialize
 from repro.faster.store import FasterKV
@@ -56,7 +57,10 @@ class Harness:
         }
         self.sessions = [DprClientSession(f"s{i}") for i in range(3)]
         self.controller = RecoveryController(self.finder)
-        #: Ground truth: (session_id, seqno) -> (object, key) written.
+        #: Ground truth: (session_id, seqno) -> (object, key, value,
+        #: executed version) for every write no rollback has reported
+        #: lost.  The harness keeps its own ledger: the session forgets
+        #: a span the moment it commits.
         self.writes = {}
         self._counter = 0
 
@@ -78,12 +82,17 @@ class Harness:
             header, [("set", key, self._counter)])
         try:
             session.absorb_response(response)
-        except Exception:
-            session.acknowledge_rollback()
+        except RollbackError as error:
+            self._forget_lost(session, error)
             return
         self.writes[(session.session_id, header.first_seqno)] = (
-            object_id, key, self._counter,
+            object_id, key, self._counter, response.versions[0],
         )
+
+    def _forget_lost(self, session, error):
+        for seqno in error.lost:
+            self.writes.pop((session.session_id, seqno), None)
+        session.acknowledge_rollback()
 
     def crash_and_recover(self):
         self.finder.tick()
@@ -91,8 +100,8 @@ class Harness:
         cut = self.finder.current_cut()
         for session in self.sessions:
             if session.world_line < self.controller.world_line:
-                session.observe_failure(self.controller.world_line, cut)
-                session.acknowledge_rollback()
+                self._forget_lost(session, session.observe_failure(
+                    self.controller.world_line, cut))
 
     def quiesce(self):
         """Drain: align versions, commit everything, publish."""
@@ -154,35 +163,28 @@ class TestProtocolProperties:
         harness.finder.tick()
         cut_before = harness.finder.current_cut()
         harness.controller.recover(harness.objects)
-        for (session_id, seqno), (object_id, key, value) in \
+        # "All of them": every op the cut covers is present — and
+        # "none after": nothing it does not cover is.
+        for (session_id, seqno), (object_id, key, value, version) in \
                 harness.writes.items():
+            covered = version <= cut_before.version_of(object_id)
             stored = harness.objects[object_id].get(key)
-            if stored is not None:
-                assert stored == value  # never corrupted
-        # "All of them": every op the cut covers is present.
+            if covered:
+                assert stored == value, (
+                    f"covered op {seqno} of {session_id} lost")
+            else:
+                assert stored is None, (
+                    f"uncovered op {seqno} of {session_id} survived")
+        # The sessions agree: folding the same cut leaves exactly the
+        # uncovered ops in their windows.
         for session in harness.sessions:
             session.refresh_commit(cut_before)
-        for session in harness.sessions:
-            for record in session.session.ops_in_order():
-                if record.pending:
-                    continue
-                entry = harness.writes.get(
-                    (session.session_id, record.seqno))
-                if entry is None:
-                    continue
-                object_id, key, value = entry
-                covered = record.version <= cut_before.version_of(object_id)
-                stored = harness.objects[object_id].get(key)
-                if covered:
-                    assert stored == value, (
-                        f"covered op {record.seqno} of "
-                        f"{session.session_id} lost"
-                    )
-                else:
-                    assert stored is None, (
-                        f"uncovered op {record.seqno} of "
-                        f"{session.session_id} survived"
-                    )
+            uncovered = sorted(
+                seqno for (session_id, seqno), (object_id, _, _, version)
+                in harness.writes.items()
+                if session_id == session.session_id
+                and version > cut_before.version_of(object_id))
+            assert sorted(session.session.window) == uncovered
 
     @SETTINGS
     @given(trace=trace_strategy)
@@ -193,10 +195,11 @@ class TestProtocolProperties:
         cut = harness.quiesce()
         for session in harness.sessions:
             session.refresh_commit(cut)
-            live = [r for r in session.session.ops_in_order()
-                    if not r.pending]
+            live = [seqno for session_id, seqno in harness.writes
+                    if session_id == session.session_id]
             if live:
-                assert session.committed_seqno >= live[-1].seqno
+                assert session.committed_seqno >= max(live)
+            assert not session.session.window
 
     @SETTINGS
     @given(trace=trace_strategy)

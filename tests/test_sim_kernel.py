@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -302,42 +300,6 @@ class TestInterrupt:
         env.process(waker(target))
         env.run()
         assert log == ["caught", 4.0]
-
-
-class TestCombinators:
-    def test_all_of_collects_values(self, env):
-        def proc():
-            values = yield env.all_of([env.timeout(1, value="a"),
-                                       env.timeout(3, value="b"),
-                                       env.timeout(2, value="c")])
-            return (values, env.now)
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == (["a", "b", "c"], 3.0)
-
-    def test_all_of_empty_fires_immediately(self, env):
-        def proc():
-            values = yield env.all_of([])
-            return values
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == []
-
-    def test_any_of_returns_first(self, env):
-        def proc():
-            index, value = yield env.any_of([env.timeout(5, value="slow"),
-                                             env.timeout(1, value="fast")])
-            return (index, value, env.now)
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == (1, "fast", 1.0)
-
-    def test_any_of_requires_events(self, env):
-        with pytest.raises(ValueError):
-            env.any_of([])
 
 
 class TestEnvironment:

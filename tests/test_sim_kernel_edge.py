@@ -1,42 +1,8 @@
-"""Edge-case tests for the simulation kernel combinators and processes."""
+"""Edge-case tests for simulation kernel processes."""
 
 import pytest
 
 from repro.sim.kernel import Environment
-
-
-class TestAllOfFailure:
-    def test_failing_child_fails_combinator(self, env):
-        good = env.timeout(1, value="ok")
-        bad = env.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield env.all_of([good, bad])
-            except RuntimeError as error:
-                caught.append((str(error), env.now))
-
-        env.process(waiter())
-        bad.fail(RuntimeError("child broke"))
-        env.run()
-        assert caught == [("child broke", 0.0)]
-
-    def test_any_of_failure_propagates(self, env):
-        slow = env.timeout(10)
-        bad = env.event()
-        caught = []
-
-        def waiter():
-            try:
-                yield env.any_of([slow, bad])
-            except ValueError:
-                caught.append(True)
-
-        env.process(waiter())
-        bad.fail(ValueError("x"))
-        env.run()
-        assert caught == [True]
 
 
 class TestProcessComposition:
