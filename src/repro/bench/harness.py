@@ -127,23 +127,14 @@ def _summarize(label: str, stats: ClusterStats, warmup: float,
     return result
 
 
-def run_dfaster_experiment(label: str, duration: float = 0.3,
-                           warmup: float = 0.1,
-                           config: Optional[DFasterConfig] = None,
-                           failures: Tuple[float, ...] = (),
-                           setup=None,
-                           **overrides) -> ExperimentResult:
-    """Run one D-FASTER configuration and summarize it.
-
-    ``setup``, when given, is called with the constructed cluster
-    before the run starts — the hook for experiments that need extra
-    wiring (e.g. enabling elasticity and scheduling a mid-run
-    scale-out) without the harness growing a parameter per scenario.
-    """
+def _run_experiment(cluster_cls, label: str, duration: float,
+                    warmup: float, config, failures: Tuple[float, ...],
+                    setup, overrides: Dict) -> ExperimentResult:
+    """Build one cluster, run it, summarize it."""
     if config is None and "tracer" not in overrides:
         overrides["tracer"] = Tracer()
     with _gc_paused():
-        cluster = DFasterCluster(config, **overrides)
+        cluster = cluster_cls(config, **overrides)
         for at_time in failures:
             cluster.schedule_failure(at_time)
         if setup is not None:
@@ -154,19 +145,30 @@ def run_dfaster_experiment(label: str, duration: float = 0.3,
                       tracer=cluster.config.tracer)
 
 
+def run_dfaster_experiment(label: str, duration: float = 0.3,
+                           warmup: float = 0.1,
+                           config: Optional[DFasterConfig] = None,
+                           failures: Tuple[float, ...] = (),
+                           setup=None,
+                           **overrides) -> ExperimentResult:
+    """Run one D-FASTER configuration and summarize it.
+
+    ``failures`` are §7.4 world-line bumps at the given times.
+    ``setup``, when given, is called with the constructed cluster
+    before the run starts — the hook for experiments that need extra
+    wiring (e.g. enabling elasticity and scheduling a mid-run
+    scale-out) without the harness growing a parameter per scenario.
+    """
+    return _run_experiment(DFasterCluster, label, duration, warmup, config,
+                           failures, setup, overrides)
+
+
 def run_dredis_experiment(label: str, duration: float = 0.3,
                           warmup: float = 0.1,
                           config: Optional[DRedisConfig] = None,
                           setup=None,
                           **overrides) -> ExperimentResult:
-    """Run one D-Redis/Redis configuration and summarize it."""
-    if config is None and "tracer" not in overrides:
-        overrides["tracer"] = Tracer()
-    with _gc_paused():
-        cluster = DRedisCluster(config, **overrides)
-        if setup is not None:
-            setup(cluster)
-        stats = cluster.run(duration, warmup)
-    return _summarize(label, stats, warmup, duration,
-                      seed=cluster.config.seed,
-                      tracer=cluster.config.tracer)
+    """Run one D-Redis/Redis configuration and summarize it (same
+    ``setup`` hook as :func:`run_dfaster_experiment`)."""
+    return _run_experiment(DRedisCluster, label, duration, warmup, config,
+                           (), setup, overrides)

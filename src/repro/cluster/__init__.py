@@ -10,8 +10,10 @@ Composition (mirrors Figure 6):
   that turns protocol events into simulated time;
 - :mod:`repro.cluster.modeled` — a counters-only StateObject for
   large-scale performance runs (full DPR logic, no data payloads);
-- :mod:`repro.cluster.worker` — a D-FASTER worker: server threads,
-  checkpoint loop, flusher, rollback handling, co-located clients;
+- :mod:`repro.cluster.worker` — ``GateHost``, what every networked
+  host of the one DPR server gate (``core.libdpr.DprServer``) shares,
+  and the D-FASTER worker: server threads, checkpoint loop, flusher,
+  crash/restart;
 - :mod:`repro.cluster.client` — dedicated client machines with
   windowed, batched sessions;
 - :mod:`repro.cluster.services` — the DPR-finder service and the
@@ -20,7 +22,10 @@ Composition (mirrors Figure 6):
 - :mod:`repro.cluster.replication` — primary/replica chains: log
   shipping with held client replies, recoverable-prefix read serving,
   and the promotion mechanics;
-- :mod:`repro.cluster.dfaster` — the assembled D-FASTER cluster;
+- :mod:`repro.cluster.shell` — the cluster shell both deployments
+  share (config base, wiring, replica chains, elasticity, failures);
+- :mod:`repro.cluster.dfaster` — the assembled D-FASTER cluster and its
+  co-located client driver;
 - :mod:`repro.cluster.dredis` — the assembled D-Redis deployment
   (proxy + unmodified Redis per shard) plus the plain-Redis and
   pass-through-proxy baselines of §7.5.

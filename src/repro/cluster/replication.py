@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.messages import (
     BatchReply,
     BatchRequest,
-    CutBroadcast,
     ReplicaAck,
     ReplicaAppend,
     ReplicaDurable,
@@ -63,7 +62,7 @@ from repro.cluster.messages import (
     ReplicaReadRequest,
     RollbackCommand,
 )
-from repro.cluster.worker import DFasterWorker, REPLY_CACHE
+from repro.cluster.worker import DFasterWorker, GateHost
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.queues import Queue
@@ -72,15 +71,16 @@ from repro.sim.queues import Queue
 class ReplicationSource:
     """Primary-side half of a chain: log shipping plus reply holding.
 
-    Hosts are duck-typed on ``address``/``engine``/``crashed``/
-    ``running`` so both :class:`~repro.cluster.worker.DFasterWorker`
-    and the D-Redis proxy can carry one.  All sends go through
+    The host is any :class:`~repro.cluster.worker.GateHost` (a D-FASTER
+    worker or a D-Redis proxy): its gate reports feed :meth:`log_seal`
+    / :meth:`log_persist`, its reply path calls :meth:`hold_and_send`.
+    All sends go through
     :meth:`Network.send <repro.sim.network.Network.send>` from the
     host's address, so a crashed host's stream stops exactly when its
     endpoint goes down.
     """
 
-    def __init__(self, env: Environment, net: Network, host,
+    def __init__(self, env: Environment, net: Network, host: GateHost,
                  replicas: List["ReplicaNode"],
                  ack_interval: float = 10e-3):
         self.env = env
@@ -339,8 +339,9 @@ class ReplicaNode(DFasterWorker):
 
     def _dispatch(self, message):
         """Replica dispatch (sink handler, overriding the worker's):
-        replication stream first, worker duty (batches, cuts,
-        rollbacks) only once promoted."""
+        replication stream first; worker duty (batches, rollbacks) only
+        once promoted — a standby follows its primary's stream, not the
+        cluster manager."""
         payload = message.payload
         if isinstance(payload, ReplicaAppend):
             self._handle_append(payload)
@@ -348,30 +349,15 @@ class ReplicaNode(DFasterWorker):
             self._handle_durable(payload)
         elif isinstance(payload, ReplicaReadRequest):
             self.read_work.put(payload)
+        elif self.promoted:
+            super()._dispatch(message)
         elif isinstance(payload, BatchRequest):
-            if self.promoted:
-                if self.admit(payload):
-                    self.work.put(payload)
-            else:
-                self._bounce_standby(payload)
-        elif isinstance(payload, CutBroadcast):
-            self.cached_cut = payload.cut
-            self.cached_max_version = payload.max_version
-        elif isinstance(payload, RollbackCommand):
-            if self.promoted:
-                self.env.process(
-                    self._handle_rollback(payload),
-                    name=f"rollback:{self.address}@{payload.world_line}")
-
-    def _bounce_standby(self, request: BatchRequest) -> None:
-        """A write reached a standby (stale client cache): bounce it."""
-        reply = BatchReply(request.batch_id, request.session_id,
-                           self.engine.object_id, "not_owner",
-                           self.engine.world_line.current,
-                           served_at=self.env.now,
-                           partition=request.partition)
-        self.net.send(self.address, request.reply_to, reply,
-                      size_ops=request.op_count)
+            # A write reached a standby (stale client cache): bounce it.
+            self.net.send(self.address, payload.reply_to,
+                          self._not_owner(payload),
+                          size_ops=payload.op_count)
+        elif not isinstance(payload, RollbackCommand):
+            self._control(payload)  # cuts are cached on standby too
 
     # -- stream apply ----------------------------------------------------
 
@@ -453,69 +439,44 @@ class ReplicaNode(DFasterWorker):
             self._apply_restore(entry[1], entry[2], entry[3])
 
     def _apply_batch(self, request: BatchRequest, version: int) -> None:
-        """Re-execute a primary batch, landing on the same version.
-
-        ``min_version`` forces the engine onto the version the primary
-        executed at (fast-forwarding seals any gap exactly as §3.4
-        does on the primary), and ``world_line=None`` skips the
-        world-line gate — the stream itself is the ordering authority.
-        """
-        engine = self.engine
-        if request.ops is not None:
-            results = []
-            executed = 0
-            for index, real_op in enumerate(request.ops):
-                outcome = engine.execute(
-                    real_op,
-                    session_id=request.session_id,
-                    seqno=request.first_seqno + index,
-                    min_version=version,
-                    deps=request.deps if index == 0 else (),
-                    world_line=None)
-                results.append(outcome.value)
-                executed = outcome.version
-            reply_results = tuple(results)
-        else:
-            outcome = engine.execute(
-                ("batch", request.op_count, request.write_count),
-                session_id=request.session_id,
-                seqno=request.first_seqno + request.op_count - 1,
-                min_version=version,
-                deps=request.deps,
-                world_line=None)
-            executed = outcome.version
-            reply_results = None
+        """Re-execute a primary batch, landing on the same ``version``
+        (see :meth:`GateHost._gated`), and memoize the reply: after a
+        promotion it answers the clients' retransmissions."""
         # Autoseals triggered by the fast-forward snapshot the mirror
         # *before* this batch's ops land (their versions precede it).
-        self._drain_autosealed()
+        reply = self._gated(request, replayed_at=version)
         if request.ops is not None:
             for real_op in request.ops:
                 self._mirror_apply(real_op)
-        reply = BatchReply(request.batch_id, request.session_id,
-                           engine.object_id, "ok",
-                           engine.world_line.current, executed,
-                           request.op_count, None, self.env.now,
-                           reply_results)
-        self._replies[(request.session_id, request.batch_id)] = (
-            request.reply_to, reply)
-        while len(self._replies) > REPLY_CACHE:
-            self._replies.popitem(last=False)
+        self.gate.remember((request.session_id, request.batch_id), reply)
 
     def _apply_seal(self, version: int) -> None:
-        engine = self.engine
-        if engine.version < version:
-            engine.fast_forward(version)
-        self._drain_autosealed()
-        if engine.version == version:
-            engine.seal_version()
-            engine.mark_persisted(version)
-            self._note_sealed(version)
+        if self.engine.version <= version:
+            self.gate.commit(version)
 
-    def _drain_autosealed(self) -> None:
-        for descriptor in self.engine.drain_sealed():
-            sealed = descriptor.token.version
-            self.engine.mark_persisted(sealed)
-            self._note_sealed(sealed)
+    # Standby duty reports nowhere: a seal the stream dictates is
+    # durable as applied, and only feeds the read mirror.  Promoted
+    # duty is the worker's, plus keeping that mirror fresh.
+
+    def report_seal(self, descriptor) -> None:
+        if self.promoted:
+            super().report_seal(descriptor)
+            # First-hand seals keep the read path alive past the
+            # promotion point: snapshot the mirror and advance the
+            # applied watermark exactly as replica duty did.
+            self._note_sealed(descriptor.token.version)
+
+    def report_persisted(self, token) -> None:
+        if self.promoted:
+            super().report_persisted(token)
+        else:
+            self._note_sealed(token.version)
+
+    def _flush(self, descriptor) -> None:
+        if self.promoted:
+            super()._flush(descriptor)
+        else:
+            self.gate.persisted(descriptor.token.version)
 
     def _note_sealed(self, version: int) -> None:
         self._durable_snapshots[version] = dict(self._kv_mirror)
@@ -534,8 +495,7 @@ class ReplicaNode(DFasterWorker):
 
     def _apply_restore(self, world_line: int, target: int,
                        resume_version: int) -> None:
-        engine = self.engine
-        if world_line <= engine.world_line.current:
+        if world_line <= self.gate.world_line:
             return
         if target > self.applied_version:
             # The primary restored past this replica's applied prefix:
@@ -543,8 +503,7 @@ class ReplicaNode(DFasterWorker):
             # died with it), so this copy can never be proven identical
             # again.  Disqualify it.
             self.stale = True
-        restored = engine.restore(target, world_line=world_line,
-                                  resume_version=resume_version)
+        restored = self.gate.restore(target, world_line, resume_version)
         self.applied_version = min(self.applied_version, restored)
         self.durable_version = min(self.durable_version, restored)
         self._record_reset = True
@@ -673,24 +632,13 @@ class ReplicaNode(DFasterWorker):
         self.env.process(self._checkpoint_loop(),
                          name=f"checkpoint:{self.address}")
 
-    # Promoted duty keeps the read mirror fresh: mirror functional ops
-    # after execution, snapshot at each seal.
-
     def _execute(self, request: BatchRequest) -> BatchReply:
+        """Promoted duty keeps the read mirror fresh."""
         reply = super()._execute(request)
-        if (self.promoted and reply.status == "ok"
-                and request.ops is not None):
+        if reply.status == "ok" and request.ops is not None:
             for real_op in request.ops:
                 self._mirror_apply(real_op)
         return reply
-
-    def _report_seal(self, descriptor) -> None:
-        super()._report_seal(descriptor)
-        if self.promoted:
-            # First-hand seals keep the read path alive past the
-            # promotion point: snapshot the mirror and advance the
-            # applied watermark exactly as replica duty did.
-            self._note_sealed(descriptor.token.version)
 
 
 class ReplicationDirector:

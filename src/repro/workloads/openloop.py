@@ -578,15 +578,11 @@ def attach_open_loop(cluster, scenario: Optional[Dict[str, Any]] = None,
                      address: str = "openloop-0") -> OpenLoopDriver:
     """Attach a driver to a cluster built with ``n_client_machines=0``.
 
-    Targets come from the cluster's ``client_targets`` (D-Redis
-    proxies) or, failing that, its worker addresses (D-FASTER).  The
-    driver's RNG is spawned from the cluster's seed stream, so one
-    config seed still reproduces the whole run.
+    Targets are the cluster shell's ``client_targets`` (one address
+    per shard).  The driver's RNG is spawned from the cluster's seed
+    stream, so one config seed still reproduces the whole run.
     """
-    targets = getattr(cluster, "client_targets", None)
-    if targets is None:
-        targets = [worker.address for worker in cluster.workers]
     return OpenLoopDriver(
-        cluster.env, cluster.net, address, list(targets),
+        cluster.env, cluster.net, address, list(cluster.client_targets),
         scenario=scenario, stats=cluster.stats,
         rng=spawn(cluster._rng, address))

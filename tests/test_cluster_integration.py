@@ -112,6 +112,15 @@ class TestDFasterModeled:
         stats = cluster.run(0.3, warmup=0.05)
         assert stats.throughput(start=0.05, end=0.3, duration=0.25) > 0
 
+    def test_colocated_mode_rejects_add_worker(self):
+        # A joined worker would have no co-located driver to drain its
+        # inbox: refuse rather than build a dead host.
+        cluster = DFasterCluster(DFasterConfig(
+            n_workers=2, vcpus=2, colocated=True, batch_size=32))
+        with pytest.raises(ValueError, match="add_worker"):
+            cluster.add_worker()
+        assert len(cluster.workers) == 2
+
 
 class TestDFasterFunctional:
     """Real FasterKV engines behind the wire protocol."""

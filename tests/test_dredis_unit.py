@@ -133,7 +133,7 @@ class TestCommitRollbackRace:
         [reply] = drive(cluster, [request()], until=0.02)
         assert reply.status == "ok"
         proxy = cluster.proxies[0]
-        commit = proxy._commit_once()
+        commit = proxy._run_checkpoint()
         next(commit)  # sealed; BGSAVE latch queued
         sealed_version = proxy.engine.version - 1
         assert proxy.engine.is_sealed(sealed_version)
@@ -146,4 +146,4 @@ class TestCommitRollbackRace:
         with pytest.raises(StopIteration):
             commit.send(None)
         assert sealed_version not in proxy.engine.persisted_versions()
-        assert not proxy._committing
+        assert not proxy._machine_busy

@@ -166,7 +166,7 @@ class TestServerCommit:
         # Not durable until the injected flush completes it.
         assert obj.max_persisted_version == 0
         assert flushed == [descriptor]
-        server.report_persisted(descriptor.token.version)
+        assert server.persisted(descriptor.token.version)
         assert obj.max_persisted_version == 1
 
     def test_fast_forward_to_vmax(self):
@@ -176,7 +176,7 @@ class TestServerCommit:
         for _ in range(4):
             fast.state_object.execute(("incr", "n"))
             fast.commit()
-        slow.fast_forward_to_vmax()
+        slow.commit(finder.max_version())  # the §3.4 laggard rule
         assert slow.state_object.version >= 4
 
     def test_strict_session_through_libdpr(self, stack):

@@ -107,9 +107,7 @@ class Harness:
         """Drain: align versions, commit everything, publish."""
         top = max(obj.version for obj in self.objects.values())
         for name, server in self.servers.items():
-            server.state_object.fast_forward(top)
-            server._report_autosealed()
-            server.commit()
+            server.commit(top)
         return self.finder.tick()
 
 
