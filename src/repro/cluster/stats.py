@@ -36,6 +36,22 @@ class Reservoir:
             if slot < self.capacity:
                 self._samples[slot] = value
 
+    def add_run(self, value: float, n: int) -> None:
+        """``n`` observations of ``value``: the same samples, ``count``
+        and RNG draws, in the same order, as ``n`` calls of :meth:`add`
+        (one ``randrange`` per observation past the fill boundary is
+        what pins the reservoir's bytes)."""
+        samples = self._samples
+        capacity = self.capacity
+        fill = max(0, min(n, capacity - len(samples)))
+        samples.extend([value] * fill)
+        randrange = self._rng.randrange
+        for count in range(self.count + fill + 1, self.count + n + 1):
+            slot = randrange(count)
+            if slot < capacity:
+                samples[slot] = value
+        self.count += n
+
     def percentile(self, q: float) -> float:
         """q in [0, 100], linearly interpolated between ranks.
 
@@ -77,13 +93,14 @@ class Reservoir:
         self.count = merged_count
 
     def summary(self) -> Dict[str, float]:
+        ordered = sorted(self._samples)
         return {
             "count": self.count,
             "mean": self.mean(),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "p999": self.percentile(99.9),
+            "p50": interpolated_percentile(ordered, 50),
+            "p95": interpolated_percentile(ordered, 95),
+            "p99": interpolated_percentile(ordered, 99),
+            "p999": interpolated_percentile(ordered, 99.9),
         }
 
 

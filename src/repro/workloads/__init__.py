@@ -2,6 +2,7 @@
 open-loop fleet driver with its admission-control stack."""
 
 from repro.workloads.openloop import (
+    CohortBacklog,
     DEFAULT_SCENARIO,
     OpenLoopDriver,
     ScenarioError,
@@ -24,6 +25,7 @@ from repro.workloads.ycsb import (
 from repro.workloads.zipfian import ZipfianGenerator
 
 __all__ = [
+    "CohortBacklog",
     "DEFAULT_SCENARIO",
     "Distribution",
     "OpenLoopDriver",

@@ -12,17 +12,18 @@ The pieces, front to back:
 
 - **Arrival process** — a generator samples how many sessions arrive
   each tick from a Poisson process (or a log-normal doubly-stochastic
-  one for bursty fleets) and stamps them into the session table.
-- **Session table** — per-session state is a handful of bytes in flat
-  :mod:`array` columns keyed by integer handles (the array-kernel
-  idiom), so a million concurrent sessions cost megabytes, not a
-  million objects.
-- **Admission stack** — arrivals land in a
-  :class:`repro.sim.queues.BoundedQueue` (shed-oldest or reject), pass
-  an optional token bucket, and dispatch is capped at ``max_inflight``
-  batches per target: queue-based load leveling in front of the
-  cluster, observable through the queue's depth gauge, watermark, and
-  shed counters (docs/OBSERVABILITY.md).
+  one for bursty fleets).
+- **Cohorts** — sessions drawn in one tick share a timestamp and
+  nothing downstream can tell them apart, so a tick's arrivals are one
+  ``(arrival_time, count)`` run and stay one until a batch boundary or
+  the backlog bound splits it.  Arrivals, admission, dispatch and
+  latency recording cost O(ticks + batches), never O(sessions).
+- **Admission stack** — runs land in a :class:`CohortBacklog` bounded
+  in sessions (shed-oldest or reject), pass an optional token bucket,
+  and dispatch is capped at ``max_inflight`` batches per target:
+  queue-based load leveling in front of the cluster, observable
+  through the backlog's depth gauge, watermark, and shed counters
+  (docs/OBSERVABILITY.md).
 - **DPR driver** — admitted sessions coalesce into
   :class:`~repro.cluster.messages.BatchRequest`\\ s issued on one
   :class:`repro.core.session.Session` spanning every target (the
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
+from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.messages import BatchIds, batch_request
@@ -53,8 +54,10 @@ from repro.core.session import Session, Span
 from repro.obs import interpolated_percentile
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
-from repro.sim.queues import BoundedQueue
 from repro.sim.rand import make_rng, spawn
+
+#: ``(arrival_time, count)``: sessions that arrived in the same tick.
+Run = Tuple[float, int]
 
 
 class ScenarioError(ValueError):
@@ -93,7 +96,7 @@ DEFAULT_SCENARIO: Dict[str, Any] = {
     "admission": {
         #: Backlog bound of the admission queue, in sessions.
         "queue_capacity": 200_000,
-        #: "shed-oldest" or "reject" (see BoundedQueue).
+        #: "shed-oldest" or "reject" (see CohortBacklog).
         "policy": "shed-oldest",
         #: Token-bucket throttle in ops/second; 0 disables it.
         "token_rate": 0.0,
@@ -106,8 +109,13 @@ DEFAULT_SCENARIO: Dict[str, Any] = {
 
 _RANGES = {
     ("arrival", "process"): ("poisson", "lognormal"),
-    ("admission", "policy"): BoundedQueue.POLICIES,
+    ("admission", "policy"): ("shed-oldest", "reject"),
 }
+#: Session counts: run-length arithmetic needs real ints.
+_INTEGERS = (
+    ("session", "ops"), ("session", "coalesce"),
+    ("admission", "queue_capacity"), ("admission", "max_inflight"),
+)
 _POSITIVE = {
     ("arrival", "rate"), ("arrival", "tick"), ("session", "ops"),
     ("session", "coalesce"), ("session", "retry_delay"),
@@ -156,6 +164,11 @@ def validate_scenario(overrides: Optional[Dict[str, Any]] = None
             raise ScenarioError(
                 f"{section}.{key} must be one of {allowed}, "
                 f"got {merged[section][key]!r}")
+    for section, key in _INTEGERS:
+        value = merged[section][key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(
+                f"{section}.{key} must be an int, got {value!r}")
     for section, key in _POSITIVE:
         if not merged[section][key] > 0:
             raise ScenarioError(
@@ -215,53 +228,112 @@ class TokenBucket:
         return False
 
 
-#: Session lifecycle states (the ``state`` column of the table).
-FREE, QUEUED, INFLIGHT, ACKED = 0, 1, 2, 3
-
-
 class SessionTable:
-    """Per-session state as flat array columns keyed by int handles.
+    """The session ledger: offered, live, and the live high-water mark."""
 
-    The whole point of the open-loop driver is scale: a session is one
-    byte of state plus one double of arrival time, recycled through a
-    free list, so a million concurrent sessions are ~9 MB of arrays
-    instead of a million Python objects (docs/PERFORMANCE.md's
-    array-kernel idiom applied to workload state).
-    """
-
-    __slots__ = ("state", "arrival", "_free", "live", "peak_live",
-                 "allocated")
+    __slots__ = ("allocated", "live", "peak_live")
 
     def __init__(self) -> None:
-        self.state = array("b")
-        self.arrival = array("d")
-        self._free: List[int] = []
+        self.allocated = 0
         self.live = 0
         self.peak_live = 0
-        self.allocated = 0
 
-    def alloc(self, now: float) -> int:
-        """Stamp a new QUEUED session in; returns its handle."""
-        free = self._free
-        if free:
-            handle = free.pop()
-            self.state[handle] = QUEUED
-            self.arrival[handle] = now
+    def arrive(self, count: int, turned_away: int) -> None:
+        """``count`` sessions arrived and admission turned ``turned_away``
+        sessions away to fit them.  A victim is released only after the
+        newcomer that displaced it is counted, so a tick that overflows
+        the backlog peaks one above where it settles."""
+        self.allocated += count
+        self.live += count - turned_away
+        peak = self.live + 1 if turned_away else self.live
+        if peak > self.peak_live:
+            self.peak_live = peak
+
+    def release(self, count: int) -> None:
+        """``count`` sessions were shed, committed or aborted."""
+        self.live -= count
+
+
+class CohortBacklog:
+    """Run-length FIFO admission backlog, bounded in *sessions*.
+
+    What a :class:`repro.sim.queues.BoundedQueue` fed one item per
+    session would hold, stored as ``(arrival_time, count)`` runs (the
+    property test in tests/test_openloop.py holds the two to the same
+    depths, counters and FIFO order).  When an offer would push the
+    backlog past ``capacity``, ``"shed-oldest"`` trims the head — down
+    to the newcomers themselves when one offer exceeds the capacity —
+    and ``"reject"`` truncates the newcomers.  The tracer hears once
+    per operation: the post-operation depth under ``queue.<name>`` and
+    the victim count under ``queue.<name>.shed`` / ``.rejected``.
+    """
+
+    __slots__ = ("env", "capacity", "policy", "shed_items",
+                 "rejected_items", "_runs", "_depth", "_depth_key")
+
+    def __init__(self, env: Environment, capacity: int, name: str,
+                 policy: str = "shed-oldest"):
+        self.env = env
+        self.capacity = capacity
+        self.policy = policy
+        self.shed_items = 0
+        self.rejected_items = 0
+        self._runs: deque = deque()
+        self._depth = 0
+        self._depth_key = "queue." + name
+
+    def __len__(self) -> int:
+        return self._depth
+
+    def offer(self, runs: Sequence[Run]) -> int:
+        """Queue ``runs`` in order; returns how many sessions the
+        overload policy turned away to fit them."""
+        offered = sum(count for _arrival, count in runs)
+        if not offered:
+            return 0  # nothing to report: the tracer must hear nothing
+        over = max(0, self._depth + offered - self.capacity)
+        tracer = self.env.tracer
+        if over and self.policy == "reject":
+            self.rejected_items += over
+            if tracer is not None:
+                tracer.counter(self._depth_key + ".rejected", over)
+            self._runs.extend(_split(deque(runs), offered - over))
         else:
-            handle = len(self.state)
-            self.state.append(QUEUED)
-            self.arrival.append(now)
-        self.allocated += 1
-        self.live += 1
-        if self.live > self.peak_live:
-            self.peak_live = self.live
-        return handle
+            self._runs.extend(runs)
+            if over:
+                self.shed_items += over
+                if tracer is not None:
+                    tracer.counter(self._depth_key + ".shed", over)
+                _split(self._runs, over)
+        if offered > over:  # the depth moved
+            self._depth += offered - over
+            if tracer is not None:
+                tracer.queue_depth(self._depth_key, self._depth)
+        return over
 
-    def release(self, handle: int) -> None:
-        """Retire a session; its handle goes back on the free list."""
-        self.state[handle] = FREE
-        self.live -= 1
-        self._free.append(handle)
+    def take(self, count: int) -> Tuple[Run, ...]:
+        """Dequeue the ``count`` oldest sessions (``count <= len``)."""
+        self._depth -= count
+        tracer = self.env.tracer
+        if tracer is not None and count:
+            tracer.queue_depth(self._depth_key, self._depth)
+        return _split(self._runs, count)
+
+
+def _split(runs: deque, count: int) -> Tuple[Run, ...]:
+    """Pop the ``count`` oldest sessions off ``runs``, splitting the run
+    the boundary falls in."""
+    head = []
+    while count:
+        arrival, size = runs[0]
+        if size <= count:
+            head.append(runs.popleft())
+            count -= size
+        else:
+            runs[0] = (arrival, size - count)
+            head.append((arrival, count))
+            count = 0
+    return tuple(head)
 
 
 def _ack_order(span: Span):
@@ -273,7 +345,7 @@ class OpenLoopDriver:
 
     Registers one network endpoint and drives one DPR session across
     every target at batch granularity; what stays here is arrivals,
-    admission, the session table and exact latencies.  Attach to a
+    admission, the session ledger and exact latencies.  Attach to a
     cluster built with ``n_client_machines=0`` via
     :func:`attach_open_loop`.
     """
@@ -309,10 +381,10 @@ class OpenLoopDriver:
         self.retry_backoff_cap: float = session["retry_backoff_cap"]
         self._max_inflight: int = admission["max_inflight"]
 
-        #: The admission queue holds handles of QUEUED sessions.
-        self.admit = BoundedQueue(
+        #: The admission backlog: runs of sessions awaiting dispatch.
+        self.admit = CohortBacklog(
             env, admission["queue_capacity"], name=f"admit:{address}",
-            policy=admission["policy"], on_shed=self._shed)
+            policy=admission["policy"])
         if admission["token_rate"] > 0:
             burst = admission["token_burst"] or self._coalesce * self._ops
             self.bucket: Optional[TokenBucket] = TokenBucket(
@@ -325,8 +397,8 @@ class OpenLoopDriver:
         self._batch_ids = BatchIds()
         #: Batches awaiting a reply, per target.  The session's window
         #: is keyed by batch id; each span's ``tag`` is the batch's
-        #: (target index, session handles) until it is acknowledged,
-        #: then (ack order, session handles).
+        #: (target index, runs) until it is acknowledged, then
+        #: (ack order, runs).
         self._inflight = [0] * len(self.targets)
         self._rr = 0
         #: object id -> rank by first acknowledgement, and acks so far:
@@ -342,7 +414,6 @@ class OpenLoopDriver:
         self.completed_sessions = 0
         self.committed_sessions = 0
         self.aborted_sessions = 0
-        self.shed_sessions = 0
 
         self.running = True
         self.endpoint = net.register(address)
@@ -361,25 +432,17 @@ class OpenLoopDriver:
         sigma: float = arrival["sigma"]
         mu = -0.5 * sigma * sigma  # unit-mean intensity multiplier
         rng = self._rng
-        alloc = self.table.alloc
-        put = self.admit.put
         while self.running:
             if lognormal:
                 count = poisson_draw(rng, lam * rng.lognormvariate(mu, sigma))
             else:
                 count = poisson_draw(rng, lam)
-            now = env.now
-            for _ in range(count):
-                put(alloc(now))
+            self.table.arrive(count,
+                              self.admit.offer(((env.now, count),)))
             self._dispatch()
             yield tick
             if not self.running:
                 break
-
-    def _shed(self, handle: int) -> None:
-        """Admission-queue eviction: the session never ran."""
-        self.table.release(handle)
-        self.shed_sessions += 1
 
     def _dispatch(self) -> None:
         """Drain the admission queue into per-target batches.
@@ -402,8 +465,7 @@ class OpenLoopDriver:
         max_inflight = self._max_inflight
         inflight = self._inflight
         n_targets = len(self.targets)
-        state = self.table.state
-        try_get = admit.try_get
+        take = admit.take
         send = self.net.send
         address = self.address
         while len(admit):
@@ -424,23 +486,21 @@ class OpenLoopDriver:
                 if count <= 0:
                     return  # throttled; the next tick refills
                 bucket.take(count * ops)
-            handles = tuple(try_get() for _ in range(count))
-            for handle in handles:
-                state[handle] = INFLIGHT
             self._rr = (target_idx + 1) % n_targets
             inflight[target_idx] += 1
-            self._send_batch(target_idx, handles, now, send, address)
+            self._send_batch(target_idx, take(count), count, now, send,
+                             address)
 
-    def _send_batch(self, target_idx: int, handles: Tuple[int, ...],
-                    now: float, send, address: str) -> None:
+    def _send_batch(self, target_idx: int, runs: Tuple[Run, ...],
+                    count: int, now: float, send, address: str) -> None:
         target = self.targets[target_idx]
-        op_count = len(handles) * self._ops
+        op_count = count * self._ops
         batch_id = self._batch_ids.allocate()
         span = self.session.issue(target, now, op_count, batch_id,
-                                  (target_idx, handles))
+                                  (target_idx, runs))
         send(address, target,
              batch_request(address, span, batch_id, address,
-                           len(handles) * self._write_count),
+                           count * self._write_count),
              size_ops=op_count)
 
     # -- receiving --------------------------------------------------------------
@@ -456,7 +516,7 @@ class OpenLoopDriver:
         span = self.session.window.get(reply.batch_id)
         if span is None or span.version is not None:
             return  # straggler from before a rollback, or a duplicate
-        target_idx, handles = span.tag
+        target_idx, runs = span.tag
         self._inflight[target_idx] -= 1
         if status == "ok":
             self._complete(reply, span, now)
@@ -468,50 +528,42 @@ class OpenLoopDriver:
             self.session.drop(span.key)
             self.session.backoff(now, self.retry_delay,
                                  self.retry_backoff_cap, self._rng.random())
-            state = self.table.state
-            put = self.admit.put
-            for handle in handles:
-                state[handle] = QUEUED
-                put(handle)
+            self.table.release(self.admit.offer(runs))
         self._dispatch()
 
     def _complete(self, reply, span: Span, now: float) -> None:
-        handles = span.tag[1]
+        runs = span.tag[1]
         ranks = self._ack_rank
         self._acks += 1
         span.tag = ((ranks.setdefault(reply.object_id, len(ranks)),
-                     self._acks), handles)
+                     self._acks), runs)
         retired = self.session.absorb(span.key, reply.version, now,
                                       reply.object_id, reply.cut)
-        state = self.table.state
-        arrival = self.table.arrival
-        op_latency = self.stats.operation_latency.add
-        for handle in handles:
-            state[handle] = ACKED
-            op_latency(now - arrival[handle])
-        self.completed_sessions += len(handles)
+        op_latency = self.stats.operation_latency.add_run
+        for arrival, count in runs:
+            op_latency(now - arrival, count)
+        self.completed_sessions += span.op_count // self._ops
         self.stats.completed.add(now, span.op_count)
         if retired:
             self._commit(retired, now)
 
     def _commit(self, retired: Sequence[Span], now: float) -> None:
-        """Release the ACKED sessions of committed batches; their commit
+        """Release the sessions of committed batches; their commit
         latency is arrival-to-cut, the open-loop number a knee curve
         plots."""
-        arrival = self.table.arrival
-        release = self.table.release
-        lat_append = self.commit_latencies.append
-        commit_lat = self.stats.commit_latency.add
+        lat_extend = self.commit_latencies.extend
+        commit_lat = self.stats.commit_latency.add_run
         committed = self.stats.committed
+        sessions = 0
         for span in sorted(retired, key=_ack_order):
-            handles = span.tag[1]
-            for handle in handles:
-                latency = now - arrival[handle]
-                lat_append(latency)
-                commit_lat(latency)
-                release(handle)
+            for arrival, count in span.tag[1]:
+                latency = now - arrival
+                lat_extend([latency] * count)
+                commit_lat(latency, count)
             committed.add(now, span.op_count)
-            self.committed_sessions += len(handles)
+            sessions += span.op_count // self._ops
+        self.table.release(sessions)
+        self.committed_sessions += sessions
 
     def _handle_rollback(self, new_world_line: int, cut: Optional[DprCut],
                          now: float) -> None:
@@ -523,14 +575,13 @@ class OpenLoopDriver:
             return  # duplicate notification
         session.acknowledge_rollback()
         self._commit(error.committed, now)
-        release = self.table.release
         aborted = self.stats.aborted
+        sessions = 0
         for span in error.aborted:
-            handles = span.tag[1]
-            for handle in handles:
-                release(handle)
             aborted.add(now, span.op_count)
-            self.aborted_sessions += len(handles)
+            sessions += span.op_count // self._ops
+        self.table.release(sessions)
+        self.aborted_sessions += sessions
         # In-flight batches died with the old world-line; their
         # straggling replies describe rolled-back effects.
         self._inflight = [0] * len(self.targets)

@@ -3,12 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig
+from repro.cluster.stats import Reservoir
 from repro.obs import Tracer
+from repro.sim.kernel import Environment
+from repro.sim.queues import BoundedQueue
 from repro.workloads import (
     DEFAULT_SCENARIO,
+    CohortBacklog,
     ScenarioError,
     SessionTable,
     TokenBucket,
@@ -17,7 +23,6 @@ from repro.workloads import (
     slo_report,
     validate_scenario,
 )
-from repro.workloads.openloop import ACKED, FREE, QUEUED
 
 
 def run_openloop(config_cls, cluster_cls, scenario, duration=0.4,
@@ -70,6 +75,19 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="admission.policy"):
             validate_scenario({"admission": {"policy": "drop-newest"}})
 
+    @pytest.mark.parametrize("section,key,value", [
+        # Each of these used to pass validation: the float died inside
+        # the simulation (range(64.0)), the others ran by accident of
+        # float/bool comparison.
+        ("session", "coalesce", 64.0),
+        ("session", "ops", 8.5),
+        ("admission", "queue_capacity", 2e4),
+        ("admission", "max_inflight", True),
+    ])
+    def test_session_counts_must_be_ints(self, section, key, value):
+        with pytest.raises(ScenarioError, match=f"{section}.{key}"):
+            validate_scenario({section: {key: value}})
+
 
 class TestPrimitives:
     def test_poisson_draw_mean_tracks_lambda(self):
@@ -93,21 +111,105 @@ class TestPrimitives:
         assert bucket.take(50.0)
         assert not bucket.take(1.0)
 
-    def test_session_table_recycles_handles(self):
+    def test_session_table_counts_cohorts(self):
         table = SessionTable()
-        first = table.alloc(1.0)
-        second = table.alloc(2.0)
-        assert table.state[first] == QUEUED
-        assert (table.live, table.peak_live) == (2, 2)
-        table.release(first)
-        assert table.state[first] == FREE
+        table.arrive(2, 0)
+        assert (table.allocated, table.live, table.peak_live) == (2, 2, 2)
+        table.release(1)
         assert table.live == 1
-        # The freed handle is reused; peak remembers the high-water.
-        assert table.alloc(3.0) == first
-        assert table.arrival[first] == 3.0
-        assert table.peak_live == 2
-        assert table.allocated == 3
-        assert second == 1
+        # Peak remembers the high-water; a cohort that displaced
+        # sessions peaks one above where it settles (each victim left
+        # only after the newcomer that evicted it was counted).
+        table.arrive(5, 3)
+        assert (table.allocated, table.live, table.peak_live) == (7, 3, 4)
+        table.arrive(1, 0)
+        assert (table.live, table.peak_live) == (4, 4)
+
+
+class PerSessionModel:
+    """The reference the cohort backlog replaced: a ``BoundedQueue``
+    holding one item (its arrival stamp) per session."""
+
+    def __init__(self, capacity, policy):
+        self.env = Environment(tracer=Tracer())
+        self.victims = []
+        self.queue = BoundedQueue(
+            self.env, capacity, name="admit", policy=policy,
+            on_shed=self.victims.append)
+
+    def offer(self, runs):
+        before = len(self.victims)
+        for arrival, count in runs:
+            for _ in range(count):
+                self.queue.put(arrival)
+        return len(self.victims) - before
+
+    def take(self, count):
+        return [self.queue.try_get() for _ in range(count)]
+
+
+def stamps(runs):
+    """One arrival stamp per session, in FIFO order."""
+    return [arrival for arrival, count in runs for _ in range(count)]
+
+
+def observable(env, queue):
+    tracer = env.tracer
+    return (len(queue), queue.shed_items, queue.rejected_items,
+            dict(tracer.queue_depths), dict(tracer.queue_high_watermarks),
+            dict(tracer.counters))
+
+
+class TestCohortBacklogMatchesPerSessionQueue:
+    #: (kind, size): 0 a fresh tick's arrivals, 1 a dispatch of up to
+    #: ``size`` sessions, 2 the last dispatched batch refused and
+    #: re-offered.  Capacities start below a single run's size.
+    steps = st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 12)),
+        min_size=1, max_size=60)
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 20),
+           policy=st.sampled_from(BoundedQueue.POLICIES), steps=steps)
+    def test_same_depths_counters_and_fifo_order(self, capacity, policy,
+                                                 steps):
+        model = PerSessionModel(capacity, policy)
+        env = Environment(tracer=Tracer())
+        backlog = CohortBacklog(env, capacity, name="admit", policy=policy)
+        last_batch = ()
+        for tick, (kind, size) in enumerate(steps):
+            if kind == 1:
+                count = min(size, len(backlog))
+                last_batch = backlog.take(count)
+                assert stamps(last_batch) == model.take(count)
+            else:
+                runs = last_batch if kind == 2 else ((float(tick), size),)
+                assert backlog.offer(runs) == model.offer(runs)
+                last_batch = ()
+            assert observable(env, backlog) == \
+                observable(model.env, model.queue)
+        # Drained, both hand back the same sessions in the same order.
+        assert stamps(backlog.take(len(backlog))) == \
+            model.take(len(model.queue))
+
+
+class TestReservoirAddRun:
+    @pytest.mark.parametrize("before", [0, 3, 8, 11])  # capacity is 8
+    @pytest.mark.parametrize("n", [0, 1, 4, 9, 30])
+    def test_add_run_is_n_adds(self, before, n):
+        # Runs that start below, straddle and start above the fill
+        # boundary: same samples, same count, same RNG draws in order.
+        one_by_one, by_run = Reservoir(8, rng=5), Reservoir(8, rng=5)
+        for reservoir in (one_by_one, by_run):
+            for index in range(before):
+                reservoir.add(float(index))
+        for _ in range(n):
+            one_by_one.add(-1.0)
+        by_run.add_run(-1.0, n)
+        assert by_run._samples == one_by_one._samples
+        assert by_run.count == one_by_one.count == before + n
+        assert by_run._rng.getstate() == one_by_one._rng.getstate()
+        assert by_run.summary() == one_by_one.summary()
 
 
 SMALL_SCENARIO = {

@@ -8,14 +8,18 @@ is exactly reproducible and pinned; the heap and the live-handle pool
 must scale with in-flight work (windows x clients), never run length;
 and the free-list must be recycling nearly every handle (a reuse-rate
 collapse means handles are leaking and the arrays are growing without
-bound).
+bound).  The open-loop driver gets the same treatment: its count of
+Python calls (exact per seed) must track batches served, not sessions
+offered.
 
 **Byte-identity anchors** pin sha256 digests of full trace streams
 captured *before* the array-core refactor landed.  The refactor's
 contract (docs/PERFORMANCE.md) is that every fast path consumes exactly
 one kernel sequence number where the Event-based form consumed one, so
 event order, RNG draw order, and therefore every simulated result are
-bit-for-bit unchanged.  These tests hold future kernel work to the same
+bit-for-bit unchanged.  (The open-loop anchors were captured the same
+way, before the cohort-granular data path replaced the per-session
+one.)  These tests hold future kernel work to the same
 contract: if one fails, the change reordered events — compare
 per-counter with Tracer.counters and per-phase with phase_summary() to
 localize, and only re-pin if the reordering was an intentional protocol
@@ -27,13 +31,18 @@ the change — the point is that event-count growth is a *decision*,
 never an accident of a refactor.
 """
 
+import cProfile
 import hashlib
 import json
+import pstats
+
+import pytest
 
 from repro.bench.harness import run_dfaster_experiment
 from repro.cluster import DFasterCluster, DFasterConfig
+from repro.cluster.dredis import DRedisCluster, DRedisConfig
 from repro.obs import Tracer
-from repro.workloads import YCSB_A
+from repro.workloads import YCSB_A, attach_open_loop, slo_report
 
 #: Exact dispatch count of the smoke cell below, as of the array-core
 #: refactor.  (It was 13_679 before: converting six message-router
@@ -75,6 +84,66 @@ CHAOS_SCENARIO_SHA = \
 REPLICATION_SCENARIO_SHA = \
     "8475dcd0c7d78192fc98312dd8fdd70fe2b183decde64e356518f18985c48fee"
 
+#: Open-loop byte-identity anchors, captured on the per-session data
+#: path (a handle per session through ``BoundedQueue``) immediately
+#: before the cohort-granular one replaced it.  BENCH_openloop and the
+#: ledger digest only reach Poisson + shed-oldest + no failures; these
+#: pin the rest: both overload policies, a backlog smaller than one
+#: tick's arrivals, bursty arrivals behind the token bucket, rollbacks
+#: (nested, and after a real crash), D-Redis, and refused batches
+#: re-entering admission.  Rows: sha256, cluster, scenario, run kwargs.
+_D_FASTER = dict(n_workers=2, vcpus=4)
+_D_FASTER_CKPT = dict(_D_FASTER, checkpoint_interval=0.05)
+
+
+def _overload(rate, capacity, policy="shed-oldest"):
+    return {"arrival": {"rate": rate}, "session": {"coalesce": 256},
+            "admission": {"queue_capacity": capacity, "policy": policy,
+                          "max_inflight": 16}}
+
+
+OPENLOOP_ANCHORS = {
+    "reject": (
+        "dcf42dc75d4551dba58123e3ffc91121d428dc3a9e9772b617e4b854c6eda76a",
+        _D_FASTER, _overload(2e6, 50_000, "reject"), {}),
+    "sub-tick-queue-shed-oldest": (
+        "40e0d7a6a0801402455aa233d8fc8897436e3f6f24a9b850938b0c6d12b6e07d",
+        _D_FASTER, _overload(2e6, 700), {}),
+    "sub-tick-queue-reject": (
+        "db5edd6f8c0ff2e22fa9303fc8da77dcd52219269274e302f388204e9a5fd2b2",
+        _D_FASTER, _overload(2e6, 700, "reject"), {}),
+    "lognormal-token-bucket": (
+        "4ae8c5226ea366c7e41324645e5e2201195b696952e3c9d5b55d5fb6cace7f6c",
+        _D_FASTER,
+        {"arrival": {"process": "lognormal", "rate": 500e3, "sigma": 0.6},
+         "session": {"coalesce": 256},
+         "admission": {"token_rate": 4e6, "max_inflight": 16}}, {}),
+    "failures-shed-oldest": (
+        "cac16d4fb0d66fed01054b819717601d6d5682d3a2ded36a3c62b9a3ca8e4ea0",
+        _D_FASTER_CKPT, _overload(1.5e6, 20_000),
+        dict(duration=0.6, failures=(0.2, 0.4))),
+    "nested-failures-reject": (
+        "883550527c6784a0b9bf73f0babd1a16d8e63c577ce390376749bd16a03b11ff",
+        _D_FASTER_CKPT, _overload(1.5e6, 20_000, "reject"),
+        dict(duration=0.6, failures=(0.2, 0.21))),
+    "crash-light-load": (
+        "182af79780865bba9692df558bd83c7e22b9e5ef3bb9c0ff304277c9d06c8476",
+        dict(n_workers=3, vcpus=2, checkpoint_interval=0.05),
+        {"arrival": {"rate": 50e3},
+         "admission": {"queue_capacity": 20_000}},
+        dict(duration=1.0, crash_at=0.3)),
+    "d-redis-overload": (
+        "6aeeff5280485266abb211b1d75c560ca67ba5687f75a7333c4db686c218094a",
+        dict(n_shards=2, checkpoint_interval=0.05),
+        _overload(2e6, 50_000), {}),
+    "refused-batches-shed-oldest": (
+        "2308664914faccd2351597f21b5c5f10be009a2a06ee2b50f933888248d52839",
+        _D_FASTER, _overload(2e6, 700), dict(refuse_every=5)),
+    "refused-batches-reject": (
+        "4d751c72b7845d57f9d9166a3dc65b34e45791935352e0154c87dcad5e363414",
+        _D_FASTER, _overload(2e6, 50_000, "reject"), dict(refuse_every=5)),
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -97,6 +166,50 @@ def _run_smoke_cluster():
         n_workers=2, n_client_machines=2, workload=YCSB_A, tracer=tracer))
     cluster.run(0.1, warmup=0.05)
     return cluster, tracer
+
+
+def _openloop_fingerprint(cluster_kwargs, scenario, duration=0.4,
+                          failures=(), crash_at=None, refuse_every=0) -> str:
+    """Everything an open-loop run reports, hashed: the SLO report,
+    both shared reservoirs, the three series, every exact commit
+    latency, the trace stream and the tracer's counters and gauges."""
+    tracer = Tracer()
+    if "n_shards" in cluster_kwargs:
+        cluster = DRedisCluster(DRedisConfig(
+            n_client_machines=0, seed=7, tracer=tracer, **cluster_kwargs))
+    else:
+        cluster = DFasterCluster(DFasterConfig(
+            n_client_machines=0, seed=7, tracer=tracer, **cluster_kwargs))
+    for at_time in failures:
+        cluster.schedule_failure(at_time)
+    if crash_at is not None:
+        cluster.schedule_crash(worker_index=1, at_time=crash_at)
+    driver = attach_open_loop(cluster, scenario=scenario)
+    if refuse_every:
+        # No seeded run makes a server answer RETRY (the recovery pause
+        # outlasts the rollback), so turn every Nth "ok" into one: the
+        # batch's sessions go back through admission under overload.
+        served = [0]
+
+        def refusing(message):
+            reply = message.payload
+            if reply.status == "ok":
+                served[0] += 1
+                if served[0] % refuse_every == 0:
+                    reply.status = "retry"
+            driver._on_reply(message)
+
+        driver.endpoint.inbox.set_handler(refusing)
+    stats = cluster.run(duration, warmup=0.1)
+    return _sha(json.dumps([
+        slo_report(driver),
+        stats.operation_latency.summary(), stats.commit_latency.summary(),
+        stats.completed.series(), stats.committed.series(),
+        stats.aborted.series(), driver.commit_latencies,
+        tracer.serialize(), sorted(tracer.counters.items()),
+        sorted(tracer.queue_high_watermarks.items()),
+        sorted(tracer.queue_depths.items()),
+    ]))
 
 
 class TestKernelEventBudget:
@@ -175,3 +288,41 @@ class TestByteIdentity:
             "replication-scenario fingerprint diverged from the "
             "pre-array-core capture: event order changed on the "
             "chain/promotion path")
+
+
+class TestOpenLoopByteIdentity:
+    """The cohort-granular open-loop data path must report exactly
+    what the per-session one did (docs/OPENLOOP.md)."""
+
+    @pytest.mark.parametrize("case", sorted(OPENLOOP_ANCHORS))
+    def test_fingerprint_unchanged(self, case):
+        sha, cluster_kwargs, scenario, run_kwargs = OPENLOOP_ANCHORS[case]
+        assert _openloop_fingerprint(
+            cluster_kwargs, scenario, **run_kwargs) == sha, (
+            f"open-loop {case} run diverged from the per-session capture: "
+            f"diff slo_report, then Tracer.counters / queue gauges, then "
+            f"the reservoirs (one randrange per observation, in order)")
+
+
+def _repro_calls(rate: float) -> int:
+    """Python-level calls into ``repro`` for one overloaded open-loop
+    cell (cProfile call counts are exact per seed)."""
+    cluster = DFasterCluster(DFasterConfig(
+        n_client_machines=0, seed=7, **_D_FASTER))
+    attach_open_loop(cluster, scenario=_overload(rate, 50_000))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    cluster.run(0.3, warmup=0.1)
+    profiler.disable()
+    return sum(calls for (path, _line, _name), (_cc, calls, *_rest)
+               in pstats.Stats(profiler).stats.items() if "/repro/" in path)
+
+
+class TestOpenLoopScaling:
+    def test_cost_scales_with_batches_not_offered_sessions(self):
+        # A saturated cluster serves the same batches whatever is
+        # offered, so 4x the arrivals must not be 4x the Python steps.
+        # (Per-session path: 1,987,905 vs 6,488,239 calls, 3.26x.)
+        base, heavy = _repro_calls(1e6), _repro_calls(4e6)
+        assert base > 10_000  # the profiler saw the run
+        assert heavy <= 1.1 * base, (base, heavy)

@@ -204,9 +204,9 @@ class OpenLoopRig:
 
     def send(self):
         driver = self.driver
-        backlog = len(driver.admit)  # re-admitted by a retry
-        for _ in range(self.SESSIONS - backlog):
-            driver.admit.put(driver.table.alloc(self.env.now))
+        fresh = self.SESSIONS - len(driver.admit)  # a retry re-admits
+        driver.table.arrive(
+            fresh, driver.admit.offer(((self.env.now, fresh),)))
         driver._dispatch()
         span = list(self.core.window.values())[-1]
         return span.key, (span.world_line, span.min_version, span.deps)
