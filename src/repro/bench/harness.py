@@ -81,25 +81,44 @@ def wallclock_probe():
 
 @contextmanager
 def _gc_paused():
-    """Disable the cyclic collector for the duration of one experiment.
+    """Disable the cyclic collector for the duration of one experiment,
+    and collect, on either side of it, only what an experiment allocates.
 
     A cluster run churns ~200k cyclic objects (generators, deques,
-    OrderedDicts) that all die at run end anyway; letting the gen-2
-    collector walk them mid-run costs ~15% wall clock and contributes
-    nothing — nothing the simulation frees early is cyclic garbage the
-    run would otherwise grow without bound.  GC state is observability-
-    neutral (no RNG draws, no event scheduling), so pausing it cannot
-    perturb results.  One explicit collect() on the way out returns the
-    heap to its pre-run footprint before the next experiment starts.
+    OrderedDicts) that all die at run end anyway; letting the collector
+    walk them mid-run costs ~15% wall clock and contributes nothing —
+    nothing the simulation frees early is cyclic garbage the run would
+    otherwise grow without bound.  GC state is observability-neutral
+    (no RNG draws, no event scheduling), so pausing it cannot perturb
+    results.
+
+    The collections are scoped by generation.  Invariant: inside the
+    block the two young generations hold nothing but this experiment.
+    On the way in ``collect(1)`` empties them — whatever the caller
+    allocated since the previous experiment is freed or promoted to the
+    oldest generation; the collector is then off, so everything the run
+    allocates stays in generation 0, and on the way out ``collect(0)``
+    *is* a collection of this experiment: the cluster is freed there,
+    provided no frame still holds it (which is why :func:`_simulate`
+    returns before this block exits), and what survives — the result —
+    moves to generation 1.  A caller that kept the cluster (the driver
+    returned by ``attach_open_loop`` holds ``env``, hence all of it)
+    sees it survive into generation 1 too, and once dropped it is
+    freed by the next experiment's way-in ``collect(1)``, before that
+    experiment builds its own.  Results that outlive both age into the
+    oldest generation, which is left to the interpreter's amortised
+    policy: a full ``collect()`` per experiment re-walks every retained
+    result of a sweep to free nothing.
     """
     was_enabled = gc.isenabled()
     gc.disable()
+    gc.collect(1)
     try:
         yield
     finally:
         if was_enabled:
             gc.enable()
-        gc.collect()
+        gc.collect(0)
 
 
 def _summarize(label: str, stats: ClusterStats, warmup: float,
@@ -127,6 +146,19 @@ def _summarize(label: str, stats: ClusterStats, warmup: float,
     return result
 
 
+def _simulate(cluster_cls, duration: float, warmup: float, config,
+              failures: Tuple[float, ...], setup, overrides: Dict):
+    """Build one cluster and run it; returns ``(stats, config)`` and
+    not the cluster, so no frame holds it when :func:`_gc_paused`
+    collects on the way out."""
+    cluster = cluster_cls(config, **overrides)
+    for at_time in failures:
+        cluster.schedule_failure(at_time)
+    if setup is not None:
+        setup(cluster)
+    return cluster.run(duration, warmup), cluster.config
+
+
 def _run_experiment(cluster_cls, label: str, duration: float,
                     warmup: float, config, failures: Tuple[float, ...],
                     setup, overrides: Dict) -> ExperimentResult:
@@ -134,15 +166,10 @@ def _run_experiment(cluster_cls, label: str, duration: float,
     if config is None and "tracer" not in overrides:
         overrides["tracer"] = Tracer()
     with _gc_paused():
-        cluster = cluster_cls(config, **overrides)
-        for at_time in failures:
-            cluster.schedule_failure(at_time)
-        if setup is not None:
-            setup(cluster)
-        stats = cluster.run(duration, warmup)
+        stats, config = _simulate(cluster_cls, duration, warmup, config,
+                                  failures, setup, overrides)
     return _summarize(label, stats, warmup, duration,
-                      seed=cluster.config.seed,
-                      tracer=cluster.config.tracer)
+                      seed=config.seed, tracer=config.tracer)
 
 
 def run_dfaster_experiment(label: str, duration: float = 0.3,

@@ -28,28 +28,48 @@ class Reservoir:
         self.count = 0
 
     def add(self, value: float) -> None:
-        self.count += 1
-        if len(self._samples) < self.capacity:
-            self._samples.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.capacity:
-                self._samples[slot] = value
+        self.count = count = self.count + 1
+        samples = self._samples
+        if len(samples) < self.capacity:
+            samples.append(value)
+            return
+        # Algorithm R's slot is uniform below ``count``: the stdlib's
+        # bounded draw -- reject ``getrandbits(count.bit_length())``
+        # until it lands below ``count`` -- spelled out, so the same
+        # Mersenne-Twister words are consumed without two Python frames
+        # per observation (docs/PERFORMANCE.md rule 3).
+        getrandbits = self._rng.getrandbits
+        bits = count.bit_length()
+        slot = getrandbits(bits)
+        while slot >= count:
+            slot = getrandbits(bits)
+        if slot < self.capacity:
+            samples[slot] = value
 
     def add_run(self, value: float, n: int) -> None:
         """``n`` observations of ``value``: the same samples, ``count``
         and RNG draws, in the same order, as ``n`` calls of :meth:`add`
-        (one ``randrange`` per observation past the fill boundary is
-        what pins the reservoir's bytes)."""
+        (one bounded draw per observation past the fill boundary is
+        what pins the reservoir's bytes).  The draw's bit width only
+        changes when ``count`` crosses a power of two, so it is hoisted
+        per such segment."""
         samples = self._samples
         capacity = self.capacity
         fill = max(0, min(n, capacity - len(samples)))
         samples.extend([value] * fill)
-        randrange = self._rng.randrange
-        for count in range(self.count + fill + 1, self.count + n + 1):
-            slot = randrange(count)
-            if slot < capacity:
-                samples[slot] = value
+        getrandbits = self._rng.getrandbits
+        start = self.count + fill + 1
+        end = self.count + n + 1
+        while start < end:
+            bits = start.bit_length()
+            stop = min(end, 1 << bits)
+            for count in range(start, stop):
+                slot = getrandbits(bits)
+                while slot >= count:
+                    slot = getrandbits(bits)
+                if slot < capacity:
+                    samples[slot] = value
+            start = stop
         self.count += n
 
     def percentile(self, q: float) -> float:

@@ -97,7 +97,14 @@ class PhaseStats:
         if len(self.samples) < self.capacity:
             self.samples.append(value)
         else:
-            slot = rng.randrange(self.count)
+            # The stdlib's bounded draw spelled out (same words, same
+            # slot, no frames): see ``cluster.stats.Reservoir.add``.
+            count = self.count
+            getrandbits = rng.getrandbits
+            bits = count.bit_length()
+            slot = getrandbits(bits)
+            while slot >= count:
+                slot = getrandbits(bits)
             if slot < self.capacity:
                 self.samples[slot] = value
 
@@ -151,7 +158,10 @@ def weighted_sample_merge(mine: List[float], mine_count: int,
     figure-level merge makes ``capacity`` picks per tracer pair, which
     made this the hottest post-simulation function in profiles.  The RNG
     call sequence and pop-by-rank semantics are load-bearing — reordering
-    or batching them would change merged percentiles byte-for-byte.
+    or batching them would change merged percentiles byte-for-byte.  The
+    rank within the chosen stratum is the stdlib's bounded draw spelled
+    out — reject ``getrandbits(n.bit_length())`` until it lands below
+    ``n`` — which consumes the same words without its two frames.
     """
     weight_mine = mine_count / len(mine) if mine else 0.0
     weight_theirs = theirs_count / len(theirs) if theirs else 0.0
@@ -160,7 +170,7 @@ def weighted_sample_merge(mine: List[float], mine_count: int,
     picked: List[float] = []
     append = picked.append
     rand = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     pop_mine = mine.pop
     pop_theirs = theirs.pop
     for _ in range(capacity):
@@ -169,11 +179,20 @@ def weighted_sample_merge(mine: List[float], mine_count: int,
         if remaining <= 0.0:
             break
         if rand() * remaining < total_mine:
-            append(pop_mine(randrange(n_mine)))
+            pop, n = pop_mine, n_mine
             n_mine -= 1
         else:
-            append(pop_theirs(randrange(n_theirs)))
+            pop, n = pop_theirs, n_theirs
             n_theirs -= 1
+        bits = n.bit_length()
+        rank = getrandbits(bits)
+        while rank >= n:
+            if not n:
+                # Only non-finite weights choose an exhausted stratum;
+                # without this the loop spins on getrandbits(0) == 0.
+                raise ValueError("weighted merge chose an empty stratum")
+            rank = getrandbits(bits)
+        append(pop(rank))
     return picked
 
 

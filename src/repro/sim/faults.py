@@ -139,6 +139,8 @@ class FaultPlan:
             "metadata_spikes": 0,
         }
         self._tracer = None
+        #: ``(src, dst)`` -> first matching link rule (or None).
+        self._link_rules: Dict[Tuple[str, str], Optional[LinkFault]] = {}
 
     def bind_tracer(self, tracer) -> None:
         """Mirror every future ``injected`` increment into ``tracer``
@@ -196,10 +198,17 @@ class FaultPlan:
         return copies
 
     def _rule_for(self, src: str, dst: str) -> Optional[LinkFault]:
-        for rule in self.links:
-            if rule.matches(src, dst):
-                return rule
-        return None
+        """The first link rule matching ``src -> dst``: a pure function
+        of two addresses over the immutable ``links``, so it is matched
+        once per link, not once per message."""
+        link = (src, dst)
+        try:
+            return self._link_rules[link]
+        except KeyError:
+            rule = next((rule for rule in self.links
+                         if rule.matches(src, dst)), None)
+            self._link_rules[link] = rule
+            return rule
 
     # -- metadata faults ---------------------------------------------------
 

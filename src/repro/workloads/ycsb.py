@@ -90,7 +90,8 @@ class WorkloadSpec:
         if wf >= 1.0:
             return batch_size
         if batch_size <= 64:
-            return sum(1 for _ in range(batch_size) if rng.random() < wf)
+            rand = rng.random
+            return len([1 for _ in range(batch_size) if rand() < wf])
         mean = batch_size * wf
         std = (batch_size * wf * (1 - wf)) ** 0.5
         return max(0, min(batch_size, round(rng.gauss(mean, std))))

@@ -1,5 +1,8 @@
 """Tests for the benchmark tooling: report rendering, harness, CLI."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bench.figures import FIGURES, generate
@@ -78,6 +81,68 @@ class TestHarness:
             failures=(0.2,),
         )
         assert result.stats.aborted.total() > 0
+
+
+_SMALL_RUN = dict(duration=0.15, warmup=0.05, n_workers=2, vcpus=2,
+                  n_client_machines=1, client_threads=1, batch_size=64)
+
+
+@pytest.fixture
+def own_collections_only():
+    """Automatic collection off, so the only collections a test sees
+    are the ones the harness asks for."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("own_collections_only")
+class TestExperimentLifecycle:
+    """An experiment's turnover costs what that experiment allocated:
+    the harness collects the young generations around each run and
+    never the whole heap (``bench.harness._gc_paused``)."""
+
+    def test_no_full_collection_per_experiment(self):
+        generations = []
+
+        def probe(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.callbacks.append(probe)
+        try:
+            for index in range(3):
+                run_dfaster_experiment(f"t{index}", **_SMALL_RUN)
+        finally:
+            gc.callbacks.remove(probe)
+        assert generations and 2 not in generations, generations
+
+    # The cluster object itself is not in a cycle; its kernel is (every
+    # process generator refers back to it), so ``env`` is what only the
+    # collector can free -- and what a caller's open-loop driver holds.
+
+    def test_cluster_is_dead_when_the_call_returns(self):
+        kernels = []
+        run_dfaster_experiment(
+            "t", setup=lambda cluster: kernels.append(
+                weakref.ref(cluster.env)),
+            **_SMALL_RUN)
+        assert kernels[0]() is None
+
+    def test_cluster_the_caller_dropped_dies_with_the_next_experiment(self):
+        kept, kernels = [], []
+
+        def setup(cluster):
+            kept.append(cluster.env)
+            kernels.append(weakref.ref(cluster.env))
+
+        run_dfaster_experiment("kept", setup=setup, **_SMALL_RUN)
+        assert kernels[0]() is kept[0]
+        kept.clear()
+        run_dfaster_experiment("next", **_SMALL_RUN)
+        assert kernels[0]() is None
 
 
 class TestFiguresModule:

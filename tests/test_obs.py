@@ -14,6 +14,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.harness import run_dfaster_experiment
 from repro.obs import (
@@ -25,6 +27,7 @@ from repro.obs import (
 )
 
 from tests.test_determinism_hashseed import run_with_hashseed
+from tests.test_openloop import RandrangeReservoir
 
 
 class TestInterpolatedPercentile:
@@ -123,6 +126,70 @@ class TestWeightedSampleMerge:
         rng = random.Random(3)
         assert weighted_sample_merge([], 0, [], 0, 8, rng) == []
         assert sorted(weighted_sample_merge([5.0], 1, [], 0, 8, rng)) == [5.0]
+
+    @pytest.mark.parametrize("count", [float("inf"), float("nan")])
+    def test_choosing_an_empty_stratum_raises(self, count):
+        # A non-finite weight makes the stratum test pick the exhausted
+        # side; that must stay the ValueError ``randrange(0)`` raised,
+        # not a rejection loop spinning on ``getrandbits(0) >= 0``.
+        with pytest.raises(ValueError):
+            weighted_sample_merge([1.0], count, [], 0, 1, random.Random(3))
+
+
+def randrange_sample_merge(mine, mine_count, theirs, theirs_count,
+                           capacity, rng):
+    """``weighted_sample_merge`` with its ranks drawn by
+    ``rng.randrange``: the reference the inlined rejection loop must
+    stay stream-exact with (docs/PERFORMANCE.md rule 3)."""
+    weight_mine = mine_count / len(mine) if mine else 0.0
+    weight_theirs = theirs_count / len(theirs) if theirs else 0.0
+    picked = []
+    for _ in range(capacity):
+        total_mine = len(mine) * weight_mine
+        remaining = total_mine + len(theirs) * weight_theirs
+        if remaining <= 0.0:
+            break
+        if rng.random() * remaining < total_mine:
+            picked.append(mine.pop(rng.randrange(len(mine))))
+        else:
+            picked.append(theirs.pop(rng.randrange(len(theirs))))
+    return picked
+
+
+class TestSamplersDrawTheRandrangeStream:
+    """The tracer's samplers write ``randrange(n)`` out as its
+    rejection loop over ``getrandbits``; CI runs this on 3.9 and 3.12,
+    so a stdlib change to the bounded draw fails here, loudly, instead
+    of moving every percentile."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 64), seed=st.integers(0, 2 ** 32),
+           values=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=300))
+    def test_phase_stats_add(self, capacity, seed, values):
+        stats, rng = PhaseStats(capacity), random.Random(seed)
+        model = RandrangeReservoir(capacity, seed)
+        for value in values:
+            stats.add(value, rng)
+            model.add(value)
+            assert stats.samples == model.samples
+            assert stats.count == model.count
+            assert rng.getstate() == model.rng.getstate()
+
+    stratum = st.tuples(st.lists(st.floats(0.0, 10.0), max_size=64),
+                        st.integers(0, 10_000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mine=stratum, theirs=stratum, capacity=st.integers(1, 64),
+           seed=st.integers(0, 2 ** 32))
+    def test_weighted_sample_merge(self, mine, theirs, capacity, seed):
+        rng, model_rng = random.Random(seed), random.Random(seed)
+        merged = weighted_sample_merge(
+            list(mine[0]), mine[1], list(theirs[0]), theirs[1],
+            capacity, rng)
+        assert merged == randrange_sample_merge(
+            list(mine[0]), mine[1], list(theirs[0]), theirs[1],
+            capacity, model_rng)
+        assert rng.getstate() == model_rng.getstate()
 
 
 class TestTracer:

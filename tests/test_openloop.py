@@ -212,6 +212,68 @@ class TestReservoirAddRun:
         assert by_run.summary() == one_by_one.summary()
 
 
+class RandrangeReservoir:
+    """Algorithm R as the stdlib spells it -- one ``rng.randrange`` per
+    observation past the fill boundary.  ``Reservoir`` writes that draw
+    out as its rejection loop over ``getrandbits`` (docs/PERFORMANCE.md
+    rule 3); this is the reference it must stay stream-exact with, on
+    every interpreter CI runs."""
+
+    def __init__(self, capacity, seed):
+        self.capacity = capacity
+        self.rng = random.Random(seed)
+        self.samples = []
+        self.count = 0
+
+    def add(self, value):
+        self.count += 1
+        if len(self.samples) < self.capacity:
+            self.samples.append(value)
+        else:
+            slot = self.rng.randrange(self.count)
+            if slot < self.capacity:
+                self.samples[slot] = value
+
+
+class TestReservoirDrawsTheRandrangeStream:
+    #: ("add", _) one observation; ("run", n) a plain run; ("fill", d) /
+    #: ("pow2", d) a run ending ``d`` observations past the fill
+    #: boundary / the next power of two of ``count``, where the inlined
+    #: draw changes branch / bit width.
+    steps = st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.just(0)),
+            st.tuples(st.just("run"), st.integers(0, 300)),
+            st.tuples(st.sampled_from(("fill", "pow2")),
+                      st.integers(-2, 2))),
+        min_size=1, max_size=25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 64), seed=st.integers(0, 2 ** 32),
+           steps=steps, values=st.randoms(use_true_random=False))
+    def test_same_samples_count_and_rng_state(self, capacity, seed, steps,
+                                              values):
+        model = RandrangeReservoir(capacity, seed)
+        reservoir = Reservoir(capacity, rng=seed)
+        for kind, size in steps:
+            value = values.random()
+            if kind == "add":
+                n = 1
+                reservoir.add(value)
+            else:
+                if kind == "fill":
+                    size += capacity - model.count
+                elif kind == "pow2":
+                    size += (1 << model.count.bit_length()) - model.count
+                n = max(0, size)
+                reservoir.add_run(value, n)
+            for _ in range(n):
+                model.add(value)
+            assert reservoir._samples == model.samples
+            assert reservoir.count == model.count
+            assert reservoir._rng.getstate() == model.rng.getstate()
+
+
 SMALL_SCENARIO = {
     "arrival": {"rate": 50_000.0},
     "admission": {"queue_capacity": 20_000},

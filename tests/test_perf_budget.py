@@ -32,6 +32,7 @@ never an accident of a refactor.
 """
 
 import cProfile
+import functools
 import hashlib
 import json
 import pstats
@@ -304,9 +305,10 @@ class TestOpenLoopByteIdentity:
             f"the reservoirs (one randrange per observation, in order)")
 
 
-def _repro_calls(rate: float) -> int:
-    """Python-level calls into ``repro`` for one overloaded open-loop
-    cell (cProfile call counts are exact per seed)."""
+@functools.lru_cache(maxsize=None)
+def _profiled_cell(rate: float) -> pstats.Stats:
+    """cProfile of one overloaded open-loop cell (call counts and
+    caller edges are exact per seed)."""
     cluster = DFasterCluster(DFasterConfig(
         n_client_machines=0, seed=7, **_D_FASTER))
     attach_open_loop(cluster, scenario=_overload(rate, 50_000))
@@ -314,8 +316,13 @@ def _repro_calls(rate: float) -> int:
     profiler.enable()
     cluster.run(0.3, warmup=0.1)
     profiler.disable()
+    return pstats.Stats(profiler)
+
+
+def _repro_calls(rate: float) -> int:
+    """Python-level calls into ``repro`` for that cell."""
     return sum(calls for (path, _line, _name), (_cc, calls, *_rest)
-               in pstats.Stats(profiler).stats.items() if "/repro/" in path)
+               in _profiled_cell(rate).stats.items() if "/repro/" in path)
 
 
 class TestOpenLoopScaling:
@@ -326,3 +333,19 @@ class TestOpenLoopScaling:
         base, heavy = _repro_calls(1e6), _repro_calls(4e6)
         assert base > 10_000  # the profiler saw the run
         assert heavy <= 1.1 * base, (base, heavy)
+
+    def test_an_observation_enters_no_frame_of_random(self):
+        # The samplers draw ``getrandbits`` (C) directly; going through
+        # ``randrange`` costs two Python frames of random.py per
+        # observation once a reservoir is full (docs/PERFORMANCE.md
+        # rule 3 -- the property tests pin that the words are the same).
+        samplers = ("/repro/cluster/stats.py", "/repro/obs/tracer.py")
+        stats = _profiled_cell(1e6).stats
+        assert any(path.endswith(samplers[0]) for path, _, _ in stats)
+        entered = {
+            (caller[2], name): edge[0]
+            for (path, _line, name), (*_, callers) in stats.items()
+            if path.endswith("/random.py")
+            for caller, edge in callers.items()
+            if caller[0].endswith(samplers)}
+        assert not entered, entered

@@ -32,8 +32,11 @@ class TestLinkFault:
             LinkFault(src="worker-0", dst="*", drop=1.0),
             LinkFault(src="worker-*", dst="*", drop=0.0),
         ])
-        assert plan.deliveries("worker-0", "client-0", 0.0) == []
-        assert plan.deliveries("worker-1", "client-0", 0.0) == [0.0]
+        # Twice: the second round is answered from the per-link memo.
+        for _ in range(2):
+            assert plan.deliveries("worker-0", "client-0", 0.0) == []
+            assert plan.deliveries("worker-1", "client-0", 0.0) == [0.0]
+            assert plan.deliveries("client-0", "worker-0", 0.0) == [0.0]
 
     def test_unmatched_link_is_untouched(self):
         plan = FaultPlan(7, links=[LinkFault(src="a", dst="b", drop=1.0)])

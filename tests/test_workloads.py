@@ -56,6 +56,16 @@ class TestBatchWriteCount:
         total = sum(YCSB_A.batch_write_count(1024, rng) for _ in range(200))
         assert total / (200 * 1024) == pytest.approx(0.5, abs=0.02)
 
+    def test_small_batch_is_one_draw_per_op_in_order(self, rng):
+        # Figure bytes hang on this stream: b draws, each compared to
+        # the write fraction, nothing skipped or batched.
+        model = random.Random(12345)
+        for batch in [1, 16, 64]:
+            assert YCSB_A.batch_write_count(batch, rng) == sum(
+                model.random() < YCSB_A.write_fraction
+                for _ in range(batch))
+        assert rng.getstate() == model.getstate()
+
     def test_read_only_workload(self, rng):
         assert YCSB_C.batch_write_count(1024, rng) == 0
 
