@@ -32,13 +32,17 @@ Three record families:
 
 A bounded event stream (``max_events``, overflow counted in
 ``events_dropped``) keeps long benchmark runs from hoarding memory
-while aggregates stay exact.
+while aggregates stay exact.  It is stored by column — a time, a value
+and the code of one of a few dozen ``(kind, name, labels)`` shapes per
+event (docs/OBSERVABILITY.md, "Storage layout").
 """
 
 from __future__ import annotations
 
 import json
 import random
+from array import array
+from collections.abc import Sequence
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Fixed seed for reservoir down-sampling.  Like the stats reservoirs,
@@ -108,23 +112,28 @@ class PhaseStats:
             if slot < self.capacity:
                 self.samples[slot] = value
 
+    def percentiles(self, *qs: float) -> List[float]:
+        """Any number of quantiles from one sort of the reservoir."""
+        ordered = sorted(self.samples)
+        return [interpolated_percentile(ordered, q) for q in qs]
+
     def percentile(self, q: float) -> float:
-        return interpolated_percentile(sorted(self.samples), q)
+        return self.percentiles(q)[0]
 
     def summary(self) -> Dict[str, float]:
         if self.count == 0:
             return {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0,
                     "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        ordered = sorted(self.samples)
+        p50, p95, p99 = self.percentiles(50, 95, 99)
         return {
             "count": self.count,
             "total": self.total,
             "mean": self.total / self.count,
             "min": self.minimum,
             "max": self.maximum,
-            "p50": interpolated_percentile(ordered, 50),
-            "p95": interpolated_percentile(ordered, 95),
-            "p99": interpolated_percentile(ordered, 99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
         }
 
     def merge(self, other: "PhaseStats", rng: random.Random) -> None:
@@ -196,6 +205,33 @@ def weighted_sample_merge(mine: List[float], mine_count: int,
     return picked
 
 
+class EventView(Sequence):
+    """A tracer's event stream as ``(t, kind, name, value, labels)`` rows.
+
+    A live, read-only window on the tracer's columns: ``len`` is O(1);
+    indexing, slicing and iteration build each 5-tuple on access and
+    keep none.
+    """
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer"):
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return len(self._tracer._codes)
+
+    def __getitem__(self, index):
+        tracer = self._tracer
+        if isinstance(index, slice):
+            return [self[at] for at in range(*index.indices(len(self)))]
+        index = range(len(self))[index]  # negatives, bounds, type
+        t, value = (tracer._as_written.get(index)
+                    or (tracer._times[index], tracer._values[index]))
+        kind, name, labels = tracer._shapes[tracer._codes[index]]
+        return (t, kind, name, value, labels)
+
+
 class Tracer:
     """Deterministic structured trace + metric sink for one experiment."""
 
@@ -205,9 +241,16 @@ class Tracer:
         self._rng = random.Random(seed)
         self.max_events = max_events
         self.sample_capacity = sample_capacity
-        #: Bounded structured event stream: (t, kind, name, value, labels).
-        self.events: List[Tuple[float, str, str, Any,
-                                Tuple[Tuple[str, Any], ...]]] = []
+        # The bounded event stream by column: event i is row _codes[i]
+        # of _shapes, the distinct (kind, name, sorted labels) triples,
+        # at (_times[i], _values[i]) — or _as_written[i] when either is
+        # not exactly a float, which a C double would not give back.
+        self._codes = array("I")
+        self._shapes: List[Tuple[str, str, Tuple[Tuple[str, Any], ...]]] = []
+        self._shape_codes: Dict[Tuple[Any, ...], int] = {}
+        self._times = array("d")
+        self._values = array("d")
+        self._as_written: Dict[int, Tuple[Any, Any]] = {}
         self.events_dropped = 0
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
@@ -254,7 +297,42 @@ class Tracer:
         phase = self._phases.get(name)
         if phase is None:
             phase = self._phases[name] = PhaseStats(self.sample_capacity)
-        phase.add(duration, self._rng)
+        # ``phase.add(duration, self._rng)`` written out, then the
+        # common case of ``_record``: one frame per span, not three.
+        count = phase.count
+        if count == 0:
+            phase.minimum = phase.maximum = duration
+        else:
+            if duration < phase.minimum:
+                phase.minimum = duration
+            if duration > phase.maximum:
+                phase.maximum = duration
+        phase.count = count = count + 1
+        phase.total += duration
+        samples = phase.samples
+        if len(samples) < phase.capacity:
+            samples.append(duration)
+        else:
+            getrandbits = self._rng.getrandbits
+            bits = count.bit_length()
+            slot = getrandbits(bits)
+            while slot >= count:
+                slot = getrandbits(bits)
+            if slot < phase.capacity:
+                samples[slot] = duration
+        codes = self._codes
+        if (len(codes) < self.max_events
+                and type(t) is float and type(duration) is float):
+            for label in labels.values():
+                if type(label) is not str and type(label) is not int:
+                    break
+            else:
+                code = self._shape_codes.get(("span", name, *labels.items()))
+                if code is not None:
+                    codes.append(code)
+                    self._times.append(t)
+                    self._values.append(duration)
+                    return
         self._record(t, "span", name, duration, labels)
 
     def begin_span(self, name: str, key: Any, t: float) -> None:
@@ -290,6 +368,11 @@ class Tracer:
 
     # -- reading -------------------------------------------------------
 
+    @property
+    def events(self) -> EventView:
+        """The bounded event stream, oldest first (a live view)."""
+        return EventView(self)
+
     def open_span_count(self) -> int:
         return len(self._open)
 
@@ -312,7 +395,7 @@ class Tracer:
             "queue_depths": {
                 k: self.queue_depths[k] for k in sorted(self.queue_depths)},
             "phases": self.phase_summary(),
-            "events_recorded": len(self.events),
+            "events_recorded": len(self._codes),
             "events_dropped": self.events_dropped,
             "spans_cancelled": self.spans_cancelled,
             "unmatched_span_ends": self.unmatched_span_ends,
@@ -325,28 +408,49 @@ class Tracer:
         Byte-identical across runs of the same seeded experiment; the
         determinism suite hashes this.
         """
+        encode = json.JSONEncoder(sort_keys=True, default=str).encode
+        # Keys sort as kind, labels, name, t, value: the first three
+        # are the shape's, encoded once per shape instead of per event.
+        heads = [encode({"kind": kind, "labels": dict(labels),
+                         "name": name})[:-1]
+                 for kind, name, labels in self._shapes]
+        as_written = self._as_written
         lines = []
-        for t, kind, name, value, labels in self.events:
-            lines.append(json.dumps(
-                {"t": t, "kind": kind, "name": name, "value": value,
-                 "labels": dict(labels)},
-                sort_keys=True, default=str))
+        for index, (code, t, value) in enumerate(
+                zip(self._codes, self._times, self._values)):
+            if index in as_written:
+                t, value = as_written[index]
+            lines.append(f'{heads[code]}, "t": {encode(t)}, '
+                         f'"value": {encode(value)}}}')
         return "\n".join(lines)
 
     # -- internals -----------------------------------------------------
 
     def _record(self, t: float, kind: str, name: str, value: Any,
                 labels: Dict[str, Any]) -> None:
-        if len(self.events) >= self.max_events:
+        codes = self._codes
+        if len(codes) >= self.max_events:
             self.events_dropped += 1
             return
-        # Hot-path shortcut: almost every span carries zero or one label,
-        # where sorting is the identity — skip the sort allocation.
-        if len(labels) > 1:
-            items = tuple(sorted(labels.items()))
+        # A shape row is shared only through ``str`` / ``int`` label
+        # values, where ``==`` means the same JSON; ``1 == 1.0 == True``
+        # and ``0.0 == -0.0`` do not, so other types get a row each.
+        shared = {str, int}.issuperset(map(type, labels.values()))
+        key = (kind, name, *labels.items())
+        code = self._shape_codes.get(key) if shared else None
+        if code is None:
+            code = len(self._shapes)
+            self._shapes.append((kind, name, tuple(sorted(labels.items()))))
+            if shared:
+                self._shape_codes[key] = code
+        if type(t) is float and type(value) is float:
+            self._times.append(t)
+            self._values.append(value)
         else:
-            items = tuple(labels.items())
-        self.events.append((t, kind, name, value, items))
+            self._as_written[len(codes)] = (t, value)
+            self._times.append(0.0)
+            self._values.append(0.0)
+        codes.append(code)
 
 
 def merge_phase_stats(tracers: Iterable[Optional[Tracer]],

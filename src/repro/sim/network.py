@@ -78,6 +78,9 @@ class Endpoint:
     #: Monotonic counters for observability.
     sent: int = field(default=0)
     received: int = field(default=0)
+    #: ``src -> "src>address"``: one trace label string per link, so a
+    #: delivery neither builds nor hashes a new one.
+    link_labels: Dict[str, str] = field(default_factory=dict)
 
 
 class Network:
@@ -203,7 +206,9 @@ class Network:
         target.inbox.put(message)
         if tracer is not None:
             now = self.env.now
-            tracer.span(
-                "net.delivery", now,
-                now - message.send_time,
-                link=message.src + ">" + message.dst)
+            link = target.link_labels.get(message.src)
+            if link is None:
+                link = target.link_labels[message.src] = (
+                    message.src + ">" + message.dst)
+            tracer.span("net.delivery", now, now - message.send_time,
+                        link=link)

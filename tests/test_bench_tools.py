@@ -1,14 +1,17 @@
 """Tests for the benchmark tooling: report rendering, harness, CLI."""
 
 import gc
+import pickle
 import weakref
 
 import pytest
 
+from repro.bench import artifacts
 from repro.bench.figures import FIGURES, generate
 from repro.bench.harness import run_dfaster_experiment, run_dredis_experiment
 from repro.bench.report import format_latency_histogram, format_table
 from repro.cluster.dredis import RedisMode
+from repro.workloads import YCSB_A
 
 
 class TestFormatTable:
@@ -143,6 +146,38 @@ class TestExperimentLifecycle:
         kept.clear()
         run_dfaster_experiment("next", **_SMALL_RUN)
         assert kernels[0]() is None
+
+
+class TestResultCrossesAProcessBoundary:
+    """Fanning a sweep's experiments across processes (ROADMAP, "Spend
+    the ledger" item 2) sends every ``ExperimentResult`` back through
+    ``pickle``: it must arrive whole, and small."""
+
+    #: Pickled bytes of the 2-VM fig10 smoke cell's result (5,236
+    #: events).  Measured 180,926 with the columnar event log; one
+    #: tuple per event made it 322,002.
+    SMOKE_RESULT_PICKLE_BUDGET = 200_000
+
+    def test_smoke_result_survives_pickle(self):
+        result = run_dfaster_experiment(
+            "fig10 smoke", duration=0.1, warmup=0.05, n_workers=2,
+            n_client_machines=2, workload=YCSB_A)
+        pickled = pickle.dumps(result)
+        assert len(pickled) <= self.SMOKE_RESULT_PICKLE_BUDGET
+        copy = pickle.loads(pickled)
+        assert copy.tracer.serialize() == result.tracer.serialize()
+        assert list(copy.tracer.events) == list(result.tracer.events)
+        assert copy.tracer.summary() == result.tracer.summary()
+        # The artifact merge draws from the reservoirs, so build it
+        # from the copy first: equal bytes means equal samples too.
+        built = [artifacts.dumps(artifacts.build_artifact(
+                     "fig10", 0.35, [each], commit="pinned"))
+                 for each in (copy, result)]
+        assert built[0] == built[1]
+        # The copy keeps recording where the original left off.
+        for tracer in (copy.tracer, result.tracer):
+            tracer.span("net.delivery", 1.0, 1e-4, link="a>b")
+        assert copy.tracer.serialize() == result.tracer.serialize()
 
 
 class TestFiguresModule:

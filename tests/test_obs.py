@@ -69,6 +69,20 @@ class TestPhaseStats:
         assert summary["max"] == 3.0
         assert summary["p50"] == 2.0
 
+    def test_percentile_is_the_summary_quantile(self):
+        """``percentile`` and ``summary`` read one sort of the reservoir
+        (``percentiles``), so they cannot disagree."""
+        stats, rng = PhaseStats(capacity=32), random.Random(1)
+        for _ in range(500):
+            stats.add(rng.expovariate(3.0), rng)
+        summary = stats.summary()
+        ordered = sorted(stats.samples)
+        for q in (50, 95, 99):
+            assert stats.percentile(q) == summary[f"p{q}"]
+            assert stats.percentile(q) == interpolated_percentile(ordered, q)
+        assert stats.percentiles(0, 100) == [ordered[0], ordered[-1]]
+        assert PhaseStats().percentiles(50, 99) == [0.0, 0.0]
+
     def test_empty_summary(self):
         assert PhaseStats().summary()["count"] == 0
 
@@ -288,6 +302,154 @@ class TestTracer:
         assert summary["queue_high_watermarks"] == {"q": 3}
         assert summary["open_spans"] == 1
         assert summary["phases"]["p"]["count"] == 1
+
+
+class TupleListTracer(Tracer):
+    """The event log as it was stored before the columns — one
+    ``(t, kind, name, value, labels)`` tuple per event in a list,
+    ``span`` through ``PhaseStats.add`` — kept as the reference the
+    columnar log must match byte for byte."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.log = []
+
+    events = property(lambda self: self.log)
+
+    def span(self, name, t, duration, **labels):
+        phase = self._phases.get(name)
+        if phase is None:
+            phase = self._phases[name] = PhaseStats(self.sample_capacity)
+        phase.add(duration, self._rng)
+        self._record(t, "span", name, duration, labels)
+
+    def _record(self, t, kind, name, value, labels):
+        if len(self.log) >= self.max_events:
+            self.events_dropped += 1
+            return
+        self.log.append((t, kind, name, value, tuple(sorted(labels.items()))))
+
+    def summary(self):
+        return dict(super().summary(), events_recorded=len(self.log))
+
+    def serialize(self):
+        return "\n".join(
+            json.dumps({"t": t, "kind": kind, "name": name, "value": value,
+                        "labels": dict(labels)}, sort_keys=True, default=str)
+            for t, kind, name, value, labels in self.log)
+
+
+# Small pools, so shapes repeat and the values that compare equal but
+# serialize differently (1 / 1.0 / True, 0.0 / -0.0, "1") meet in one
+# label, one time and one value.
+_numbers = st.sampled_from(
+    [0.0, -0.0, 1.0, 0.25, 2.5e-7, float("inf"), float("nan"), 0, 1, 7])
+_anything = st.one_of(
+    _numbers, st.sampled_from([None, True, False, "", "1", "w0", (1, 2)]))
+_names = st.sampled_from(["p", "q", "net.delivery"])
+_keys = st.integers(0, 3)
+_labels = st.lists(
+    st.tuples(st.sampled_from(["worker", "link", "a"]), _anything),
+    max_size=3, unique_by=lambda pair: pair[0]).map(dict)
+_steps = st.one_of(
+    st.tuples(st.just("span"), _names, _numbers, _numbers, _labels),
+    st.tuples(st.just("event"), _numbers, _names, _anything, _labels),
+    st.tuples(st.just("begin_span"), _names, _keys, _numbers),
+    st.tuples(st.just("end_span"), _names, _keys, _numbers, _labels),
+    st.tuples(st.just("end_spans"), _names, _numbers, _keys, _labels),
+    st.tuples(st.just("cancel_span"), _names, _keys))
+
+
+class TestColumnarEventLog:
+    """``Tracer`` stores its event stream by column and by shape
+    (docs/OBSERVABILITY.md, "Storage layout"); everything it reports
+    must be what one tuple per event reported."""
+
+    @staticmethod
+    def drive(steps, **kwargs):
+        """Run ``steps`` through both tracers, comparing after each."""
+        tracers = columnar, reference = [
+            cls(**kwargs) for cls in (Tracer, TupleListTracer)]
+        for hook, *args in steps:
+            for tracer in tracers:
+                if hook == "end_spans":
+                    name, t, bound, labels = args
+                    tracer.end_spans(name, t, lambda key: key <= bound,
+                                     **labels)
+                elif isinstance(args[-1], dict):
+                    getattr(tracer, hook)(*args[:-1], **args[-1])
+                else:
+                    getattr(tracer, hook)(*args)
+            assert columnar.serialize() == reference.serialize()
+            # repr, not ==: it tells 1 from 1.0 and 0.0 from -0.0, and
+            # NaN (not equal to itself once through a C double) apart.
+            assert repr(list(columnar.events)) == repr(reference.log)
+            assert len(columnar.events) == len(reference.log)
+            assert columnar.events_dropped == reference.events_dropped
+            assert repr(columnar.summary()) == repr(reference.summary())
+            assert columnar._rng.getstate() == reference._rng.getstate()
+        return columnar.events, reference.log
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(_steps, max_size=40),
+           max_events=st.integers(0, 12),
+           sample_capacity=st.integers(1, 4))
+    def test_matches_the_tuple_list_reference(self, steps, max_events,
+                                              sample_capacity):
+        events, log = self.drive(steps, max_events=max_events,
+                                 sample_capacity=sample_capacity)
+        for index in range(-len(log), len(log)):
+            assert repr(events[index]) == repr(log[index])
+        assert repr(events[1:-1]) == repr(log[1:-1])
+        assert repr(events[::-2]) == repr(log[::-2])
+        for index in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                events[index]
+
+    def test_equal_values_keep_the_type_they_were_written_with(self):
+        """``1 == 1.0 == True`` and ``0.0 == -0.0`` hash alike but
+        serialize apart: a shape, a time and a value each come back as
+        written, whatever was recorded before."""
+        lookalikes = [1, 1.0, True, "1", 0, 0.0, -0.0, False, None]
+        steps = [("span", "p", 1.0, 0.5, {"a": "x", "b": 2}),
+                 ("span", "p", 1.0, 0.5, {"b": 2, "a": "x"})]
+        for value in lookalikes:
+            steps.append(("span", "p", 1.0, 0.5, {"a": value}))
+            steps.append(("event", 1.0, "p", 0.5, {"a": value}))
+            steps.append(("event", 1.0, "p", value, {}))
+            if value is not None and value != "1":
+                steps.append(("span", "p", value, 0.5, {}))
+                steps.append(("span", "p", 1.0, value, {}))
+        events, _ = self.drive(steps + steps)
+        assert len(events) == 2 * len(steps)
+
+    def test_view_is_live_and_read_only(self):
+        tracer = Tracer()
+        view = tracer.events
+        tracer.span("p", 1.0, 0.5, worker="w0")
+        assert len(view) == 1
+        assert view[0] == (1.0, "span", "p", 0.5, (("worker", "w0"),))
+        assert (1.0, "span", "p", 0.5, (("worker", "w0"),)) in view
+        with pytest.raises(AttributeError):
+            tracer.events = []
+        with pytest.raises(TypeError):
+            view[0] = None
+        assert not hasattr(view, "append")
+
+    def test_a_shape_is_stored_once(self):
+        tracer = Tracer()
+        for index in range(1000):
+            tracer.span("net.delivery", index * 1e-3, 1e-4,
+                        link="c%d>w%d" % (index % 2, index % 3))
+        labels = {id(event[4]) for event in tracer.events}
+        assert len(labels) == 6
+
+    def test_unhashable_label_values_are_still_recorded(self):
+        tracer = Tracer()
+        tracer.event(1.0, "boot", None, ids=[1, 2])
+        tracer.event(2.0, "boot", None, ids=[1, 2])
+        assert [json.loads(line)["labels"] for line in
+                tracer.serialize().splitlines()] == [{"ids": [1, 2]}] * 2
 
 
 class TestMergePhaseStats:

@@ -36,6 +36,7 @@ import functools
 import hashlib
 import json
 import pstats
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,8 @@ from repro.bench.harness import run_dfaster_experiment
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig
 from repro.obs import Tracer
+from repro.sim.kernel import Environment
+from repro.sim.network import Network
 from repro.workloads import YCSB_A, attach_open_loop, slo_report
 
 #: Exact dispatch count of the smoke cell below, as of the array-core
@@ -74,6 +77,13 @@ SMOKE_FREE_LIST_REUSE_MIN = 0.95
 #: or RNG draw order, this digest moves.
 SMOKE_TRACE_SHA = \
     "89d4b77b6523a44f14afb7462acf80a6f2fb524577876779b9f868685adefff8"
+
+#: What one recorded event may cost the tracer, by ``tracemalloc`` (so
+#: no wall clock and no ``ru_maxrss``).  The columnar log spends three
+#: words — two C doubles and a 4-byte shape code, 20 B — plus the
+#: arrays' growth slack; one tuple per event spent ~345 B (three
+#: GC-tracked tuples, two boxed floats and a label string).
+TRACER_BYTES_PER_EVENT_BUDGET = 32
 
 #: Pre-refactor digests of the full chaos and replication scenario
 #: fingerprints from tests/test_determinism_hashseed.py — protocol
@@ -289,6 +299,55 @@ class TestByteIdentity:
             "replication-scenario fingerprint diverged from the "
             "pre-array-core capture: event order changed on the "
             "chain/promotion path")
+
+
+class TestTracerMemoryBudget:
+    """A fig10 sweep keeps 391k events alive until its artifact is
+    built; what an event costs is what the sweep's peak RSS is made of
+    (docs/OBSERVABILITY.md, "Storage layout")."""
+
+    def test_bytes_retained_per_event(self):
+        events = 50_000
+        tracemalloc.start()
+        try:
+            # Small reservoirs: this prices the event log, not the
+            # phase samples (8 B + a float each, bounded per phase).
+            tracer = Tracer(sample_capacity=64)
+            before, _ = tracemalloc.get_traced_memory()
+            for index in range(events):
+                tracer.span("phase%d" % (index % 4), index * 1e-6,
+                            1e-6 + index * 1e-9,
+                            worker="w%d" % (index // 4 % 2))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tracer.events) == events
+        assert len({event[1:3] + event[4:] for event in tracer.events}) == 8
+        per_event = (after - before) / events
+        assert per_event <= TRACER_BYTES_PER_EVENT_BUDGET, (
+            f"the tracer retains {per_event:.0f} B per recorded event, "
+            f"budget is {TRACER_BYTES_PER_EVENT_BUDGET} B")
+
+    def test_one_label_string_per_link(self):
+        """``Network._deliver`` labels a delivery with its link; the
+        label comes from a per-link memo, so a run keeps one string per
+        link alive however many messages cross it."""
+        tracer = Tracer()
+        env = Environment(tracer=tracer)
+        net = Network(env)
+        names = ["client-0", "client-1", "worker-0", "worker-1", "worker-2"]
+        for name in names:
+            net.register(name).inbox.set_handler(lambda message: None)
+        for index in range(3000):
+            net.send(names[index % 2], names[2 + index % 3], index)
+        env.run(until=1.0)
+        deliveries = [event for event in tracer.events
+                      if event[2] == "net.delivery"]
+        assert len(deliveries) == 3000
+        links = {labels[0][1] for *_, labels in deliveries}
+        assert links == {f"client-{c}>worker-{w}"
+                         for c in range(2) for w in range(3)}
+        assert len({id(labels[0][1]) for *_, labels in deliveries}) == 6
 
 
 class TestOpenLoopByteIdentity:
