@@ -1,34 +1,26 @@
 """Shared fixtures for the figure benchmarks.
 
 Every benchmark regenerates one table/figure from the paper's §7 and
-both prints it and writes it to ``benchmarks/results/<name>.txt`` so
-the output survives pytest's capture.  Durations are scaled down from
-the paper's 30-second runs to sub-second simulated windows — the
-simulator is deterministic, so short windows are stable.
+prints it (run with ``-s`` to see it through pytest's capture).  The
+results *format* is the ``BENCH_<figure>.json`` artifact
+(``python -m repro.bench <figure> --json-dir DIR``, EXPERIMENTS.md);
+these wrappers assert the shapes and print a readable table, they keep
+no files.  Durations are scaled down from the paper's 30-second runs to
+sub-second simulated windows — the simulator is deterministic, so short
+windows are stable.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
 
 
 @pytest.fixture
-def report(results_dir):
-    """Callable: report(name, text) prints and persists a figure table."""
+def report():
+    """Callable: report(name, text) prints a figure table."""
 
     def emit(name: str, text: str) -> None:
         print()
         print(text)
-        (results_dir / f"{name}.txt").write_text(text + "\n")
 
     return emit

@@ -274,7 +274,7 @@ class NoUnsortedSetIterationRule(ProjectRule):
 # -- DPR-D03: real-world I/O in simulated processes --------------------------
 
 _BANNED_IO_CALLS = {
-    "time.sleep": "blocks the host thread; yield env.timeout(...) instead",
+    "time.sleep": "blocks the host thread; yield <seconds> instead",
     "open": "touches the host filesystem; use repro.sim.storage devices",
     "io.open": "touches the host filesystem; use repro.sim.storage devices",
     "os.open": "touches the host filesystem; use repro.sim.storage devices",

@@ -236,7 +236,7 @@ class _ColocatedDriver:
         worker = self.worker
         inbox = worker.endpoint.inbox
         while True:
-            message = yield inbox  # channel wait, no get() Event
+            message = yield inbox  # channel wait
             payload = message.payload
             if isinstance(payload, BatchReply):
                 session = self.sessions.get(payload.session_id)

@@ -75,7 +75,7 @@ class _RedisInstance:
         cost = self.cluster.config.cost
         aof = self.cluster.config.aof
         while True:
-            request, respond = yield self.queue  # channel wait, no get() Event
+            request, respond = yield self.queue  # channel wait
             if request == "BGSAVE":
                 # The exclusive-latch window (§6): command stream pauses.
                 yield cost.bgsave_pause
@@ -136,7 +136,7 @@ class _DRedisProxy(GateHost):
         env = self.env
         cost = self.cost
         while True:
-            message = yield self.endpoint.inbox  # channel wait, no get() Event
+            message = yield self.endpoint.inbox  # channel wait
             request = message.payload
             if not isinstance(request, BatchRequest):
                 self._control(request)
@@ -292,7 +292,7 @@ class DRedisCluster(ClusterShell):
     def _plain_frontend(self, redis: _RedisInstance, endpoint):
         """PLAIN mode: the Redis instance reads its own socket."""
         while True:
-            message = yield endpoint.inbox  # channel wait, no get() Event
+            message = yield endpoint.inbox  # channel wait
             request: BatchRequest = message.payload
 
             def respond(_request, request=request, endpoint=endpoint):

@@ -61,9 +61,8 @@ class MetadataStore:
     def access(self) -> float:
         """One timed round trip to the store (yield this, then read).
 
-        Returns the round-trip delay for the caller to ``yield`` — the
-        kernel's sleep fast path turns it into a timeout without
-        allocating an Event.  During an injected outage the access
+        Returns the round-trip delay for the caller to ``yield`` (a
+        kernel number sleep).  During an injected outage the access
         stalls until the outage lifts; during a latency spike it pays
         the extra delay.  The query itself never fails — the managed
         store is durable — so callers observe slowness, not errors (and

@@ -381,9 +381,7 @@ class DFasterWorker(GateHost):
 
         if not external_dispatch:
             # Sink mode: _dispatch is a plain function, so routing each
-            # inbound message costs one _K_SINK dispatch instead of a
-            # parked generator plus a per-message get() Event.  Same
-            # sequence-number consumption, so event order is unchanged.
+            # inbound message costs one _K_SINK dispatch, no generator.
             self.endpoint.inbox.set_handler(self._dispatch)
         env.process(self._flusher(), name=f"flusher:{address}")
         if manager_address:

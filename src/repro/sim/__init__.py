@@ -7,52 +7,27 @@ and a 45-second recovery timeline takes well under a minute of wall-clock
 time.
 """
 
-from repro.sim.kernel import (
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.queues import Queue, QueueClosed
+from repro.sim.kernel import Environment, Event
+from repro.sim.queues import Queue
 from repro.sim.faults import (
     FaultPlan,
     LinkFault,
     MetadataOutage,
-    MetadataSpike,
     Partition,
 )
-from repro.sim.network import Network, NetworkConfig, Endpoint, Message
-from repro.sim.storage import (
-    StorageDevice,
-    StorageKind,
-    null_device,
-    local_ssd,
-    cloud_ssd,
-)
+from repro.sim.network import Network, NetworkConfig
+from repro.sim.storage import StorageDevice, StorageKind
 
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
-    "Process",
-    "SimulationError",
-    "Timeout",
     "Queue",
-    "QueueClosed",
     "FaultPlan",
     "LinkFault",
     "MetadataOutage",
-    "MetadataSpike",
     "Partition",
     "Network",
     "NetworkConfig",
-    "Endpoint",
-    "Message",
     "StorageDevice",
     "StorageKind",
-    "null_device",
-    "local_ssd",
-    "cloud_ssd",
 ]

@@ -15,20 +15,22 @@ slots — and a free-list recycles handles as events dispatch.  The
 dominant event populations (network deliveries via
 :meth:`Environment.call_later`, number-sleeps, queue hand-offs) never
 allocate an :class:`Event` at all; the run loop dispatches on the kind
-tag and runs their fast paths inline.  Generator processes and the full
-:class:`Event` machinery (combinators, joins, interrupts) remain as the
-slow-path escape hatch behind the ``_K_EVENT`` kind tag.
+tag and runs their fast paths inline.  :class:`Event` remains as the
+one-shot completion handle (process join, flush and device-write
+completion) behind the ``_K_EVENT`` kind tag.
 
-Every fast path consumes exactly one sequence number and one heap slot,
-the same as the Event-based form it replaces, so switching a call site
-between forms never perturbs event ordering — the determinism rule all
-optimization work in this repo lives by (``docs/PERFORMANCE.md``).
+Every scheduled entry consumes exactly one sequence number and one
+heap slot whatever its kind, so switching a call site between forms
+never perturbs event ordering — the determinism rule all optimization
+work in this repo lives by (``docs/PERFORMANCE.md``).
 
-Only the features the reproduction needs are implemented: one-shot
-events, timeouts, process-join, interrupts, and the :class:`Channel`
-wait protocol used by :mod:`repro.sim.queues`.  Ties in the event heap
-are broken by insertion order, which makes every run deterministic for
-a fixed seed.
+Only what the reproduction dispatches is implemented: number sleeps,
+deferred calls, one-shot events with process join, and the
+:class:`Channel` wait protocol used by :mod:`repro.sim.queues`.
+Nothing is ever cancelled or thrown into a process from outside; a
+process is resumed only by the one thing it waits on.  Ties in the
+event heap are broken by insertion order, which makes every run
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -45,40 +47,27 @@ from typing import Any, Callable, Generator, List, Optional
 #   _K_CALL    fn           arg          -        fn(arg)
 #   _K_RESUME  process      channel      value    resume process with value
 #                                                 (guarded: still waiting
-#                                                 on that channel)
-#   _K_SLEEP   process      epoch        -        wake a number-sleep
-#                                                 (guarded: epoch match)
+#                                                 on that channel; a
+#                                                 process start is a
+#                                                 resume from no channel)
+#   _K_SLEEP   process      -            -        wake a number-sleep
+#                                                 (guarded: still asleep)
 #   _K_SINK    channel      item         -        channel handler + pump
-#   _K_THROW   process      channel      exc      throw exc into process
-#                                                 (guarded like _K_RESUME)
-#   _K_EVENT   event        -            -        generic Event trigger
-#                                                 (slow path: callbacks)
+#   _K_EVENT   event        -            -        run a triggered Event's
+#                                                 callbacks (slow path)
 
 _K_CALL = 0
 _K_RESUME = 1
 _K_SLEEP = 2
 _K_SINK = 3
-_K_THROW = 4
-_K_EVENT = 5
+_K_EVENT = 4
 
 #: Human-readable kind names, indexable by tag (docs/diagnostics).
-KIND_NAMES = ("call", "resume", "sleep", "sink", "throw", "event")
+KIND_NAMES = ("call", "resume", "sleep", "sink", "event")
 
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the kernel (e.g. running a finished env)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -130,23 +119,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        # Inlined handle allocation: succeed() fires once per process
-        # step and per slow-path hand-off, so the extra call frames
-        # were measurable.
-        env = self.env
-        env._sequence += 1
-        free = env._free
-        if free:
-            handle = free.pop()
-            env._ev_kind[handle] = _K_EVENT
-            env._ev_a[handle] = self
-        else:
-            handle = len(env._ev_kind)
-            env._ev_kind.append(_K_EVENT)
-            env._ev_a.append(self)
-            env._ev_b.append(None)
-            env._ev_c.append(None)
-        heapq.heappush(env._heap, (env._now, env._sequence, handle))
+        self.env._schedule(self.env._now, _K_EVENT, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -158,20 +131,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        env = self.env
-        env._sequence += 1
-        free = env._free
-        if free:
-            handle = free.pop()
-            env._ev_kind[handle] = _K_EVENT
-            env._ev_a[handle] = self
-        else:
-            handle = len(env._ev_kind)
-            env._ev_kind.append(_K_EVENT)
-            env._ev_a.append(self)
-            env._ev_b.append(None)
-            env._ev_c.append(None)
-        heapq.heappush(env._heap, (env._now, env._sequence, handle))
+        self.env._schedule(self.env._now, _K_EVENT, self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -189,47 +149,6 @@ class Event:
         return f"<Event {self._name!r} {state}>"
 
 
-class Timeout(Event):
-    """An event that fires automatically after a fixed delay.
-
-    Only constructed when the caller needs a waitable handle;
-    fire-and-forget delays use
-    :meth:`Environment.call_later` and plain ``yield delay`` sleeps use
-    the ``_K_SLEEP`` fast path, neither of which allocates an Event.
-    The constructor is written flat (no ``super().__init__`` chain, no
-    per-instance name formatting) because timeouts still dominate the
-    Event-slow-path population.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        self.env = env
-        self._value = value
-        self._ok = True
-        self._triggered = False
-        self._callbacks = []
-        self._name = "timeout"
-        self.delay = delay
-        # The trigger is deferred: the run loop marks the timeout as
-        # triggered when its handle pops at ``now + delay``.
-        env._sequence += 1
-        free = env._free
-        if free:
-            handle = free.pop()
-            env._ev_kind[handle] = _K_EVENT
-            env._ev_a[handle] = self
-        else:
-            handle = len(env._ev_kind)
-            env._ev_kind.append(_K_EVENT)
-            env._ev_a.append(self)
-            env._ev_b.append(None)
-            env._ev_c.append(None)
-        heapq.heappush(env._heap, (env._now + delay, env._sequence, handle))
-
-
 class Channel:
     """Base class for waitable FIFO channels (``yield channel``).
 
@@ -237,20 +156,15 @@ class Channel:
     :mod:`repro.sim.queues` subclasses this with the user-facing API.
     A process that yields a channel either consumes an item immediately
     (scheduling its own ``_K_RESUME`` at the current time — exactly one
-    sequence number, mirroring the Event-based ``get()`` form) or parks
-    itself on ``_waiters`` until a producer hands it an item.
-
-    ``_waiters`` may also hold plain :class:`Event` getters created by
-    the legacy ``Queue.get()`` API; producers discriminate by class, so
-    the two wait styles share one FIFO order.
+    sequence number) or parks itself on ``_waiters`` until a producer
+    hands it an item.
 
     A channel with a ``_handler`` installed is a *sink*: items are
     dispatched to the handler function via ``_K_SINK`` entries instead
     of waking a consumer process (see ``docs/KERNEL.md``).
     """
 
-    __slots__ = ("env", "_items", "_waiters", "_closed", "_handler",
-                 "_pumping")
+    __slots__ = ("env", "_items", "_waiters", "_handler", "_pumping")
 
     _sim_channel = True
 
@@ -259,10 +173,6 @@ class Channel:
     #: the kernel's consume fast paths can report dequeues too —
     #: falsy means "unnamed, do not record".
     _depth_key = ""
-
-    def _closed_error(self) -> BaseException:
-        """The exception thrown into waiters when the channel closes."""
-        raise NotImplementedError  # pragma: no cover - subclass duty
 
 
 ProcessGenerator = Generator[Any, Any, Any]
@@ -278,79 +188,35 @@ class Process(Event):
     processes can join on it by yielding it.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_interrupts", "_sleep_epoch")
+    __slots__ = ("_generator", "_waiting_on")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = ""):
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
+        #: What the process is parked on: a channel, an event, itself
+        #: (a number sleep) or None (running, finished, or not started).
         self._waiting_on: Optional[Any] = None
-        self._interrupts: List[Interrupt] = []
-        #: Invalidates in-flight sleep wake-ups after an interrupt/re-sleep.
-        self._sleep_epoch = 0
-        # Kick the process off at the current simulation time.
-        start = Event(env, name=f"start:{self._name}")
-        start.add_callback(self._resume)
-        start.succeed()
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op, mirroring SimPy.
-        """
-        if self._triggered:
-            return
-        self._interrupts.append(Interrupt(cause))
-        waiting = self._waiting_on
-        if waiting is not None:
-            self._waiting_on = None
-            if waiting._sim_channel:
-                # Detach from the channel's waiter queue so a later
-                # put() cannot hand an item to the interrupted process
-                # (the in-flight _K_RESUME guard covers the case where
-                # the hand-off was already scheduled).
-                try:
-                    waiting._waiters.remove(self)
-                except ValueError:
-                    pass
-            # Detach: when the original waitable fires later, ignore it.
-            poke = Event(self.env, name=f"interrupt:{self._name}")
-            poke.add_callback(self._resume)
-            poke.succeed()
+        # Kick the process off at the current simulation time: a resume
+        # from no channel, with the ``None`` a fresh generator requires.
+        env._schedule(env._now, _K_RESUME, self)
 
     # -- resumption -----------------------------------------------------
     #
-    # Three entry points share the yielded-target handling:
-    #   _resume(event)       - Event-callback slow path (start, pokes,
-    #                          joins, combinators, legacy get())
+    # Three entry points:
     #   _resume_value(value)  - hot path, called by the run loop for
-    #                          _K_RESUME and _K_SLEEP dispatches
-    #   _resume_throw(exc)    - failure path (_K_THROW, failed events,
-    #                          interrupts)
+    #                           _K_RESUME and _K_SLEEP dispatches
+    #   _resume(event)        - callback of the Event the process waits
+    #                           on (join, completion handles)
+    #   _resume_throw(exc)    - failure path: a failed event raises in
+    #                           its waiter
     #
     # _resume_value inlines the number-sleep and channel-wait branches
-    # (the two dominant yields in a cluster run) and only the rarer
-    # Event yield goes through _wait_event.
-
-    def _resume(self, event: Event) -> None:
-        if self._triggered:
-            return
-        self._waiting_on = None
-        if self._interrupts:
-            self._resume_throw(self._interrupts.pop(0))
-        elif event._ok:
-            self._resume_value(event._value)
-        else:
-            self._resume_throw(event._value)
+    # (the two dominant yields in a cluster run); _resume_throw arms
+    # whatever its generator yields next through the cold _wait, which
+    # draws the same sequence numbers.
 
     def _resume_value(self, value: Any) -> None:
         if self._triggered:
-            return
-        if self._interrupts:
-            self._resume_throw(self._interrupts.pop(0))
             return
         try:
             target = self._generator.send(value)
@@ -364,16 +230,11 @@ class Process(Event):
             return
         cls = target.__class__
         if cls is float or cls is int:
-            # Sleep fast path: ``yield delay`` behaves exactly like
-            # ``yield env.timeout(delay)`` — one heap slot, the same
-            # sequence number the Timeout would have drawn — without
-            # allocating an Event.  ``_waiting_on = self`` is a non-None
-            # marker so interrupt() still pokes the sleeper; the epoch
-            # invalidates the stale wake-up afterwards.
+            # Sleep fast path: one heap slot and one sequence number,
+            # no Event.  ``_waiting_on = self`` marks the sleeper for
+            # the dispatch guard.
             if target < 0:
-                raise ValueError(f"negative timeout delay: {target}")
-            epoch = self._sleep_epoch + 1
-            self._sleep_epoch = epoch
+                raise ValueError(f"negative sleep delay: {target}")
             self._waiting_on = self
             env = self.env
             env._sequence += 1
@@ -382,12 +243,11 @@ class Process(Event):
                 handle = free.pop()
                 env._ev_kind[handle] = _K_SLEEP
                 env._ev_a[handle] = self
-                env._ev_b[handle] = epoch
             else:
                 handle = len(env._ev_kind)
                 env._ev_kind.append(_K_SLEEP)
                 env._ev_a.append(self)
-                env._ev_b.append(epoch)
+                env._ev_b.append(None)
                 env._ev_c.append(None)
             heapq.heappush(env._heap,
                            (env._now + target, env._sequence, handle))
@@ -395,16 +255,11 @@ class Process(Event):
         try:
             is_channel = target._sim_channel
         except AttributeError:
-            raise SimulationError(
-                f"process {self._name!r} yielded {target!r}, "
-                f"expected an Event, a Channel, or a number"
-            ) from None
+            raise self._not_waitable(target) from None
         if is_channel:
-            # Channel wait fast path: mirrors ``yield queue.get()``
-            # exactly — an available item schedules the resume at the
-            # current time for one sequence number (the one the get()
-            # Event's succeed() would have drawn); an empty channel
-            # parks the process with no sequence number consumed.
+            # Channel wait fast path: an available item schedules the
+            # resume at the current time for one sequence number; an
+            # empty channel parks the process with none consumed.
             self._waiting_on = target
             items = target._items
             if items:
@@ -430,12 +285,19 @@ class Process(Event):
                 tracer = env.tracer
                 if tracer is not None and target._depth_key:
                     tracer.queue_depth(target._depth_key, len(items))
-            elif target._closed:
-                self.env._schedule_throw(self, target, target._closed_error())
             else:
                 target._waiters.append(self)
             return
         self._wait_event(target)
+
+    def _resume(self, event: Event) -> None:
+        # Resume only from the event being waited on.
+        if self._waiting_on is event:
+            self._waiting_on = None
+            if event._ok:
+                self._resume_value(event._value)
+            else:
+                self._resume_throw(event._value)
 
     def _resume_throw(self, exception: BaseException) -> None:
         if self._triggered:
@@ -450,66 +312,49 @@ class Process(Event):
                 raise
             self.fail(exc)
             return
+        self._wait(target)
+
+    def _wait(self, target: Any) -> None:
+        """Arm the process on what it yielded: the cold form of the
+        dispatch :meth:`_resume_value` inlines, drawing the same
+        sequence numbers."""
         cls = target.__class__
+        env = self.env
         if cls is float or cls is int:
             if target < 0:
-                raise ValueError(f"negative timeout delay: {target}")
-            epoch = self._sleep_epoch + 1
-            self._sleep_epoch = epoch
+                raise ValueError(f"negative sleep delay: {target}")
             self._waiting_on = self
-            env = self.env
-            env._sequence += 1
-            free = env._free
-            if free:
-                handle = free.pop()
-                env._ev_kind[handle] = _K_SLEEP
-                env._ev_a[handle] = self
-                env._ev_b[handle] = epoch
-            else:
-                handle = len(env._ev_kind)
-                env._ev_kind.append(_K_SLEEP)
-                env._ev_a.append(self)
-                env._ev_b.append(epoch)
-                env._ev_c.append(None)
-            heapq.heappush(env._heap,
-                           (env._now + target, env._sequence, handle))
+            env._schedule(env._now + target, _K_SLEEP, self)
             return
         try:
             is_channel = target._sim_channel
         except AttributeError:
-            raise SimulationError(
-                f"process {self._name!r} yielded {target!r}, "
-                f"expected an Event, a Channel, or a number"
-            ) from None
-        if is_channel:
-            self._waiting_on = target
-            items = target._items
-            if items:
-                self.env._schedule_resume(self, target, items.popleft())
-                tracer = self.env.tracer
-                if tracer is not None and target._depth_key:
-                    tracer.queue_depth(target._depth_key, len(items))
-            elif target._closed:
-                self.env._schedule_throw(self, target, target._closed_error())
-            else:
-                target._waiters.append(self)
+            raise self._not_waitable(target) from None
+        if not is_channel:
+            self._wait_event(target)
             return
-        self._wait_event(target)
+        self._waiting_on = target
+        items = target._items
+        if items:
+            env._schedule(env._now, _K_RESUME, self, target, items.popleft())
+            if env.tracer is not None and target._depth_key:
+                env.tracer.queue_depth(target._depth_key, len(items))
+        else:
+            target._waiters.append(self)
 
     def _wait_event(self, target: Event) -> None:
         self._waiting_on = target
-        # Inlined target.add_callback(self._guarded_resume): this is the
+        # Inlined target.add_callback(self._resume): this is the
         # per-yield path for every Event wait in the simulation.
         if target._triggered:
-            self._guarded_resume(target)
+            self._resume(target)
         else:
-            target._callbacks.append(self._guarded_resume)
+            target._callbacks.append(self._resume)
 
-    def _guarded_resume(self, event: Event) -> None:
-        # Only resume if we are still waiting on this event (we may have
-        # been interrupted and re-armed in the meantime).
-        if self._waiting_on is event:
-            self._resume(event)
+    def _not_waitable(self, target: Any) -> SimulationError:
+        return SimulationError(
+            f"process {self._name!r} yielded {target!r}, "
+            f"expected an Event, a Channel, or a number")
 
 
 class Environment:
@@ -577,9 +422,13 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------
 
-    def _alloc(self, kind: int, a: Any, b: Any, c: Any) -> int:
-        """Allocate a handle (recycling via the free-list) — slow-path
-        helper; hot sites inline this."""
+    def _schedule(self, when: float, kind: int, a: Any, b: Any = None,
+                  c: Any = None) -> None:
+        """Push one ``kind`` entry due at ``when``: one sequence number,
+        one handle (recycled via the free-list).  The cold form — the
+        hot sites (call_later, the sleep and channel yields, the sink
+        pump, Network.send) inline exactly this."""
+        self._sequence += 1
         free = self._free
         if free:
             handle = free.pop()
@@ -593,52 +442,21 @@ class Environment:
             self._ev_a.append(a)
             self._ev_b.append(b)
             self._ev_c.append(c)
-        return handle
-
-    def _schedule_resume(self, process: Process, channel: Channel,
-                         value: Any) -> None:
-        """Hand ``value`` to a channel-waiting process at time now
-        (one sequence number, like the get()-Event succeed it mirrors)."""
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self._now, self._sequence,
-                        self._alloc(_K_RESUME, process, channel, value)))
-
-    def _schedule_throw(self, process: Process, channel: Channel,
-                        exception: BaseException) -> None:
-        """Throw ``exception`` into a channel-waiting process at time
-        now (one sequence number, like the failed get()-Event)."""
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self._now, self._sequence,
-                        self._alloc(_K_THROW, process, channel, exception)))
-
-    def _schedule_sink(self, channel: Channel, item: Any) -> None:
-        """Dispatch ``item`` to a sink channel's handler at time now."""
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self._now, self._sequence,
-                        self._alloc(_K_SINK, channel, item, None)))
+        heapq.heappush(self._heap, (when, self._sequence, handle))
 
     # -- public API ---------------------------------------------------
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
     def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` to run after ``delay`` — the deferred-call
         fast path.
 
-        Equivalent to ``self.timeout(delay).add_callback(...)`` but
-        without allocating an Event or a callback list: the call lives
-        in a recycled ``_K_CALL`` handle.  Use only for fire-and-forget
-        work: there is no handle to wait on, and the call cannot be
-        cancelled.  Consumes one heap slot and one sequence number,
-        exactly like the Timeout it replaces, so switching a call site
-        between the two forms never perturbs event ordering.
+        The call lives in a recycled ``_K_CALL`` handle: no Event, no
+        callback list.  Use only for fire-and-forget work: there is no
+        handle to wait on, and the call cannot be cancelled.  Consumes
+        one heap slot and one sequence number, like every other entry.
         """
         if delay < 0:
             raise ValueError(f"negative call_later delay: {delay}")
@@ -722,18 +540,14 @@ class Environment:
                         a._waiting_on = None
                         a._resume_value(c)
                 elif kind == 2:  # _K_SLEEP
-                    # Stale if the process was interrupted, finished, or
-                    # moved on since this sleep was scheduled.
-                    if (a._waiting_on is a and b == a._sleep_epoch
-                            and not a._triggered):
+                    if a._waiting_on is a:
                         a._waiting_on = None
                         a._resume_value(None)
                 elif kind == 3:  # _K_SINK
                     a._handler(b)
                     # Pump: hand the next queued item to the handler at
-                    # a fresh sequence number — exactly when (and with
-                    # the sequence number that) a generator consumer's
-                    # re-issued get() would have consumed it.
+                    # a fresh sequence number, so each item is handled
+                    # in its own simulation step.
                     items = a._items
                     if items:
                         item = items.popleft()
@@ -756,16 +570,7 @@ class Environment:
                                 tracer.queue_depth(dk, len(items))
                     else:
                         a._pumping = False
-                elif kind == 4:  # _K_THROW
-                    c = arg_c[handle]
-                    arg_c[handle] = None
-                    if a._waiting_on is b:
-                        a._waiting_on = None
-                        a._resume_throw(c)
                 else:  # _K_EVENT
-                    if not a._triggered:
-                        # Deferred triggers (timeouts) fire when popped.
-                        a._triggered = True
                     callbacks = a._callbacks
                     a._callbacks = []
                     for callback in callbacks:

@@ -175,10 +175,8 @@ class Network:
                     delay += abs(self._rng.gauss(0.0, config.jitter_stddev))
             delay += extra
             message = Message(src, dst, payload, size_ops, now, now + delay)
-            # Fast path: one recycled _K_CALL handle per delivery
-            # instead of a Timeout event plus a per-message closure
-            # (same heap slot and sequence-number count, so event
-            # ordering is unchanged).  Inlined env.call_later(...).
+            # Fast path: one recycled _K_CALL handle per delivery, no
+            # per-message closure.  Inlined env.call_later(...).
             env._sequence += 1
             if free:
                 handle = free.pop()

@@ -1,24 +1,20 @@
 """Unbounded FIFO queues for inter-process communication.
 
 A :class:`Queue` is the kernel's channel primitive.  Producers call
-:meth:`Queue.put` (which never blocks); consumers pick one of three
-wait styles, cheapest first:
+:meth:`Queue.put` (which never blocks); consumers pick one of two wait
+styles, cheapest first:
 
 1. **Sink mode** (:meth:`Queue.set_handler`): a plain function is
    invoked once per item via the kernel's ``_K_SINK`` fast path — no
-   consumer generator, no per-item Event.  For pure message loops
-   (``while True: msg = yield q.get(); handle(msg)``) this is the
-   whole loop, minus the generator.
+   consumer generator at all.  For pure message loops (receive,
+   handle, repeat) this is the whole loop.
 2. **Channel wait** (``yield queue``): the yielding process is parked
    on the queue and resumed with the next item through the kernel's
-   ``_K_RESUME`` fast path — no per-get Event allocation.
-3. **Legacy get** (``yield queue.get()``): returns an :class:`Event`
-   that fires with the next item.  Still the right call when the event
-   handle itself is needed.
+   ``_K_RESUME`` fast path.  For consumers that yield mid-body.
 
-All three consume items from one FIFO and wake waiters in FIFO order,
-and each hand-off costs exactly one kernel sequence number regardless
-of style, so converting a consumer between styles never perturbs event
+Both consume items from one FIFO and wake waiters in FIFO order, and
+each hand-off costs exactly one kernel sequence number regardless of
+style, so converting a consumer between styles never perturbs event
 ordering (docs/PERFORMANCE.md).
 
 Named queues report their *backlog* depth to the tracer on every
@@ -27,12 +23,6 @@ fast paths), so the ``queue.<name>`` gauge decays back to 0 as
 consumers drain while the high-watermark keeps the peak.  Items handed
 straight to a waiter or an idle sink handler never enter the backlog
 and leave the gauge untouched.
-
-Closing follows *drain-then-fail* semantics: :meth:`Queue.close`
-refuses new puts immediately, but every already-accepted item remains
-consumable — getters are served from the backlog, and a sink handler
-keeps pumping until the backlog is empty — and only then do getters
-fail with :class:`QueueClosed`.
 
 :class:`BoundedQueue` adds the admission-control variant: a finite
 backlog with a shed-oldest or reject overload policy, shed counters,
@@ -44,9 +34,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, List, Optional
 
-from repro.sim.kernel import Channel, Environment, Event
-
-_EVENT = Event  # class-identity test in put(); bound once
+from repro.sim.kernel import _K_RESUME, _K_SINK, Channel, Environment
 
 
 class _Empty:
@@ -64,24 +52,17 @@ class _Empty:
 EMPTY = _Empty()
 
 
-class QueueClosed(Exception):
-    """Raised into getters when a queue is closed with no items left."""
-
-
 class Queue(Channel):
     """An unbounded deterministic FIFO channel."""
 
-    __slots__ = ("name", "_depth_key", "_get_name")
+    __slots__ = ("name", "_depth_key")
 
     def __init__(self, env: Environment, name: str = ""):
         self.env = env
         self.name = name
         self._items = deque()
-        #: Parked consumers, FIFO.  Holds :class:`Process` objects
-        #: (channel waits) and :class:`Event` objects (legacy getters),
-        #: discriminated by class in :meth:`put`.
+        #: Parked consumer processes (channel waits), FIFO.
         self._waiters = deque()
-        self._closed = False
         #: Sink-mode handler (see :meth:`set_handler`); None for
         #: consumer-driven queues.
         self._handler: Optional[Callable[[Any], None]] = None
@@ -89,32 +70,18 @@ class Queue(Channel):
         #: pump clears it when the queue drains, so each item is handled
         #: at its own sequence number in arrival order.
         self._pumping = False
-        # Label strings are built once here: put()/get() run hundreds of
-        # thousands of times per bench, so per-call formatting shows up.
+        # The label is built once here: put() runs hundreds of thousands
+        # of times per bench, so per-call formatting shows up.
         self._depth_key = ("queue." + name) if name else ""
-        self._get_name = "get:" + name
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _closed_error(self) -> QueueClosed:
-        return QueueClosed(f"queue {self.name!r} is closed")
 
     def _record_depth(self) -> None:
         """Report the backlog depth to the tracer (both directions)."""
         tracer = self.env.tracer
         if tracer is not None and self._depth_key:
             tracer.queue_depth(self._depth_key, len(self._items))
-
-    def _start_pump(self) -> None:
-        """Hand the oldest backlog item to the sink handler."""
-        self._pumping = True
-        self.env._schedule_sink(self, self._items.popleft())
-        self._record_depth()
 
     def set_handler(self, handler: Callable[[Any], None]) -> None:
         """Switch the queue to sink mode: ``handler(item)`` runs once
@@ -132,63 +99,39 @@ class Queue(Channel):
                 f"switch to sink mode")
         self._handler = handler
         if self._items and not self._pumping:
-            self._start_pump()
+            self._pumping = True
+            env = self.env
+            env._schedule(env._now, _K_SINK, self, self._items.popleft())
+            self._record_depth()
 
     def put(self, item: Any) -> None:
         """Enqueue ``item``; wakes the oldest waiting consumer, if any."""
-        if self._closed:
-            raise QueueClosed(f"queue {self.name!r} is closed")
+        env = self.env
         if self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.__class__ is _EVENT:
-                waiter.succeed(item)
-            else:
-                # A channel-waiting process: hand the item over via the
-                # kernel fast path (one sequence number, exactly like
-                # the getter Event's succeed above).
-                self.env._schedule_resume(waiter, self, item)
+            # Hand the item to the parked process through the kernel
+            # (one sequence number, like every hand-off).
+            env._schedule(env._now, _K_RESUME, self._waiters.popleft(),
+                          self, item)
         elif self._handler is not None and not self._pumping:
             self._pumping = True
-            self.env._schedule_sink(self, item)
+            env._schedule(env._now, _K_SINK, self, item)
         else:
             self._items.append(item)
-            tracer = self.env.tracer
+            tracer = env.tracer
             if tracer is not None and self._depth_key:
                 tracer.queue_depth(self._depth_key, len(self._items))
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item.
-
-        Prefer ``yield queue`` (no Event allocation) unless the handle
-        itself is needed.
-        """
-        event = Event(self.env, name=self._get_name)
-        items = self._items
-        if items:
-            event.succeed(items.popleft())
-            self._record_depth()
-        elif self._closed:
-            event.fail(QueueClosed(f"queue {self.name!r} is closed"))
-        else:
-            self._waiters.append(event)
-        return event
 
     def try_get(self, default: Any = None) -> Any:
         """Non-blocking get; returns ``default`` when nothing is queued.
 
-        Drain-then-fail: a closed queue still yields its backlog, and
-        only once that is gone does try_get raise :class:`QueueClosed`
-        instead of masquerading as merely empty.  Pass ``default=EMPTY``
-        (the module sentinel) when enqueued items may legitimately be
-        ``None``.
+        Pass ``default=EMPTY`` (the module sentinel) when enqueued items
+        may legitimately be ``None``.
         """
         items = self._items
         if items:
             item = items.popleft()
             self._record_depth()
             return item
-        if self._closed:
-            raise self._closed_error()
         return default
 
     def drain(self) -> List[Any]:
@@ -198,31 +141,6 @@ class Queue(Channel):
         if items:
             self._record_depth()
         return items
-
-    def close(self) -> None:
-        """Close the queue: *drain-then-fail*.
-
-        New puts fail immediately.  Already-accepted items stay
-        consumable: getters keep draining the backlog (waiters can only
-        exist when the backlog is empty, so they fail at once), and a
-        sink handler keeps pumping until the backlog is gone.  Only an
-        empty, closed queue fails its getters.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.__class__ is _EVENT:
-                waiter.fail(QueueClosed(f"queue {self.name!r} is closed"))
-            else:
-                self.env._schedule_throw(
-                    waiter, self, QueueClosed(f"queue {self.name!r} is closed"))
-        # Defensive: with set_handler() pumping pre-existing backlogs
-        # this cannot trigger, but a stranded sink backlog would
-        # otherwise be silently dropped, so keep the guarantee local.
-        if self._handler is not None and self._items and not self._pumping:
-            self._start_pump()
 
 
 class BoundedQueue(Queue):
@@ -270,10 +188,9 @@ class BoundedQueue(Queue):
 
     def put(self, item: Any) -> None:
         # The capacity check only matters when the item would join the
-        # backlog: a closed queue raises in super().put, and waiters or
-        # an idle sink handler take the item without queueing it.
-        if (len(self._items) >= self.capacity and not self._closed
-                and not self._waiters
+        # backlog: waiters or an idle sink handler take the item
+        # without queueing it.
+        if (len(self._items) >= self.capacity and not self._waiters
                 and (self._handler is None or self._pumping)):
             tracer = self.env.tracer
             if self.policy == "reject":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Union
+from typing import Union
 
 Seedable = Union[int, random.Random, None]
 
@@ -34,26 +34,3 @@ def spawn(parent: random.Random, label: str) -> random.Random:
     digest = hashlib.blake2b(f"{base}:{label}".encode(),
                              digest_size=8).digest()
     return random.Random(int.from_bytes(digest, "big"))
-
-
-def exponential(rng: random.Random, mean: float) -> float:
-    """Exponential sample with the given mean (mean=0 returns 0)."""
-    if mean <= 0:
-        return 0.0
-    return rng.expovariate(1.0 / mean)
-
-
-def bounded_normal(
-    rng: random.Random,
-    mean: float,
-    stddev: float,
-    minimum: float = 0.0,
-    maximum: Optional[float] = None,
-) -> float:
-    """Normal sample clamped to ``[minimum, maximum]``."""
-    value = rng.gauss(mean, stddev)
-    if value < minimum:
-        value = minimum
-    if maximum is not None and value > maximum:
-        value = maximum
-    return value

@@ -129,18 +129,3 @@ class StorageDevice:
         self.env.call_later(self.write_latency(size_bytes),
                             lambda _arg: event.succeed(size_bytes))
         return event
-
-
-def null_device(env: Environment, rng: Optional[random.Random] = None) -> StorageDevice:
-    """The paper's 'Null' backend: instantaneous I/O."""
-    return StorageDevice(env, StorageKind.NULL, rng)
-
-
-def local_ssd(env: Environment, rng: Optional[random.Random] = None) -> StorageDevice:
-    """The VM-local temporary SSD."""
-    return StorageDevice(env, StorageKind.LOCAL_SSD, rng)
-
-
-def cloud_ssd(env: Environment, rng: Optional[random.Random] = None) -> StorageDevice:
-    """Replicated cloud premium SSD (2-3x slower checkpoints than local)."""
-    return StorageDevice(env, StorageKind.CLOUD_SSD, rng)

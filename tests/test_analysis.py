@@ -283,7 +283,7 @@ class TestDeterminismRules:
         findings = lint_fixture(tmp_path, {
             "repro/sim/good.py": """\
                 def process(env, device):
-                    yield env.timeout(0.1)
+                    yield 0.1
                     yield device.write(4096)
             """,
         })

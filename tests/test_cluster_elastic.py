@@ -132,10 +132,10 @@ class TestMigration:
                 reply = yield from client.request(
                     "k", [("set", "k", index)], 1)
                 replies.append(reply)
-                yield cluster.env.timeout(0.02)
+                yield 0.02
 
         def delayed_migration():
-            yield cluster.env.timeout(0.06)  # let a few requests land
+            yield 0.06  # let a few requests land
             yield from coordinator.migrate(partition, new)
 
         cluster.env.process(busy_client())

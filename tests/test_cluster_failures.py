@@ -346,7 +346,7 @@ class TestMembership:
         cluster = DFasterCluster(DFasterConfig(**SMALL))
 
         def grow():
-            yield cluster.env.timeout(0.2)
+            yield 0.2
             cluster.add_worker()
 
         cluster.env.process(grow())
@@ -362,10 +362,10 @@ class TestMembership:
         cuts = {}
 
         def grow():
-            yield cluster.env.timeout(0.2)
+            yield 0.2
             cuts["before"] = cluster.finder.current_cut()
             cluster.add_worker()
-            yield cluster.env.timeout(0.4)
+            yield 0.4
             cuts["after"] = cluster.finder.current_cut()
 
         cluster.env.process(grow())
@@ -378,10 +378,10 @@ class TestMembership:
         cuts = {}
 
         def shrink():
-            yield cluster.env.timeout(0.2)
+            yield 0.2
             cluster.remove_worker(2)
             cuts["at_removal"] = cluster.finder.current_cut()
-            yield cluster.env.timeout(0.4)
+            yield 0.4
             cuts["after"] = cluster.finder.current_cut()
 
         cluster.env.process(shrink())

@@ -145,7 +145,7 @@ class TestDFasterFunctional:
                 ops=(("set", "k", 10), ("incr", "k", 5), ("get", "k")),
             )
             net.send("tester", "worker-0", request, size_ops=3)
-            message = yield client.inbox.get()
+            message = yield client.inbox
             results["reply"] = message.payload
 
         env.process(driver())
@@ -171,14 +171,14 @@ class TestDFasterFunctional:
                 net.send("tester", "worker-0", request, size_ops=len(ops))
 
             send(1, 1, [("set", "a", "durable")], 1)
-            yield client.inbox.get()
+            yield client.inbox
             # Wait past several checkpoints + finder ticks so it commits,
             # then write *just before* the failure — inside the current
             # checkpoint interval, so the write is still uncommitted when
             # the cut freezes.
-            yield env.timeout(0.285 - env.now)
+            yield 0.285 - env.now
             send(2, 2, [("set", "a", "volatile")], 1)
-            yield client.inbox.get()
+            yield client.inbox
             results["ok"] = True
 
         env.process(driver())

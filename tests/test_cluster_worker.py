@@ -17,7 +17,7 @@ from repro.cluster.worker import DFasterWorker
 from repro.core.cuts import DprCut
 from repro.core.versioning import Token
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.storage import local_ssd
+from repro.sim.storage import StorageDevice, StorageKind
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def rig(env):
     worker = DFasterWorker(
         env, net, "w0",
         engine=ModeledStore("w0", effective_keys=1000),
-        device=local_ssd(env, rng=random.Random(1)),
+        device=StorageDevice(env, StorageKind.LOCAL_SSD, rng=random.Random(1)),
         cost=CostModel(),
         stats=ClusterStats(),
         finder_address=None,
@@ -41,7 +41,7 @@ def rig(env):
 
     def receiver():
         while True:
-            message = yield client.inbox.get()
+            message = yield client.inbox
             client.replies.append(message.payload)
 
     env.process(receiver())
@@ -115,7 +115,7 @@ class TestCheckpointing:
         def probe():
             while env.now < 0.2:
                 seen.append((env.now, worker._slowdown()))
-                yield env.timeout(0.002)
+                yield 0.002
 
         env.process(probe())
         send_and_collect(env, net, client, [request()], until=0.2)
@@ -141,10 +141,10 @@ class TestControlMessages:
         cut = DprCut.of(Token("w0", 3))
 
         def broadcast():
-            yield env.timeout(0.001)
+            yield 0.001
             net.send("client", "w0", CutBroadcast(cut=cut, world_line=0,
                                                   max_version=3))
-            yield env.timeout(0.01)
+            yield 0.01
             net.send("client", "w0", request())
 
         env.process(broadcast())
@@ -158,7 +158,7 @@ class TestControlMessages:
         acks = []
 
         def receiver():
-            message = yield manager.inbox.get()
+            message = yield manager.inbox
             acks.append(message.payload)
 
         env.process(receiver())

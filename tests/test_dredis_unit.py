@@ -19,7 +19,7 @@ def drive(cluster, requests, until=0.3, target="proxy-0"):
 
     def receiver():
         while True:
-            message = yield client.inbox.get()
+            message = yield client.inbox
             replies.append(message.payload)
 
     cluster.env.process(receiver())
@@ -74,9 +74,9 @@ class TestProxyPath:
                     request(batch_id=index, first_seqno=1 + 16 * index),
                     size_ops=16,
                 )
-                yield client.inbox.get()
+                yield client.inbox
                 round_trips.append(cluster.env.now - sent)
-                yield cluster.env.timeout(3e-3)
+                yield 3e-3
 
         cluster.env.process(driver())
         cluster.env.run(until=0.5)

@@ -49,7 +49,7 @@ from repro.core.libdpr.server import IN_SERVICE
 from repro.core.versioning import Token
 from repro.sim.kernel import Environment
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.storage import local_ssd
+from repro.sim.storage import StorageDevice, StorageKind
 
 SHARD = "proxy-0"  # every host's engine carries this object id
 SETTLE = 0.05      # long enough for any host to serve, flush and report
@@ -204,7 +204,7 @@ def worker_host():
     net = quiet_network(env)
     worker = DFasterWorker(
         env, net, "w0", engine=ModeledStore(SHARD, effective_keys=1000),
-        device=local_ssd(env, rng=random.Random(1)), cost=CostModel(),
+        device=StorageDevice(env, StorageKind.LOCAL_SSD, rng=random.Random(1)), cost=CostModel(),
         stats=ClusterStats(), finder_address="finder",
         manager_address="manager", vcpus=2, checkpoints_enabled=False)
     return NetworkedHost("DFasterWorker", env, net, worker)
@@ -226,7 +226,7 @@ def promoted_replica_host():
     node = ReplicaNode(
         env, net, "replica:w0:0", "w0",
         engine=ModeledStore(SHARD, effective_keys=1000),
-        device=local_ssd(env, rng=random.Random(1)), cost=CostModel(),
+        device=StorageDevice(env, StorageKind.LOCAL_SSD, rng=random.Random(1)), cost=CostModel(),
         stats=ClusterStats(), metadata=metadata, vcpus=2,
         checkpoint_interval=1e6)
     node.promote("finder", "manager")

@@ -130,7 +130,7 @@ class TestNetworkIntegration:
 
         def receiver():
             while True:
-                message = yield b.inbox.get()
+                message = yield b.inbox
                 got.append((message.payload, env.now))
 
         env.process(receiver())

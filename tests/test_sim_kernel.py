@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import (
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.kernel import Environment, SimulationError
 
 
 class TestEvent:
@@ -69,13 +63,15 @@ class TestEvent:
 
 
 class TestTimeout:
+    """Timed waits: a process sleeps by yielding a number of seconds."""
+
     def test_advances_clock(self, env):
         times = []
 
         def proc():
-            yield env.timeout(1.5)
+            yield 1.5
             times.append(env.now)
-            yield env.timeout(0.5)
+            yield 0.5
             times.append(env.now)
 
         env.process(proc())
@@ -84,7 +80,7 @@ class TestTimeout:
 
     def test_zero_delay_allowed(self, env):
         def proc():
-            yield env.timeout(0)
+            yield 0
             return env.now
 
         process = env.process(proc())
@@ -93,22 +89,13 @@ class TestTimeout:
 
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
-            env.timeout(-1)
-
-    def test_timeout_value_passthrough(self, env):
-        def proc():
-            value = yield env.timeout(1, value="done")
-            return value
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == "done"
+            env.call_later(-1, print)
 
     def test_timeouts_fire_in_order(self, env):
         order = []
 
         def waiter(delay, label):
-            yield env.timeout(delay)
+            yield delay
             order.append(label)
 
         env.process(waiter(3, "c"))
@@ -121,7 +108,7 @@ class TestTimeout:
         order = []
 
         def waiter(label):
-            yield env.timeout(1)
+            yield 1
             order.append(label)
 
         for label in "abc":
@@ -133,7 +120,7 @@ class TestTimeout:
 class TestProcess:
     def test_return_value_joins(self, env):
         def child():
-            yield env.timeout(2)
+            yield 2
             return "result"
 
         def parent():
@@ -148,7 +135,7 @@ class TestProcess:
         env = Environment(strict=False)
 
         def child():
-            yield env.timeout(1)
+            yield 1
             raise RuntimeError("child died")
 
         def parent():
@@ -163,7 +150,7 @@ class TestProcess:
 
     def test_strict_mode_raises_out_of_run(self, env):
         def bad():
-            yield env.timeout(1)
+            yield 1
             raise RuntimeError("escape")
 
         env.process(bad())
@@ -179,7 +166,6 @@ class TestProcess:
             env.run()
 
     def test_yield_number_sleeps(self, env):
-        # The sleep fast path: ``yield delay`` == ``yield env.timeout(delay)``.
         times = []
 
         def proc():
@@ -202,104 +188,15 @@ class TestProcess:
         with pytest.raises(ValueError):
             env.run()
 
-    def test_sleep_and_timeout_share_ordering(self, env):
-        # A plain-number sleep must occupy the same place in the tie-break
-        # order a Timeout would have.
-        order = []
-
-        def sleeper(label):
-            yield 1
-            order.append(label)
-
-        def timeouter(label):
-            yield env.timeout(1)
-            order.append(label)
-
-        env.process(sleeper("a"))
-        env.process(timeouter("b"))
-        env.process(sleeper("c"))
-        env.run()
-        assert order == ["a", "b", "c"]
-
-    def test_interrupt_during_number_sleep(self, env):
-        caught = []
-
-        def sleeper():
-            try:
-                yield 10
-            except Interrupt as interrupt:
-                caught.append((env.now, interrupt.cause))
-            yield 1
-
-        def interrupter(target):
-            yield 2
-            target.interrupt("wake")
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        env.run()
-        assert caught == [(2.0, "wake")]
-        # The stale sleep wake-up at t=10 must not resume the process
-        # again: it finished at t=3.
-        assert env.now >= 10 or not target.is_alive
-
     def test_is_alive(self, env):
+        # A process is alive until it triggers: it is its own join event.
         def proc():
-            yield env.timeout(5)
+            yield 5
 
         process = env.process(proc())
-        assert process.is_alive
+        assert not process.triggered
         env.run()
-        assert not process.is_alive
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self, env):
-        outcome = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100)
-                outcome.append("slept")
-            except Interrupt as interrupt:
-                outcome.append(("interrupted", interrupt.cause, env.now))
-
-        def waker(target):
-            yield env.timeout(2)
-            target.interrupt("wake up")
-
-        target = env.process(sleeper())
-        env.process(waker(target))
-        env.run()
-        assert outcome == [("interrupted", "wake up", 2.0)]
-
-    def test_interrupt_finished_process_is_noop(self, env):
-        def quick():
-            yield env.timeout(1)
-
-        process = env.process(quick())
-        env.run()
-        process.interrupt("too late")  # must not raise
-
-    def test_process_survives_interrupt_and_continues(self, env):
-        log = []
-
-        def resilient():
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                log.append("caught")
-            yield env.timeout(1)
-            log.append(env.now)
-
-        def waker(target):
-            yield env.timeout(3)
-            target.interrupt()
-
-        target = env.process(resilient())
-        env.process(waker(target))
-        env.run()
-        assert log == ["caught", 4.0]
+        assert process.triggered
 
 
 class TestEnvironment:
@@ -307,7 +204,7 @@ class TestEnvironment:
         fired = []
 
         def proc():
-            yield env.timeout(10)
+            yield 10
             fired.append(True)
 
         env.process(proc())
@@ -319,14 +216,13 @@ class TestEnvironment:
 
     def test_peek(self, env):
         assert env.peek() is None
-        env.timeout(3)
-        # The initial start event of a process is scheduled at time 0.
-        assert env.peek() == 0 or env.peek() == 3
+        env.call_later(3, print)
+        assert env.peek() == 3
 
     def test_nested_run_rejected(self, env):
         def proc():
             env.run()
-            yield env.timeout(1)
+            yield 1
 
         env.process(proc())
         with pytest.raises(SimulationError):
@@ -339,7 +235,7 @@ class TestEnvironment:
 
             def worker(label, delay):
                 for _ in range(3):
-                    yield env.timeout(delay)
+                    yield delay
                     log.append((env.now, label))
 
             env.process(worker("x", 1.0))

@@ -8,12 +8,12 @@ from repro.sim.kernel import Environment
 class TestProcessComposition:
     def test_chained_joins(self, env):
         def leaf():
-            yield env.timeout(1)
+            yield 1
             return 1
 
         def middle():
             value = yield env.process(leaf())
-            yield env.timeout(1)
+            yield 1
             return value + 1
 
         def root():
@@ -29,7 +29,7 @@ class TestProcessComposition:
         done = []
 
         def worker(i):
-            yield env.timeout(i * 0.001)
+            yield i * 0.001
             done.append(i)
 
         for i in range(200):
@@ -40,7 +40,7 @@ class TestProcessComposition:
 
     def test_join_already_finished_process(self, env):
         def quick():
-            yield env.timeout(1)
+            yield 1
             return "done"
 
         process = env.process(quick())
@@ -56,7 +56,7 @@ class TestProcessComposition:
 
     def test_two_joiners_same_process(self, env):
         def child():
-            yield env.timeout(1)
+            yield 1
             return 7
 
         child_process = env.process(child())
@@ -77,9 +77,9 @@ class TestClockSemantics:
         fired = []
 
         def proc():
-            yield env.timeout(1.0)
+            yield 1.0
             fired.append(1)
-            yield env.timeout(1.0)
+            yield 1.0
             fired.append(2)
 
         env.process(proc())
@@ -99,7 +99,7 @@ class TestClockSemantics:
 
         def ticker():
             while True:
-                yield env.timeout(1)
+                yield 1
                 values.append(env.now)
 
         env.process(ticker())

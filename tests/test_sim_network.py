@@ -21,7 +21,7 @@ class TestDelivery:
         got = []
 
         def receiver():
-            message = yield b.inbox.get()
+            message = yield b.inbox
             got.append((message.payload, env.now))
 
         env.process(receiver())
@@ -37,7 +37,7 @@ class TestDelivery:
 
         def receiver():
             for _ in range(2):
-                message = yield b.inbox.get()
+                message = yield b.inbox
                 times.append(message.deliver_time)
 
         env.process(receiver())
@@ -51,7 +51,7 @@ class TestDelivery:
         got = []
 
         def receiver():
-            message = yield a.inbox.get()
+            message = yield a.inbox
             got.append(env.now)
 
         env.process(receiver())
@@ -66,7 +66,7 @@ class TestDelivery:
 
         def receiver():
             for _ in range(3):
-                message = yield b.inbox.get()
+                message = yield b.inbox
                 got.append(message.payload)
 
         env.process(receiver())
@@ -104,7 +104,7 @@ class TestFailures:
         b = net.register("b")
 
         def crash():
-            yield env.timeout(10e-6)  # before one-way latency elapses
+            yield 10e-6  # before one-way latency elapses
             net.set_up("b", False)
 
         env.process(crash())
@@ -120,7 +120,7 @@ class TestFailures:
         net.send("a", "b", "lost")
 
         def later():
-            yield env.timeout(1)
+            yield 1
             net.set_up("b", True)
             net.send("a", "b", "delivered")
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs import Tracer
 from repro.sim.kernel import Environment
-from repro.sim.queues import EMPTY, BoundedQueue, Queue, QueueClosed
+from repro.sim.queues import EMPTY, BoundedQueue, Queue
 
 
 def traced_env():
@@ -20,8 +20,8 @@ class TestQueueBasics:
         got = []
 
         def consumer():
-            got.append((yield queue.get()))
-            got.append((yield queue.get()))
+            got.append((yield queue))
+            got.append((yield queue))
 
         env.process(consumer())
         env.run()
@@ -32,10 +32,10 @@ class TestQueueBasics:
         got = []
 
         def consumer():
-            got.append(((yield queue.get()), env.now))
+            got.append(((yield queue), env.now))
 
         def producer():
-            yield env.timeout(5)
+            yield 5
             queue.put("late")
 
         env.process(consumer())
@@ -48,14 +48,14 @@ class TestQueueBasics:
         got = []
 
         def consumer(label):
-            item = yield queue.get()
+            item = yield queue
             got.append((label, item))
 
         env.process(consumer("first"))
         env.process(consumer("second"))
 
         def producer():
-            yield env.timeout(1)
+            yield 1
             queue.put(1)
             queue.put(2)
 
@@ -99,21 +99,6 @@ class TestQueueWatermarks:
         assert tracer.queue_depths["queue.jobs"] == 0
         # The high watermark still remembers the peak.
         assert tracer.queue_high_watermarks["queue.jobs"] == 3
-
-    def test_depth_gauge_decays_on_get(self):
-        env, tracer = traced_env()
-        queue = Queue(env, name="jobs")
-        queue.put("a")
-        queue.put("b")
-
-        def consumer():
-            yield queue.get()
-            yield queue.get()
-
-        env.process(consumer())
-        env.run()
-        assert tracer.queue_depths["queue.jobs"] == 0
-        assert tracer.queue_high_watermarks["queue.jobs"] == 2
 
     def test_depth_gauge_decays_on_try_get(self):
         env, tracer = traced_env()
@@ -160,14 +145,6 @@ class TestTryGetSentinel:
         queue.put(None)
         assert queue.try_get(EMPTY) is None  # the enqueued None itself
         assert queue.try_get(EMPTY) is EMPTY  # now genuinely empty
-
-    def test_try_get_drains_then_fails_when_closed(self, env):
-        queue = Queue(env)
-        queue.put(1)
-        queue.close()
-        assert queue.try_get() == 1  # backlog still served after close
-        with pytest.raises(QueueClosed):
-            queue.try_get()
 
 
 class TestBoundedQueue:
@@ -224,73 +201,7 @@ class TestBoundedQueue:
 
 
 class TestQueueClose:
-    def test_put_after_close_rejected(self, env):
-        queue = Queue(env)
-        queue.close()
-        with pytest.raises(QueueClosed):
-            queue.put("x")
-
-    def test_close_fails_waiting_getter(self, env):
-        queue = Queue(env)
-        caught = []
-
-        def consumer():
-            try:
-                yield queue.get()
-            except QueueClosed:
-                caught.append(True)
-
-        env.process(consumer())
-
-        def closer():
-            yield env.timeout(1)
-            queue.close()
-
-        env.process(closer())
-        env.run()
-        assert caught == [True]
-
-    def test_get_after_close_fails(self, env):
-        queue = Queue(env)
-        queue.close()
-        caught = []
-
-        def consumer():
-            try:
-                yield queue.get()
-            except QueueClosed:
-                caught.append(True)
-
-        env.process(consumer())
-        env.run()
-        assert caught == [True]
-
-    def test_double_close_is_noop(self, env):
-        queue = Queue(env)
-        queue.close()
-        queue.close()
-        assert queue.closed
-
-    def test_get_drains_backlog_then_fails(self, env):
-        """Drain-then-fail: close() never discards accepted items."""
-        queue = Queue(env)
-        queue.put(1)
-        queue.put(2)
-        queue.close()
-        got, caught = [], []
-
-        def consumer():
-            got.append((yield queue.get()))
-            got.append((yield queue.get()))
-            try:
-                yield queue.get()
-            except QueueClosed:
-                caught.append(True)
-
-        env.process(consumer())
-        env.run()
-        assert got == [1, 2]
-        assert caught == [True]
+    """A sink-mode queue never strands an accepted item."""
 
     def test_set_handler_pumps_existing_backlog(self):
         """A handler installed after items were enqueued must still see
@@ -305,16 +216,15 @@ class TestQueueClose:
         assert got == [1, 2]
 
     def test_close_does_not_strand_sink_backlog(self):
-        """Closing a sink-mode queue lets the in-flight pump finish the
-        backlog: every accepted item reaches the handler."""
+        """Re-installing the handler while a pump is in flight neither
+        strands nor double-schedules the backlog: every accepted item
+        reaches the (new) handler exactly once, in put order."""
         env = Environment()
         queue = Queue(env, name="sink")
         got = []
-        queue.set_handler(got.append)
+        queue.set_handler(lambda item: got.append(("old", item)))
         for item in range(3):
             queue.put(item)
-        queue.close()
-        with pytest.raises(QueueClosed):
-            queue.put(99)
+        queue.set_handler(got.append)
         env.run()
         assert got == [0, 1, 2]

@@ -2,9 +2,7 @@
 
 import random
 
-import pytest
-
-from repro.sim.rand import bounded_normal, exponential, make_rng, spawn
+from repro.sim.rand import make_rng, spawn
 
 
 class TestMakeRng:
@@ -31,24 +29,3 @@ class TestSpawn:
         parent2 = make_rng(1)
         b = spawn(parent2, "b")
         assert a.random() != b.random()
-
-
-class TestDistributions:
-    def test_exponential_mean(self):
-        rng = make_rng(3)
-        samples = [exponential(rng, 2.0) for _ in range(5000)]
-        assert sum(samples) / len(samples) == pytest.approx(2.0, rel=0.1)
-
-    def test_exponential_zero_mean(self):
-        assert exponential(make_rng(0), 0.0) == 0.0
-
-    def test_bounded_normal_clamps(self):
-        rng = make_rng(4)
-        for _ in range(1000):
-            value = bounded_normal(rng, 0.0, 10.0, minimum=-1.0, maximum=1.0)
-            assert -1.0 <= value <= 1.0
-
-    def test_bounded_normal_tracks_mean(self):
-        rng = make_rng(5)
-        samples = [bounded_normal(rng, 5.0, 0.5) for _ in range(2000)]
-        assert sum(samples) / len(samples) == pytest.approx(5.0, abs=0.1)

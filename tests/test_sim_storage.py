@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim.storage import (
-    DeviceFailed,
-    StorageDevice,
-    StorageKind,
-    cloud_ssd,
-    local_ssd,
-    null_device,
-)
+from repro.sim.storage import DeviceFailed, StorageDevice, StorageKind
 
 
 def _write(env, device, size):
@@ -29,27 +22,27 @@ def _write(env, device, size):
 
 class TestLatency:
     def test_null_device_instantaneous(self, env):
-        done = _write(env, null_device(env), 1 << 30)
+        done = _write(env, StorageDevice(env, StorageKind.NULL), 1 << 30)
         assert done["at"] == 0.0
 
     def test_cloud_slower_than_local(self, env):
-        local = local_ssd(env).write_latency(16 << 20)
-        cloud = cloud_ssd(env).write_latency(16 << 20)
+        local = StorageDevice(env, StorageKind.LOCAL_SSD).write_latency(16 << 20)
+        cloud = StorageDevice(env, StorageKind.CLOUD_SSD).write_latency(16 << 20)
         assert cloud > 2 * local
 
     def test_cloud_checkpoint_near_paper_50ms(self, env):
         # The paper observed ~50 ms DPR checkpoints on Premium SSD.
-        latency = cloud_ssd(env).write_latency(16 << 20)
+        latency = StorageDevice(env, StorageKind.CLOUD_SSD).write_latency(16 << 20)
         assert 0.03 < latency < 0.08
 
     def test_size_scales_latency(self, env):
-        device = local_ssd(env)
+        device = StorageDevice(env, StorageKind.LOCAL_SSD)
         small = device.write_latency(1 << 10)
         large = device.write_latency(1 << 28)
         assert large > 10 * small
 
     def test_bytes_written_accounting(self, env):
-        device = local_ssd(env)
+        device = StorageDevice(env, StorageKind.LOCAL_SSD)
         _write(env, device, 1000)
         assert device.bytes_written == 1000
         assert device.writes_completed == 1
@@ -57,16 +50,16 @@ class TestLatency:
 
 class TestFailure:
     def test_write_to_failed_device_errors(self, env):
-        device = local_ssd(env)
+        device = StorageDevice(env, StorageKind.LOCAL_SSD)
         device.fail()
         done = _write(env, device, 100)
         assert isinstance(done["error"], DeviceFailed)
 
     def test_crash_mid_write_errors(self, env):
-        device = cloud_ssd(env)
+        device = StorageDevice(env, StorageKind.CLOUD_SSD)
 
         def crash():
-            yield env.timeout(1e-3)
+            yield 1e-3
             device.fail()
 
         env.process(crash())
@@ -75,7 +68,7 @@ class TestFailure:
         assert device.bytes_written == 0
 
     def test_repair_restores_service(self, env):
-        device = local_ssd(env)
+        device = StorageDevice(env, StorageKind.LOCAL_SSD)
         device.fail()
         device.repair()
         done = _write(env, device, 100)
@@ -84,7 +77,7 @@ class TestFailure:
 
 class TestRead:
     def test_read_completes(self, env):
-        device = local_ssd(env)
+        device = StorageDevice(env, StorageKind.LOCAL_SSD)
         done = {}
 
         def proc():
@@ -96,7 +89,7 @@ class TestRead:
         assert done["at"] > 0
 
     def test_read_failed_device_errors(self, env):
-        device = local_ssd(env)
+        device = StorageDevice(env, StorageKind.LOCAL_SSD)
         device.fail()
         caught = []
 
