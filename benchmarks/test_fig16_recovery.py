@@ -68,5 +68,5 @@ def test_fig16_recovery_timeline(benchmark, report):
     assert aborted.get(40.0, 0.0) == 0
     # Recovery completes in well under a second (paper: <200 ms).
     # Three recoveries (the nested pair counts as two).
-    cluster_recoveries = result.stats  # summary only; timings asserted via series
-    del cluster_recoveries
+    assert result.phases["recovery"]["count"] == 3
+    assert result.phases["recovery"]["max"] < 0.2

@@ -65,7 +65,7 @@ from repro.analysis.rules_determinism import (
 #: ``_lease_metadata`` and ``world_line`` should all hit without an
 #: exhaustive list.
 GUARD_TOKENS = ("owner", "lease", "cut", "world_line", "version",
-                "crashed", "running", "rebalancing", "recovery", "seal")
+                "crashed", "running", "recovery", "seal")
 
 #: Builtins whose calls are pure: reading them after a stale guard is
 #: not "acting on" the stale guard (while-guard sub-check).

@@ -30,15 +30,6 @@ class ExperimentResult:
     seed: int = 0
     tracer: Optional[Tracer] = field(repr=False, default=None)
 
-    def row(self) -> Dict[str, float]:
-        return {
-            "label": self.label,
-            "tput_mops": round(self.throughput_mops, 2),
-            "op_p50_ms": round(self.operation_latency["p50"] * 1e3, 3),
-            "op_p95_ms": round(self.operation_latency["p95"] * 1e3, 3),
-            "commit_p50_ms": round(self.commit_latency["p50"] * 1e3, 1),
-        }
-
 
 #: Active result collectors (a stack, so nested collection composes).
 #: Every ExperimentResult built while a collector is open is appended
@@ -46,6 +37,19 @@ class ExperimentResult:
 #: artifact layer and only return selected numbers, still hand every
 #: run's full result to the artifact builder.
 _collectors: List[List[ExperimentResult]] = []
+
+
+def _unregister(stack: list, entry: list) -> None:
+    """Drop ``entry`` from ``stack`` by identity, innermost first.
+
+    ``list.remove`` compares with ``==``, and an inner collector opened
+    right after an outer one holds the same results: it would take the
+    outer entry and leave the closed inner one collecting.
+    """
+    for index in reversed(range(len(stack))):
+        if stack[index] is entry:
+            del stack[index]
+            return
 
 
 @contextmanager
@@ -56,7 +60,7 @@ def collect_results():
     try:
         yield bucket
     finally:
-        _collectors.remove(bucket)
+        _unregister(_collectors, bucket)
 
 
 #: Active wall-clock probes: each open probe receives one
@@ -76,7 +80,7 @@ def wallclock_probe():
     try:
         yield log
     finally:
-        _probes.remove(log)
+        _unregister(_probes, log)
 
 
 @contextmanager

@@ -4,8 +4,11 @@ Composition (mirrors Figure 6):
 
 - :mod:`repro.cluster.metadata` — the Azure-SQL stand-in holding the
   DPR table, ownership mapping and cluster membership;
-- :mod:`repro.cluster.ownership` — virtual partitions, leases, and
-  checkpoint-aligned ownership transfer (§5.3);
+- :mod:`repro.cluster.ownership` — virtual partitions and the
+  lease-guarded ownership view servers validate against (§5.3);
+- :mod:`repro.cluster.elastic` — the checkpoint-aligned ownership
+  transfer itself (``ElasticCoordinator.migrate``), scale-out and
+  scale-in, and the single-batch ``PartitionedClient``;
 - :mod:`repro.cluster.costmodel` — the calibrated CPU/IO cost model
   that turns protocol events into simulated time;
 - :mod:`repro.cluster.modeled` — a counters-only StateObject for
@@ -34,11 +37,7 @@ Composition (mirrors Figure 6):
 from repro.cluster.costmodel import CostModel
 from repro.cluster.dfaster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig, RedisMode
-from repro.cluster.elastic import (
-    ElasticCoordinator,
-    PartitionedClient,
-    RebalancePolicy,
-)
+from repro.cluster.elastic import ElasticCoordinator, PartitionedClient
 from repro.cluster.client import ReplicaReadClient
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.modeled import ModeledStore
@@ -58,7 +57,6 @@ __all__ = [
     "MetadataStore",
     "ModeledStore",
     "PartitionedClient",
-    "RebalancePolicy",
     "RedisMode",
     "ReplicaNode",
     "ReplicaReadClient",

@@ -310,12 +310,6 @@ class ClientMachine:
     def stop(self) -> None:
         self.running = False
 
-    def total_committed(self) -> int:
-        return sum(s.session.committed_ops for s in self.sessions.values())
-
-    def total_aborted(self) -> int:
-        return sum(s.session.aborted_ops for s in self.sessions.values())
-
 
 class _ReadGiveUp:
     """Self-addressed marker waking a read waiting on a lost reply.

@@ -130,14 +130,6 @@ class DFasterCluster(ClusterShell):
                 "co-located sessions bypass partition routing and a "
                 "worker's vCPUs are driven by its co-located threads")
 
-    # -- running -----------------------------------------------------------
-
-    def throughput_mops(self, duration: float,
-                        warmup: float = 0.05) -> float:
-        stats = self.run(duration, warmup)
-        return stats.throughput(start=warmup, end=duration,
-                                duration=duration - warmup) / 1e6
-
     # -- failure injection (§7.4) ----------------------------------------------
 
     def schedule_crash(self, worker_index: int, at_time: float) -> None:

@@ -19,10 +19,10 @@ protocol the paper describes:
 
 :class:`ElasticCoordinator` drives this on a simulated cluster: it
 attaches lease-guarded views to workers (starting their metadata-
-validated lease-renewal loops), migrates partitions, rebalances by
-load via :class:`RebalancePolicy` (reading per-partition op counters
-from the obs tracer), and grows/shrinks the cluster with
-:meth:`~ElasticCoordinator.scale_out` / :meth:`~ElasticCoordinator.scale_in`.
+validated lease-renewal loops), migrates partitions, and grows/shrinks
+the cluster with :meth:`~ElasticCoordinator.scale_out` /
+:meth:`~ElasticCoordinator.scale_in`.  Placement changes only when a
+caller asks for it.
 
 :class:`PartitionedClient` is a metadata-aware client running a real
 DPR :class:`~repro.core.session.Session` at batch granularity: it
@@ -38,8 +38,7 @@ prefix — which is what lets tests assert prefix recoverability
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.messages import (
     BatchIds,
@@ -53,27 +52,6 @@ from repro.core.cuts import DprCut
 from repro.core.session import RollbackError, Session
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
-
-
-@dataclass
-class RebalancePolicy:
-    """Knobs for load-aware migration.
-
-    A move is planned when the hottest worker's load exceeds
-    ``hot_factor`` times the mean *and* moving the chosen partition
-    shrinks the hot/cold spread (``2*delta <= hot - cold``) — the
-    improvement test is what prevents a lone hot partition from
-    ping-ponging between two workers forever.
-    """
-
-    #: How often the coordinator samples per-partition op counters.
-    interval: float = 50e-3
-    #: Trigger threshold: hottest worker load vs. mean load.
-    hot_factor: float = 1.5
-    #: Ignore cycles with fewer total ops than this (idle cluster).
-    min_ops: float = 1.0
-    #: Cap on migrations planned per sampling cycle.
-    max_moves_per_cycle: int = 1
 
 
 class ElasticCoordinator:
@@ -103,11 +81,6 @@ class ElasticCoordinator:
         #: Transfers that gave up on a checkpoint boundary (departed or
         #: wedged old owner) and took the approximate path.
         self.approximate_transfers = 0
-        self.policy: Optional[RebalancePolicy] = None
-        self.rebalancing = False
-        #: (time, partition, target) per policy-driven migration.
-        self.rebalance_moves: List[Tuple[float, int, str]] = []
-        self._tracer = None
 
     # -- membership --------------------------------------------------------
 
@@ -176,8 +149,8 @@ class ElasticCoordinator:
         target_view = self.views.get(new_owner)
         if target_view is None:
             # The target detached (scale-in) while the transfer was in
-            # flight: leave the partition unowned; the next rebalance
-            # pass re-homes it.
+            # flight: the partition stays owner-less (clients keep
+            # retrying) until the caller migrates it somewhere.
             return
         self.metadata.set_owner(partition, new_owner)
         target_view.grant(partition)
@@ -272,89 +245,6 @@ class ElasticCoordinator:
             yield from self.migrate(partition, target)
             counts[target] += 1
         self.detach_worker(address)
-
-    # -- load-aware rebalancing --------------------------------------------
-
-    def start_rebalancer(self, tracer,
-                         policy: Optional[RebalancePolicy] = None) -> None:
-        """Start the policy loop reading per-partition op counters.
-
-        Workers with an attached ownership view record
-        ``elastic.partition_ops.<p>`` counters on the given obs tracer;
-        the loop samples deltas every ``policy.interval`` and migrates
-        a hot partition toward the coldest worker when the policy's
-        imbalance test fires.
-        """
-        if tracer is None:
-            raise ValueError("rebalancing needs a tracer for op counters")
-        self.policy = policy if policy is not None else RebalancePolicy()
-        self._tracer = tracer
-        self.rebalancing = True
-        self.env.process(self._rebalance_loop(), name="elastic-rebalance")
-
-    def stop_rebalancer(self) -> None:
-        self.rebalancing = False
-
-    def _rebalance_loop(self):
-        policy = self.policy
-        counters = self._tracer.counters
-        last = [0.0] * self.partition_count
-        while self.rebalancing:
-            yield policy.interval
-            if not self.rebalancing:
-                # stop_rebalancing() flipped the flag mid-interval:
-                # planning one more move now would migrate after stop.
-                break
-            deltas = []
-            for partition in range(self.partition_count):
-                total = counters.get(
-                    "elastic.partition_ops.%d" % partition, 0.0)
-                deltas.append(total - last[partition])
-                last[partition] = total
-            for _ in range(policy.max_moves_per_cycle):
-                move = self._plan_move(deltas)
-                if move is None:
-                    break
-                partition, target = move
-                yield from self.migrate(partition, target)
-                self.rebalance_moves.append(
-                    (self.env.now, partition, target))
-                deltas[partition] = 0.0
-
-    def _plan_move(self, deltas: List[float]
-                   ) -> Optional[Tuple[int, str]]:
-        """One load-aware move, or None when balanced (deterministic)."""
-        policy = self.policy
-        addresses = sorted(self.views)
-        if len(addresses) < 2:
-            return None
-        loads = {address: 0.0 for address in addresses}
-        for partition, delta in enumerate(deltas):
-            owner = self.metadata.owner_of(partition)
-            if owner in loads:
-                loads[owner] += delta
-        total = sum(loads.values())
-        if total < policy.min_ops:
-            return None
-        mean = total / len(addresses)
-        hot = max(addresses, key=lambda a: (loads[a], a))
-        cold = min(addresses, key=lambda a: (loads[a], a))
-        spread = loads[hot] - loads[cold]
-        if loads[hot] <= policy.hot_factor * mean or spread <= 0.0:
-            return None
-        candidates = [
-            (deltas[partition], partition)
-            for partition in range(self.partition_count)
-            if self.metadata.owner_of(partition) == hot
-            # Anti-ping-pong: only moves that leave the receiver no
-            # hotter than the donor (2*delta <= spread); a lone hot
-            # partition (delta == spread) would just swap roles forever.
-            and 0.0 < 2.0 * deltas[partition] <= spread
-        ]
-        if not candidates:
-            return None
-        _, partition = max(candidates)
-        return partition, cold
 
 
 class _GiveUp:

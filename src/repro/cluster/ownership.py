@@ -1,13 +1,13 @@
-"""Key ownership: virtual partitions, leases, and transfer (§5.3).
+"""Key ownership: virtual partitions and leases (§5.3).
 
 Per-key ownership tracking is unrealistic, so keys group into *virtual
-partitions*; users provide the key->partition mapping (hash- and
-range-based schemes ship by default).  Workers validate ownership
-against a local lease-guarded view and reject requests that fail;
-transfers renounce ownership locally *before* updating the metadata
-store, leaving the partition briefly unowned (clients retry), and are
-deferred to checkpoint boundaries so ownership is static within a
-version — the property DPR correctness needs.
+partitions* through a stable hash.  Workers validate ownership against
+a local lease-guarded view and reject requests that fail; transfers
+(:meth:`repro.cluster.elastic.ElasticCoordinator.migrate`) renounce
+ownership locally *before* updating the metadata store, leaving the
+partition briefly unowned (clients retry), and are deferred to
+checkpoint boundaries so ownership is static within a version — the
+property DPR correctness needs.
 """
 
 from __future__ import annotations
@@ -48,19 +48,6 @@ class HashPartitioner:
 
     def partition_of(self, key: Hashable) -> int:
         return zlib.crc32(_canonical_bytes(key)) % self.partition_count
-
-
-@dataclass(frozen=True)
-class RangePartitioner:
-    """Partition an integer keyspace ``[0, keyspace)`` into equal ranges."""
-
-    partition_count: int
-    keyspace: int
-
-    def partition_of(self, key: int) -> int:
-        if not 0 <= key < self.keyspace:
-            raise KeyError(f"key {key} outside keyspace [0, {self.keyspace})")
-        return key * self.partition_count // self.keyspace
 
 
 class StaleLeaseError(RuntimeError):
@@ -196,40 +183,3 @@ class LeaseHolder:
                     or metadata is not self._lease_metadata):
                 continue
             view.refresh_against(metadata.owner_of)
-
-
-class OwnershipTransfer:
-    """The §5.3 transfer protocol, deferred to checkpoint boundaries.
-
-    Usage: ``begin()`` renounces locally (requests start bouncing);
-    the worker finishes its in-flight version and commits; then
-    ``complete()`` installs the new owner in the metadata store and the
-    receiving worker grants itself a lease.
-    """
-
-    def __init__(self, partition: int, old_view: OwnershipView,
-                 new_view: OwnershipView, metadata_set_owner):
-        self.partition = partition
-        self._old = old_view
-        self._new = new_view
-        self._set_owner = metadata_set_owner
-        self.begun = False
-        self.completed = False
-
-    def begin(self) -> None:
-        """Old owner renounces; the partition is now owner-less."""
-        if self.begun:
-            return
-        self._old.renounce(self.partition)
-        self._set_owner(self.partition, None)
-        self.begun = True
-
-    def complete(self) -> None:
-        """After the checkpoint boundary: install the new owner."""
-        if not self.begun:
-            raise RuntimeError("transfer not begun")
-        if self.completed:
-            return
-        self._set_owner(self.partition, self._new.worker_id)
-        self._new.grant(self.partition)
-        self.completed = True

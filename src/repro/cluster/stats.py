@@ -7,7 +7,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import interpolated_percentile, weighted_sample_merge
+from repro.obs import interpolated_percentile
 from repro.sim.rand import make_rng
 
 
@@ -85,32 +85,6 @@ class Reservoir:
         if not self._samples:
             return 0.0
         return sum(self._samples) / len(self._samples)
-
-    def merge(self, other: "Reservoir") -> None:
-        """Fold ``other``'s reservoir into this one.
-
-        Samples are drawn without replacement, each reservoir weighted
-        by the number of observations it represents, so combining a
-        10k-observation worker with a 100-observation one does not give
-        the small stream 50% of the merged sample (the re-sampling bias
-        naive concatenation-plus-truncation would introduce).  ``other``
-        is not modified.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self._samples = list(other._samples)
-            self.count = other.count
-            return
-        merged_count = self.count + other.count
-        mine, theirs = list(self._samples), list(other._samples)
-        if len(mine) + len(theirs) <= self.capacity:
-            self._samples = mine + theirs
-        else:
-            self._samples = weighted_sample_merge(
-                mine, self.count, theirs, other.count,
-                self.capacity, self._rng)
-        self.count = merged_count
 
     def summary(self) -> Dict[str, float]:
         ordered = sorted(self._samples)

@@ -199,10 +199,6 @@ class GateHost(LeaseHolder):
         # Renew-on-serve: actively served partitions keep their lease
         # alive without metadata traffic.
         self.ownership.renew(request.partition)
-        tracer = self.env.tracer
-        if tracer is not None:
-            tracer.counter("elastic.partition_ops.%d" % request.partition,
-                           request.op_count)
         return None
 
     def _gated(self, request: BatchRequest,

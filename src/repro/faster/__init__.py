@@ -10,8 +10,10 @@ Reimplements, in Python, the pieces of FASTER the paper builds on
 - version-stamped records (:mod:`repro.faster.record`);
 - the **CPR** non-blocking checkpoint state machine and the THROW/PURGE
   non-blocking rollback state machine (:mod:`repro.faster.statemachine`);
-- sessions with serial numbers and PENDING operations — strict and
-  relaxed CPR (:mod:`repro.faster.sessions`);
+- PENDING operations on cold records: a read below the in-memory head
+  returns a :class:`~repro.faster.state_object.PendingMarker` the
+  caller resolves later (sessions, and strict vs relaxed DPR, are
+  :class:`repro.core.session.Session`'s job);
 - fold-over checkpoints and crash recovery
   (:mod:`repro.faster.checkpoint`);
 - the :class:`~repro.faster.state_object.FasterStateObject` adapter that
@@ -22,17 +24,14 @@ from repro.faster.record import Record
 from repro.faster.hash_index import HashIndex
 from repro.faster.hybrid_log import HybridLog
 from repro.faster.store import FasterKV
-from repro.faster.sessions import FasterSession, PendingOp
 from repro.faster.statemachine import Phase
 from repro.faster.state_object import FasterStateObject
 
 __all__ = [
     "FasterKV",
-    "FasterSession",
     "FasterStateObject",
     "HashIndex",
     "HybridLog",
-    "PendingOp",
     "Phase",
     "Record",
 ]

@@ -11,7 +11,7 @@ versions of a key remain reachable by walking the chain.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Iterator
+from typing import Any, Dict
 
 from repro.faster.record import NULL_ADDRESS
 
@@ -70,20 +70,3 @@ class HashIndex:
         previous = self._buckets.get(bucket, NULL_ADDRESS)
         self._buckets[bucket] = address
         return previous
-
-    def reset_bucket(self, key: Any, address: int) -> None:
-        """Rewind a bucket head (used by log-truncating recovery)."""
-        bucket = self.bucket_of(key)
-        if address == NULL_ADDRESS:
-            self._buckets.pop(bucket, None)
-        else:
-            self._buckets[bucket] = address
-
-    def clear(self) -> None:
-        self._buckets.clear()
-
-    def buckets(self) -> Iterator[int]:
-        return iter(self._buckets.values())
-
-    def __len__(self) -> int:
-        return len(self._buckets)

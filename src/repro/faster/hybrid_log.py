@@ -134,11 +134,3 @@ class HybridLog:
                 record.invalid = True
                 invalidated += 1
         return invalidated
-
-    def truncate(self, address: int) -> None:
-        """Drop all records at or above ``address`` (crash recovery only;
-        live rollbacks use :meth:`invalidate_versions` instead)."""
-        del self._records[address:]
-        self.read_only_address = min(self.read_only_address, address)
-        self.flushed_until_address = min(self.flushed_until_address, address)
-        self.head_address = min(self.head_address, address)

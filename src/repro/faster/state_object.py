@@ -108,20 +108,6 @@ class FasterStateObject(StateObject):
         self.kv.fast_forward_version(self._version)
         return target
 
-    # -- garbage collection ----------------------------------------------------------
-
-    def gc_to_guarantee(self, cut_version: int) -> int:
-        """Compact the log below the DPR guarantee (§5.5).
-
-        Only entries covered by the published cut are eligible — they
-        can never roll back, so superseded per-key history below the
-        cut's checkpoint is garbage.  Returns records collected.
-        """
-        target = self.latest_persisted_at_or_below(cut_version)
-        if target == 0 or target not in self.kv.checkpoints:
-            return 0
-        return self.kv.compact_until(target)
-
     # -- convenience ---------------------------------------------------------------
 
     def get(self, key: Any) -> Any:

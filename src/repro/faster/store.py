@@ -325,76 +325,6 @@ class FasterKV:
             del self.checkpoints[version]
         return invalidated
 
-    # -- log compaction (garbage collection) ------------------------------------------
-
-    def compact_until(self, safe_version: int) -> int:
-        """Garbage-collect log entries superseded below ``safe_version``.
-
-        Per §5.5, D-FASTER only garbage-collects entries covered by the
-        DPR guarantee — versions at or below the cut can never roll
-        back, so per-key history below them is dead weight.  A record in
-        the region below the safe checkpoint survives iff it is (a) the
-        newest record of its key with version <= safe_version (still
-        needed as the restore-to-cut image and to serve reads), or (b)
-        stamped with a newer version (still subject to rollback).
-
-        The log is rebuilt and the index rechained; like real FASTER,
-        compaction must not run concurrently with PENDING operations
-        (their addresses would dangle).  Returns the number of records
-        collected.
-        """
-        info = self.checkpoints.get(safe_version)
-        if info is None:
-            raise KeyError(f"no checkpoint at version {safe_version}")
-        boundary = min(info.until_address, self.log.flushed_until_address)
-        # Newest <= safe record per key, across the whole log.
-        last_safe: Dict[Any, int] = {}
-        for address, record in self.log.scan():
-            if record.version <= safe_version and not record.invalid:
-                last_safe[record.key] = address
-        keep_flags = []
-        dropped = 0
-        for address, record in self.log.scan(0, boundary):
-            keep = (
-                not record.invalid
-                and (record.version > safe_version
-                     or last_safe.get(record.key) == address)
-            )
-            keep_flags.append(keep)
-            if not keep:
-                dropped += 1
-        if dropped == 0:
-            return 0
-        survivors = [
-            self.log.get(address)
-            for address in range(boundary) if keep_flags[address]
-        ]
-        suffix = [record for _a, record in self.log.scan(boundary)]
-        # Rebuild the log and the index with compacted addresses.
-        old_log = self.log
-        self.log = HybridLog(old_log._memory_budget)
-        self.index.clear()
-        for record in survivors + suffix:
-            fresh = Record(key=record.key, value=record.value,
-                           version=record.version,
-                           tombstone=record.tombstone,
-                           invalid=record.invalid)
-            address = self.log.append(fresh)
-            fresh.previous_address = self.index.publish(record.key, address)
-        self.log.read_only_address = max(
-            0, old_log.read_only_address - dropped)
-        self.log.flushed_until_address = max(
-            0, old_log.flushed_until_address - dropped)
-        self.log.head_address = max(0, old_log.head_address - dropped)
-        # Checkpoints below the safe version lose their meaning (they
-        # are below the guarantee and can never be restore targets).
-        for version in [v for v in self.checkpoints if v < safe_version]:
-            del self.checkpoints[version]
-        for version, checkpoint in self.checkpoints.items():
-            checkpoint.until_address = max(
-                0, checkpoint.until_address - dropped)
-        return dropped
-
     # -- introspection ------------------------------------------------------------------
 
     def size_estimate_bytes(self) -> int:

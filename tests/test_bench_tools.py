@@ -8,7 +8,12 @@ import pytest
 
 from repro.bench import artifacts
 from repro.bench.figures import FIGURES, generate
-from repro.bench.harness import run_dfaster_experiment, run_dredis_experiment
+from repro.bench.harness import (
+    collect_results,
+    run_dfaster_experiment,
+    run_dredis_experiment,
+    wallclock_probe,
+)
 from repro.bench.report import format_latency_histogram, format_table
 from repro.cluster.dredis import RedisMode
 from repro.workloads import YCSB_A
@@ -64,8 +69,6 @@ class TestHarness:
         )
         assert result.throughput_mops > 0
         assert result.operation_latency["p50"] > 0
-        row = result.row()
-        assert set(row) >= {"label", "tput_mops", "op_p50_ms"}
 
     def test_dredis_result_fields(self):
         result = run_dredis_experiment(
@@ -84,6 +87,17 @@ class TestHarness:
             failures=(0.2,),
         )
         assert result.stats.aborted.total() > 0
+
+    @pytest.mark.parametrize("opener", [collect_results, wallclock_probe])
+    def test_nested_collectors_unregister_their_own_bucket(self, opener):
+        """An inner collector opened right after an outer one has seen
+        the same experiments, so the two buckets are *equal* lists: the
+        inner exit must drop the inner one, by identity."""
+        with opener() as outer:
+            with opener() as inner:
+                pass
+            run_dfaster_experiment("t", **_SMALL_RUN)
+        assert len(outer) == 1 and inner == []
 
 
 _SMALL_RUN = dict(duration=0.15, warmup=0.05, n_workers=2, vcpus=2,

@@ -6,15 +6,10 @@ import pytest
 
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig
-from repro.cluster.elastic import (
-    ElasticCoordinator,
-    PartitionedClient,
-    RebalancePolicy,
-)
+from repro.cluster.elastic import ElasticCoordinator, PartitionedClient
 from repro.cluster.messages import BatchReply
 from repro.cluster.ownership import HashPartitioner
 from repro.core.session import RollbackError
-from repro.obs import Tracer
 
 
 @pytest.fixture
@@ -433,67 +428,6 @@ class TestPrefixRecoverabilityThroughMigration:
         assert client.session.version_vector == versions[-1]
 
 
-class TestRebalancer:
-    def test_hot_partitions_migrate_to_cold_worker(self):
-        tracer = Tracer()
-        cluster = DFasterCluster(DFasterConfig(
-            n_workers=2, vcpus=2, n_client_machines=0,
-            engine="faster", checkpoint_interval=0.05, tracer=tracer,
-        ))
-        coordinator = ElasticCoordinator(
-            cluster.env, cluster.metadata, cluster.workers,
-            partition_count=8)
-        client = PartitionedClient(cluster.env, cluster.net, "pclient",
-                                   cluster.metadata, coordinator)
-        # Two distinct partitions both owned by the same worker: moving
-        # one of them balances the cluster.
-        hot_owner = "worker-0"
-        keys = {}
-        for index in range(1000):
-            key = f"key-{index}"
-            partition = coordinator.partitioner.partition_of(key)
-            if (coordinator.owner_of(partition) == hot_owner
-                    and partition not in keys):
-                keys[partition] = key
-                if len(keys) == 2:
-                    break
-        assert len(keys) == 2
-        hot_keys = sorted(keys.values())
-
-        def driver():
-            index = 0
-            while True:
-                key = hot_keys[index % 2]
-                yield from client.request(key, [("set", key, index)], 1)
-                index += 1
-                yield 2e-3
-
-        cluster.env.process(driver())
-        coordinator.start_rebalancer(tracer, RebalancePolicy(
-            interval=0.05, hot_factor=1.1, min_ops=1.0))
-        cluster.env.run(until=0.6)
-        assert coordinator.migrations_completed >= 1
-        assert coordinator.rebalance_moves
-        # The two hot partitions ended up split across the workers.
-        owners = {coordinator.owner_of(p) for p in keys}
-        assert owners == {"worker-0", "worker-1"}
-
-    def test_balanced_load_plans_no_move(self):
-        tracer = Tracer()
-        cluster = DFasterCluster(DFasterConfig(
-            n_workers=2, vcpus=2, n_client_machines=0,
-            engine="faster", tracer=tracer,
-        ))
-        coordinator = ElasticCoordinator(
-            cluster.env, cluster.metadata, cluster.workers,
-            partition_count=8)
-        coordinator.policy = RebalancePolicy()
-        # Perfectly balanced deltas: one op per partition.
-        assert coordinator._plan_move([1.0] * 8) is None
-        # Idle cluster: below min_ops, no move either.
-        assert coordinator._plan_move([0.0] * 8) is None
-
-
 class TestScaling:
     def _owner_counts(self, coordinator):
         counts = {}
@@ -591,52 +525,6 @@ class TestYieldPointRaces:
         loop.send(None)  # access completes
         # A crashed worker must not refresh leases it no longer holds.
         assert renewals == []
-
-    def test_rebalancer_stopped_mid_interval_plans_no_move(self):
-        tracer = Tracer()
-        cluster = DFasterCluster(DFasterConfig(
-            n_workers=2, vcpus=2, n_client_machines=0,
-            engine="faster", checkpoint_interval=0.05, tracer=tracer,
-        ))
-        coordinator = ElasticCoordinator(
-            cluster.env, cluster.metadata, cluster.workers,
-            partition_count=8)
-        client = PartitionedClient(cluster.env, cluster.net, "pclient",
-                                   cluster.metadata, coordinator)
-        # Same hot-traffic shape as the rebalancer test above: enough
-        # imbalance that the first policy tick WOULD plan a move.
-        hot_owner = "worker-0"
-        keys = {}
-        for index in range(1000):
-            key = f"key-{index}"
-            partition = coordinator.partitioner.partition_of(key)
-            if (coordinator.owner_of(partition) == hot_owner
-                    and partition not in keys):
-                keys[partition] = key
-                if len(keys) == 2:
-                    break
-        hot_keys = sorted(keys.values())
-
-        def driver():
-            index = 0
-            while True:
-                key = hot_keys[index % 2]
-                yield from client.request(key, [("set", key, index)], 1)
-                index += 1
-                yield 2e-3
-
-        def stopper():
-            yield 0.03  # mid-way through the first policy interval
-            coordinator.stop_rebalancer()
-
-        cluster.env.process(driver())
-        cluster.env.process(stopper())
-        coordinator.start_rebalancer(tracer, RebalancePolicy(
-            interval=0.05, hot_factor=1.1, min_ops=1.0))
-        cluster.env.run(until=0.3)
-        # The stop landed before the first tick: no post-stop move.
-        assert coordinator.migrations_completed == 0
-        assert coordinator.rebalance_moves == []
 
 
 class TestClientShutdownRace:

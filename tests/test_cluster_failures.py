@@ -51,8 +51,12 @@ class TestCrashRestart:
         cluster.schedule_crash(worker_index=2, at_time=0.4)
         stats = cluster.run(1.2, warmup=0.05)
         committed_before = None  # committed ops are never retracted:
-        committed = sum(c.total_committed() for c in cluster.clients)
-        aborted = sum(c.total_aborted() for c in cluster.clients)
+        committed = sum(
+            s.session.committed_ops for c in cluster.clients
+            for s in c.sessions.values())
+        aborted = sum(
+            s.session.aborted_ops for c in cluster.clients
+            for s in c.sessions.values())
         assert committed > 0
         # In-flight work on the dead worker was lost (timeouts/aborts).
         assert aborted > 0

@@ -25,6 +25,12 @@ SMALL = dict(n_workers=2, vcpus=2, n_client_machines=1, client_threads=2,
              batch_size=32, checkpoint_interval=0.05)
 
 
+def _session_total(cluster, counter):
+    """One ``core.session.Session`` ledger counter summed over the fleet."""
+    return sum(getattr(s.session, counter) for c in cluster.clients
+               for s in c.sessions.values())
+
+
 def assert_audit_clean(cluster):
     """End-of-scenario DPR invariant audit over every live engine.
 
@@ -43,7 +49,7 @@ class TestDFasterModeled:
         cluster = DFasterCluster(DFasterConfig(**SMALL))
         stats = cluster.run(0.4, warmup=0.1)
         assert stats.throughput(start=0.1, end=0.4, duration=0.3) > 0
-        committed = sum(c.total_committed() for c in cluster.clients)
+        committed = _session_total(cluster, "committed_ops")
         assert committed > 0
         assert_audit_clean(cluster)
 
@@ -51,7 +57,7 @@ class TestDFasterModeled:
         cluster = DFasterCluster(DFasterConfig(
             checkpoints_enabled=False, **SMALL))
         cluster.run(0.3, warmup=0.1)
-        assert sum(c.total_committed() for c in cluster.clients) == 0
+        assert _session_total(cluster, "committed_ops") == 0
 
     def test_commit_latency_tracks_interval(self):
         fast = DFasterCluster(DFasterConfig(**{**SMALL,
@@ -67,8 +73,8 @@ class TestDFasterModeled:
         cluster = DFasterCluster(DFasterConfig(**SMALL))
         cluster.schedule_failure(0.2)
         stats = cluster.run(0.5, warmup=0.05)
-        aborted = sum(c.total_aborted() for c in cluster.clients)
-        committed = sum(c.total_committed() for c in cluster.clients)
+        aborted = _session_total(cluster, "aborted_ops")
+        committed = _session_total(cluster, "committed_ops")
         assert aborted > 0
         assert committed > 0
         # Post-recovery the cluster keeps completing operations.
@@ -101,7 +107,7 @@ class TestDFasterModeled:
     def test_all_finders_drive_commits(self, finder):
         cluster = DFasterCluster(DFasterConfig(finder=finder, **SMALL))
         cluster.run(0.4, warmup=0.1)
-        assert sum(c.total_committed() for c in cluster.clients) > 0
+        assert _session_total(cluster, "committed_ops") > 0
         assert_audit_clean(cluster)
 
     def test_colocated_mode_runs(self):
@@ -205,7 +211,7 @@ class TestDRedis:
             checkpoint_interval=0.05,
             n_client_machines=1, client_threads=1))
         cluster.run(0.4, warmup=0.05)
-        committed = sum(c.total_committed() for c in cluster.clients)
+        committed = _session_total(cluster, "committed_ops")
         assert committed > 0
         assert_audit_clean(cluster)
 
@@ -216,7 +222,7 @@ class TestDRedis:
             n_client_machines=1, client_threads=1))
         cluster.schedule_failure(0.2)
         cluster.run(0.6, warmup=0.05)
-        aborted = sum(c.total_aborted() for c in cluster.clients)
+        aborted = _session_total(cluster, "aborted_ops")
         assert aborted >= 0  # rollback happened without deadlock
         assert cluster.manager.controller.world_line == 1
         assert not cluster.finder.halted

@@ -11,9 +11,7 @@ from repro.cluster.modeled import ModeledStore
 from repro.cluster.ownership import (
     HashPartitioner,
     Lease,
-    OwnershipTransfer,
     OwnershipView,
-    RangePartitioner,
     StaleLeaseError,
 )
 from repro.cluster.stats import ClusterStats, Reservoir, TimeSeries
@@ -56,18 +54,6 @@ class TestPartitioners:
         for key in ["a", 42, ("t", 1)]:
             assert 0 <= partitioner.partition_of(key) < 8
 
-    def test_range_partitioner_equal_splits(self):
-        partitioner = RangePartitioner(partition_count=4, keyspace=100)
-        assert partitioner.partition_of(0) == 0
-        assert partitioner.partition_of(24) == 0
-        assert partitioner.partition_of(25) == 1
-        assert partitioner.partition_of(99) == 3
-
-    def test_range_partitioner_bounds(self):
-        partitioner = RangePartitioner(partition_count=4, keyspace=100)
-        with pytest.raises(KeyError):
-            partitioner.partition_of(100)
-
 
 class TestOwnership:
     def test_lease_grant_validate(self):
@@ -91,38 +77,6 @@ class TestOwnership:
         view = OwnershipView("w0")
         with pytest.raises(StaleLeaseError):
             view.validate(5)
-
-    def test_transfer_protocol_order(self, env):
-        metadata = MetadataStore(env)
-        old = OwnershipView("w0")
-        new = OwnershipView("w1")
-        old.grant(3)
-        metadata.set_owner(3, "w0")
-        transfer = OwnershipTransfer(3, old, new, metadata.set_owner)
-        transfer.begin()
-        # Mid-transfer: nobody owns (clients retry, §5.3).
-        assert not old.owns(3)
-        assert metadata.owner_of(3) is None
-        transfer.complete()
-        assert new.owns(3)
-        assert metadata.owner_of(3) == "w1"
-
-    def test_complete_before_begin_rejected(self, env):
-        metadata = MetadataStore(env)
-        transfer = OwnershipTransfer(1, OwnershipView("a"),
-                                     OwnershipView("b"), metadata.set_owner)
-        with pytest.raises(RuntimeError):
-            transfer.complete()
-
-    def test_transfer_idempotent(self, env):
-        metadata = MetadataStore(env)
-        old, new = OwnershipView("a"), OwnershipView("b")
-        transfer = OwnershipTransfer(1, old, new, metadata.set_owner)
-        transfer.begin()
-        transfer.begin()
-        transfer.complete()
-        transfer.complete()
-        assert new.owns(1)
 
 
 class TestCostModel:
@@ -240,42 +194,6 @@ class TestStats:
         reservoir.add(10.0)
         assert reservoir.percentile(50) == 5.0
         assert reservoir.percentile(95) == pytest.approx(9.5)
-
-    def test_reservoir_merge_exact_under_capacity(self):
-        a, b = Reservoir(capacity=100), Reservoir(capacity=100)
-        for value in (1.0, 3.0):
-            a.add(value)
-        for value in (2.0, 4.0):
-            b.add(value)
-        a.merge(b)
-        assert a.count == 4
-        assert sorted(a._samples) == [1.0, 2.0, 3.0, 4.0]
-        assert a.mean() == pytest.approx(2.5)
-        # ``other`` is untouched.
-        assert b.count == 2 and sorted(b._samples) == [2.0, 4.0]
-
-    def test_reservoir_merge_into_empty_copies(self):
-        a, b = Reservoir(capacity=10), Reservoir(capacity=10)
-        b.add(7.0)
-        a.merge(b)
-        assert a.count == 1 and a._samples == [7.0]
-        a.merge(Reservoir(capacity=10))  # empty other is a no-op
-        assert a.count == 1
-
-    def test_reservoir_merge_weights_by_count(self):
-        """Folding a 100-observation stream into a 10k-observation one
-        must not hand the small stream half the merged reservoir — the
-        re-sampling bias ``merge`` exists to avoid."""
-        big, small = Reservoir(capacity=50), Reservoir(capacity=50)
-        for _ in range(10000):
-            big.add(100.0)
-        for _ in range(100):
-            small.add(1.0)
-        big.merge(small)
-        assert big.count == 10100
-        assert len(big._samples) == 50
-        share_small = sum(1 for s in big._samples if s == 1.0) / 50
-        assert share_small < 0.15
 
     def test_timeseries_buckets(self):
         series = TimeSeries(bucket_width=0.1)

@@ -28,8 +28,12 @@ SCENARIO = textwrap.dedent(
     cluster.schedule_failure(0.15)
     stats = cluster.run(0.35, warmup=0.05)
     summary = {
-        "committed": sum(c.total_committed() for c in cluster.clients),
-        "aborted": sum(c.total_aborted() for c in cluster.clients),
+        "committed": sum(
+            s.session.committed_ops for c in cluster.clients
+            for s in c.sessions.values()),
+        "aborted": sum(
+            s.session.aborted_ops for c in cluster.clients
+            for s in c.sessions.values()),
         "cut": str(cluster.finder.current_cut()),
         "world_line": cluster.manager.controller.world_line,
         "completed": stats.completed.series(0.05),
@@ -58,8 +62,12 @@ CHAOS_SCENARIO = textwrap.dedent(
     cluster.schedule_failure(0.15)
     stats = cluster.run(0.35, warmup=0.05)
     summary = {
-        "committed": sum(c.total_committed() for c in cluster.clients),
-        "aborted": sum(c.total_aborted() for c in cluster.clients),
+        "committed": sum(
+            s.session.committed_ops for c in cluster.clients
+            for s in c.sessions.values()),
+        "aborted": sum(
+            s.session.aborted_ops for c in cluster.clients
+            for s in c.sessions.values()),
         "injected": dict(plan.injected),
         "retransmissions": cluster.manager.retransmissions,
         "duplicates_absorbed": sum(
@@ -93,7 +101,9 @@ ELASTIC_SCENARIO = textwrap.dedent(
     cluster.env.process(grow(), name="grow")
     stats = cluster.run(0.3, warmup=0.05)
     summary = {
-        "committed": sum(c.total_committed() for c in cluster.clients),
+        "committed": sum(
+            s.session.committed_ops for c in cluster.clients
+            for s in c.sessions.values()),
         "bounces": sum(c.not_owner_bounces for c in cluster.clients),
         "migrations": elastic.migrations_completed,
         "owners": {p: elastic.owner_of(p) for p in range(16)},
@@ -131,7 +141,9 @@ REPLICATION_SCENARIO = textwrap.dedent(
         for replica_id, applied, durable
         in cluster.metadata.replicas_of(primary))
     summary = {
-        "committed": sum(c.total_committed() for c in cluster.clients),
+        "committed": sum(
+            s.session.committed_ops for c in cluster.clients
+            for s in c.sessions.values()),
         "promotions": cluster.manager.promotions,
         "world_line": cluster.manager.controller.world_line,
         "reads": reader.reads_completed,

@@ -24,18 +24,6 @@ class TestHashIndex:
         previous = index.publish("b", 1)
         assert previous == 0  # chained behind the other key
 
-    def test_reset_bucket(self):
-        index = HashIndex(bucket_count=4)
-        index.publish("k", 3)
-        index.reset_bucket("k", NULL_ADDRESS)
-        assert index.head_address("k") == NULL_ADDRESS
-
-    def test_clear(self):
-        index = HashIndex(bucket_count=4)
-        index.publish("k", 1)
-        index.clear()
-        assert len(index) == 0
-
     def test_invalid_bucket_count(self):
         with pytest.raises(ValueError):
             HashIndex(bucket_count=0)
@@ -144,13 +132,3 @@ class TestRollbackSupport:
         log.append(record("k", 1, version=2))
         assert log.invalidate_versions(1, 2) == 1
         assert log.invalidate_versions(1, 2) == 0
-
-    def test_truncate(self):
-        log = HybridLog()
-        for i in range(5):
-            log.append(record(i, i))
-        log.mark_read_only()
-        log.flush_complete(5)
-        log.truncate(2)
-        assert log.tail_address == 2
-        assert log.flushed_until_address == 2

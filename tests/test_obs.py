@@ -542,7 +542,9 @@ print(json.dumps({
     "events_sha256": hashlib.sha256(
         tracer.serialize().encode()).hexdigest(),
     "summary": tracer.summary(),
-    "committed": sum(c.total_committed() for c in cluster.clients),
+    "committed": sum(
+        s.session.committed_ops for c in cluster.clients
+        for s in c.sessions.values()),
 }, sort_keys=True))
 """
 

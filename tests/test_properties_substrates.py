@@ -1,10 +1,9 @@
-"""Property-based tests for the Redis-clone and log substrates."""
+"""Property-based tests for the Redis-clone substrate."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.logstore import LogStateObject
 from repro.redisclone.commands import execute_command
 from repro.redisclone.datastore import DataStore
 from repro.redisclone.persistence import AofPolicy
@@ -98,66 +97,3 @@ class TestRedisDurabilityProperties:
         server.crash()
         server.restart(replay_aof=False)
         assert _state_of(server.db) == snapshot_state
-
-
-log_step = st.one_of(
-    st.tuples(st.just("enqueue"), st.sampled_from(["p0", "p1"]),
-              st.integers(0, 9)),
-    st.tuples(st.just("dequeue"), st.sampled_from(["g0", "g1"]),
-              st.sampled_from(["p0", "p1"])),
-    st.tuples(st.just("commit")),
-    st.tuples(st.just("restore")),
-)
-
-
-class TestLogProperties:
-    @SETTINGS
-    @given(steps=st.lists(log_step, min_size=1, max_size=50))
-    def test_cursor_and_offset_invariants(self, steps):
-        """Cursors never pass the end, offsets stay dense, and restores
-        never resurrect truncated records."""
-        shard = LogStateObject("L")
-        last_committed_ends = {}
-        for step in steps:
-            if step[0] == "enqueue":
-                offset = shard.enqueue(step[1], step[2])
-                assert offset == shard.log.end_offset(step[1]) - 1
-            elif step[0] == "dequeue":
-                shard.dequeue(step[1], step[2])
-            elif step[0] == "commit":
-                shard.commit()
-                last_committed_ends = {
-                    partition: shard.log.end_offset(partition)
-                    for partition in shard.log.partitions()
-                }
-            else:
-                if shard.max_persisted_version:
-                    shard.restore(shard.max_persisted_version)
-                    for partition, end in last_committed_ends.items():
-                        assert shard.log.end_offset(partition) == end
-            # Global invariant: no cursor beyond its partition's end.
-            for group in shard.log._groups.values():
-                for partition, position in group.positions().items():
-                    assert position <= shard.log.end_offset(partition)
-
-    @SETTINGS
-    @given(
-        payloads=st.lists(st.integers(0, 99), min_size=1, max_size=20),
-        restore_after=st.booleans(),
-    )
-    def test_fifo_order_preserved_across_recovery(self, payloads,
-                                                  restore_after):
-        """Dequeues always observe enqueue order, even across restores."""
-        shard = LogStateObject("L")
-        for payload in payloads:
-            shard.enqueue("p", payload)
-        shard.commit()
-        if restore_after:
-            shard.restore(shard.max_persisted_version)
-        observed = []
-        while True:
-            value = shard.dequeue("g", "p")
-            if value is None:
-                break
-            observed.append(value)
-        assert observed == payloads

@@ -1,8 +1,7 @@
 """StateObject conformance suite.
 
-Every cache-store integration — the in-memory reference, FASTER, the
-Redis clone, and the partitioned log — must honour the same DPR
-contract.  The suite drives each implementation through an
+Every cache-store integration — the in-memory reference, FASTER and
+the Redis clone — must honour the same DPR contract.  The suite drives each implementation through an
 implementation-agnostic key-value facade and checks the §3/§4
 obligations: version arithmetic, the dirty-seal invariant, cumulative
 restores, world-line behaviour, and commit/restore idempotence.
@@ -13,7 +12,6 @@ import pytest
 from repro.core.state_object import InMemoryStateObject, WorldLineMismatch
 from repro.core.versioning import Token
 from repro.faster.state_object import FasterStateObject
-from repro.logstore.state_object import LogStateObject
 from repro.redisclone.state_object import RedisStateObject
 
 
@@ -26,20 +24,11 @@ class _KvFacade:
     def put(self, key, value, **kwargs):
         if isinstance(self.obj, RedisStateObject):
             return self.obj.execute(("SET", key, value), **kwargs)
-        if isinstance(self.obj, LogStateObject):
-            # Key-value over a log: one partition per key; the newest
-            # record is the value.
-            return self.obj.execute(("append", key, value), **kwargs)
         return self.obj.execute(("set", key, value), **kwargs)
 
     def get(self, key):
         if isinstance(self.obj, RedisStateObject):
             return self.obj.execute(("GET", key)).value
-        if isinstance(self.obj, LogStateObject):
-            end = self.obj.execute(("end_offset", key)).value
-            if end == 0:
-                return None
-            return self.obj.execute(("peek", key, end - 1)).value
         return self.obj.execute(("get", key)).value
 
 
@@ -48,7 +37,6 @@ IMPLEMENTATIONS = [
     pytest.param(lambda: FasterStateObject("X", bucket_count=16),
                  id="faster"),
     pytest.param(lambda: RedisStateObject("X"), id="redis"),
-    pytest.param(lambda: LogStateObject("X"), id="log"),
 ]
 
 
