@@ -87,7 +87,7 @@ def test_finder_comparison(benchmark, report):
     text += "\n\n" + format_table(
         cluster_rows, title="Ablation: D-FASTER throughput per finder "
                             "(paper §7.1: minimal differences)")
-    report("ablation_finders", text)
+    report(text)
 
     by_name = {r["finder"]: r for r in protocol_rows}
     # The exact algorithm's durable-graph writes dominate (§3.4).

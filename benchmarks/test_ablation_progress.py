@@ -75,7 +75,7 @@ def test_no_cuts_without_coordination(benchmark, report):
         {"config": "Vs propagation (§3.2)",
          "ops_completed": with_vs[1], "ops_committed": with_vs[0]},
     ]
-    report("ablation_progress", format_table(
+    report(format_table(
         rows, title="Ablation: commit progress with and without the "
                     "version-propagation rule"))
     # Without coordination the committed prefix NEVER advances — every

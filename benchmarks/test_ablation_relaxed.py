@@ -52,7 +52,7 @@ def test_relaxed_vs_strict_commit_progress(benchmark, report):
         {"mode": "strict DPR", "committed_watermark": strict[0],
          "exception_list": strict[1]},
     ]
-    report("ablation_relaxed", format_table(
+    report(format_table(
         rows, title=f"Ablation: commit watermark after {OPS} ops with a "
                     f"pending op every {PENDING_EVERY}"))
     # Relaxed commits everything resolvable; strict stalls at the first

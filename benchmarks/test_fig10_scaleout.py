@@ -11,40 +11,17 @@ SSD slightly below local SSD; Zipfian ~20% above uniform.
 
 import pytest
 
-from repro.bench.harness import run_dfaster_experiment
 from repro.bench.report import format_table
-from repro.sim.storage import StorageKind
-from repro.workloads import YCSB_A, YCSB_A_ZIPFIAN
-
-VM_COUNTS = [2, 4, 8]
-BACKENDS = [
-    ("no-chkpt", dict(checkpoints_enabled=False, dpr_enabled=False)),
-    ("null", dict(storage=StorageKind.NULL)),
-    ("local-ssd", dict(storage=StorageKind.LOCAL_SSD)),
-    ("cloud-ssd", dict(storage=StorageKind.CLOUD_SSD)),
-]
 
 
-def _sweep(workload):
-    rows = []
-    for n_vms in VM_COUNTS:
-        row = {"#VM": n_vms}
-        for name, overrides in BACKENDS:
-            result = run_dfaster_experiment(
-                f"fig10 {workload.name} {name} n={n_vms}",
-                duration=0.3, warmup=0.1,
-                n_workers=n_vms, n_client_machines=n_vms,
-                workload=workload, **overrides,
-            )
-            row[name] = result.throughput_mops
-        rows.append(row)
-    return rows
+def _of(rows, workload):
+    return [row for row in rows if row["workload"] == workload]
 
 
 @pytest.mark.benchmark(group="fig10")
-def test_fig10_scaleout_uniform(benchmark, report):
-    rows = benchmark.pedantic(lambda: _sweep(YCSB_A), rounds=1, iterations=1)
-    report("fig10a_uniform", format_table(
+def test_fig10_scaleout_uniform(figure, report):
+    rows = _of(figure("fig10")[1], "ycsb-a")
+    report(format_table(
         rows, title="Figure 10a: scaling out D-FASTER, uniform 50:50 (Mops/s)"))
     by_n = {r["#VM"]: r for r in rows}
     # Near-linear scale-out.
@@ -55,16 +32,12 @@ def test_fig10_scaleout_uniform(benchmark, report):
 
 
 @pytest.mark.benchmark(group="fig10")
-def test_fig10_scaleout_zipfian(benchmark, report):
-    rows = benchmark.pedantic(lambda: _sweep(YCSB_A_ZIPFIAN),
-                              rounds=1, iterations=1)
-    report("fig10b_zipfian", format_table(
-        rows, title="Figure 10b: scaling out D-FASTER, Zipfian(0.99) 50:50 (Mops/s)"))
+def test_fig10_scaleout_zipfian(figure, report):
+    _, rows, _ = figure("fig10")
+    report(format_table(
+        _of(rows, "ycsb-a-zipf"),
+        title="Figure 10b: scaling out D-FASTER, Zipfian(0.99) 50:50 (Mops/s)"))
     # Zipfian beats uniform: hot keys are re-copied quickly and then
     # updated in place (§7.2).
-    uniform_8 = run_dfaster_experiment(
-        "ref uniform n=8", duration=0.3, warmup=0.1,
-        n_workers=8, workload=YCSB_A,
-    ).throughput_mops
-    zipf_8 = [r for r in rows if r["#VM"] == 8][0]["local-ssd"]
-    assert zipf_8 > 1.1 * uniform_8
+    local_ssd = {(r["workload"], r["#VM"]): r["local-ssd"] for r in rows}
+    assert local_ssd["ycsb-a-zipf", 8] > 1.1 * local_ssd["ycsb-a", 8]

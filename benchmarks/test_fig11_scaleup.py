@@ -9,53 +9,32 @@ costs throughput; DPR adds minimal overhead over plain checkpoints.
 
 import pytest
 
-from repro.bench.harness import run_dfaster_experiment
 from repro.bench.report import format_table
-from repro.workloads import YCSB_A, YCSB_A_ZIPFIAN
-
-VCPU_COUNTS = [4, 8, 16]
-CONFIGS = [
-    ("no-chkpt", dict(checkpoints_enabled=False, dpr_enabled=False)),
-    ("no-dpr", dict(dpr_enabled=False)),
-    ("dpr", dict()),
-]
 
 
-def _sweep(workload):
-    rows = []
-    for vcpus in VCPU_COUNTS:
-        row = {"#vCPU": vcpus}
-        for name, overrides in CONFIGS:
-            result = run_dfaster_experiment(
-                f"fig11 {workload.name} {name} vcpus={vcpus}",
-                duration=0.3, warmup=0.1,
-                vcpus=vcpus, workload=workload, **overrides,
-            )
-            row[name] = result.throughput_mops
-        rows.append(row)
-    return rows
+def _by_vcpus(rows, workload):
+    return {r["#vCPU"]: r for r in rows if r["workload"] == workload}
 
 
 @pytest.mark.benchmark(group="fig11")
-def test_fig11_scaleup_uniform(benchmark, report):
-    rows = benchmark.pedantic(lambda: _sweep(YCSB_A), rounds=1, iterations=1)
-    report("fig11a_uniform", format_table(
-        rows, title="Figure 11a: scaling up D-FASTER, uniform 50:50 (Mops/s)"))
-    by_v = {r["#vCPU"]: r for r in rows}
+def test_fig11_scaleup_uniform(figure, report):
+    by_v = _by_vcpus(figure("fig11")[1], "ycsb-a")
+    report(format_table(
+        list(by_v.values()),
+        title="Figure 11a: scaling up D-FASTER, uniform 50:50 (Mops/s)"))
     # Thread scalability.
     assert by_v[16]["dpr"] > 3.0 * by_v[4]["dpr"]
-    for row in rows:
+    for row in by_v.values():
         # Checkpoints cost; DPR over checkpoints is nearly free (<5%).
         assert row["no-chkpt"] > row["no-dpr"]
         assert row["dpr"] > 0.95 * row["no-dpr"]
 
 
 @pytest.mark.benchmark(group="fig11")
-def test_fig11_scaleup_zipfian(benchmark, report):
-    rows = benchmark.pedantic(lambda: _sweep(YCSB_A_ZIPFIAN),
-                              rounds=1, iterations=1)
-    report("fig11b_zipfian", format_table(
-        rows, title="Figure 11b: scaling up D-FASTER, Zipfian(0.99) 50:50 (Mops/s)"))
-    by_v = {r["#vCPU"]: r for r in rows}
+def test_fig11_scaleup_zipfian(figure, report):
+    by_v = _by_vcpus(figure("fig11")[1], "ycsb-a-zipf")
+    report(format_table(
+        list(by_v.values()),
+        title="Figure 11b: scaling up D-FASTER, Zipfian(0.99) 50:50 (Mops/s)"))
     # Paper: thread scalability is better under Zipfian.
     assert by_v[16]["dpr"] > 3.2 * by_v[4]["dpr"]

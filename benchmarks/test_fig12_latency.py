@@ -12,34 +12,15 @@ load.
 
 import pytest
 
-from repro.bench.harness import run_dfaster_experiment
 from repro.bench.report import format_latency_histogram, format_table
-from repro.workloads import YCSB_A_ZIPFIAN
-
-
-def _run(batch_size):
-    return run_dfaster_experiment(
-        f"fig12 b={batch_size}",
-        duration=0.6, warmup=0.2,
-        batch_size=batch_size, workload=YCSB_A_ZIPFIAN,
-    )
 
 
 @pytest.mark.benchmark(group="fig12")
-def test_fig12_latency_distributions(benchmark, report):
-    big, small = benchmark.pedantic(
-        lambda: (_run(1024), _run(64)), rounds=1, iterations=1)
-    rows = []
-    for label, result in [("b=1024", big), ("b=64", small)]:
-        rows.append({
-            "config": label,
-            "tput_mops": result.throughput_mops,
-            "op_p50_ms": result.operation_latency["p50"] * 1e3,
-            "op_p95_ms": result.operation_latency["p95"] * 1e3,
-            "commit_p50_ms": result.commit_latency["p50"] * 1e3,
-            "commit_p95_ms": result.commit_latency["p95"] * 1e3,
-        })
-    text = format_table(rows, title="Figure 12: D-FASTER latency summary")
+def test_fig12_latency_distributions(figure, report):
+    title, rows, results = figure("fig12")
+    by_config = dict(zip((row["config"] for row in rows), results))
+    big, small = by_config["b=1024"], by_config["b=64"]
+    text = format_table(rows, title=title)
     samples_big = [v * 1e3 for v in
                    big.stats.operation_latency._samples]
     samples_small = [v * 1e3 for v in
@@ -54,7 +35,7 @@ def test_fig12_latency_distributions(benchmark, report):
     text += "\n\n" + format_latency_histogram(
         [v * 1e3 for v in small.stats.commit_latency._samples],
         "Figure 12b: commit latency, b=64")
-    report("fig12_latency", text)
+    report(text)
 
     # Commits wait for the next checkpoint (~half an interval on
     # average) plus flush and finder propagation.

@@ -9,46 +9,22 @@ is near peak at ~1 ms latency.
 
 import pytest
 
-from repro.bench.harness import run_dfaster_experiment
 from repro.bench.report import format_table
-from repro.workloads import YCSB_A_ZIPFIAN
-
-# Small batches generate enormous event counts; shrink their windows.
-BATCHES = [1, 4, 16, 64, 256, 512, 1024]
-
-
-def _run(batch_size):
-    duration, warmup = (0.15, 0.05) if batch_size < 16 else (0.3, 0.1)
-    clients = 4 if batch_size < 16 else 8
-    return run_dfaster_experiment(
-        f"fig13 b={batch_size}",
-        duration=duration, warmup=warmup,
-        batch_size=batch_size, workload=YCSB_A_ZIPFIAN,
-        n_client_machines=clients,
-    )
 
 
 @pytest.mark.benchmark(group="fig13")
-def test_fig13_throughput_latency_tradeoff(benchmark, report):
-    results = benchmark.pedantic(
-        lambda: [(b, _run(b)) for b in BATCHES], rounds=1, iterations=1)
-    rows = [{
-        "b": b,
-        "w": 16 * b,
-        "tput_mops": r.throughput_mops,
-        "op_p50_ms": r.operation_latency["p50"] * 1e3,
-    } for b, r in results]
-    report("fig13_tradeoff", format_table(
-        rows, title="Figure 13: throughput-latency trade-off (w = 16b)"))
+def test_fig13_throughput_latency_tradeoff(figure, report):
+    title, rows, _ = figure("fig13")
+    report(format_table(rows, title=title))
 
-    tput = {b: r.throughput_mops for b, r in results}
-    lat = {b: r.operation_latency["p50"] for b, r in results}
+    tput = {r["b"]: r["tput_mops"] for r in rows}
+    lat_ms = {r["b"]: r["op_p50_ms"] for r in rows}
     # Throughput grows by orders of magnitude from b=1 to saturation.
     assert tput[1024] > 10 * tput[1]
     # Saturation: the last doubling buys little throughput...
     assert tput[1024] < 1.5 * tput[256]
     # ...but costs latency.
-    assert lat[1024] > 1.5 * lat[64]
+    assert lat_ms[1024] > 1.5 * lat_ms[64]
     # The mid-range sweet spot: near-saturated at ~1ms latency.
     assert tput[64] > 0.3 * tput[1024]
-    assert lat[64] < 3e-3
+    assert lat_ms[64] < 3.0

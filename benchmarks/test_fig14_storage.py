@@ -11,41 +11,13 @@ and below) while null/local degrade gracefully.
 
 import pytest
 
-from repro.bench.harness import run_dfaster_experiment
 from repro.bench.report import format_table
-from repro.sim.storage import StorageKind
-from repro.workloads import YCSB_A_ZIPFIAN
-
-INTERVALS = [0.5, 0.25, 0.1, 0.05, 0.025]
-BACKENDS = [
-    ("null", StorageKind.NULL),
-    ("local-ssd", StorageKind.LOCAL_SSD),
-    ("cloud-ssd", StorageKind.CLOUD_SSD),
-]
-
-
-def _sweep():
-    rows = []
-    for interval in INTERVALS:
-        row = {"interval_ms": int(interval * 1e3)}
-        for name, kind in BACKENDS:
-            result = run_dfaster_experiment(
-                f"fig14 {name} T={interval}",
-                duration=max(0.6, 4 * interval), warmup=0.2,
-                checkpoint_interval=interval, storage=kind,
-                workload=YCSB_A_ZIPFIAN,
-            )
-            row[name] = result.throughput_mops
-        rows.append(row)
-    return rows
 
 
 @pytest.mark.benchmark(group="fig14")
-def test_fig14_storage_sensitivity(benchmark, report):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    report("fig14_storage", format_table(
-        rows, title="Figure 14: impact of storage backend vs checkpoint "
-                    "interval (Mops/s)"))
+def test_fig14_storage_sensitivity(figure, report):
+    title, rows, _ = figure("fig14")
+    report(format_table(rows, title=title))
     by_interval = {r["interval_ms"]: r for r in rows}
     # Orders-of-magnitude different devices, modest gap at 500ms.
     slow = by_interval[500]
@@ -59,5 +31,5 @@ def test_fig14_storage_sensitivity(benchmark, report):
             for i in (500, 100, 25)]
     assert gaps[0] > gaps[1] > gaps[2]
     # More frequent checkpoints never help throughput.
-    for name, _ in BACKENDS:
+    for name in ("null", "local-ssd", "cloud-ssd"):
         assert by_interval[25][name] <= by_interval[500][name] * 1.05

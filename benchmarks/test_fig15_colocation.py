@@ -13,55 +13,22 @@ on its remote window cannot run ahead.
 
 import pytest
 
-from repro.bench.harness import run_dfaster_experiment
 from repro.bench.report import format_table
-from repro.workloads import YCSB_A_ZIPFIAN
-
-REMOTE_FRACTIONS = [0.0, 0.25, 0.5, 0.75, 1.0]
-BATCHES = [1, 16, 1024]
-
-
-def _run(remote_fraction, batch_size):
-    return run_dfaster_experiment(
-        f"fig15 p={remote_fraction} b={batch_size}",
-        duration=0.2, warmup=0.05,
-        colocated=True,
-        colocation_local_fraction=1.0 - remote_fraction,
-        batch_size=batch_size,
-        workload=YCSB_A_ZIPFIAN,
-    )
 
 
 @pytest.mark.benchmark(group="fig15")
-def test_fig15_colocation(benchmark, report):
-    def sweep():
-        rows = []
-        for remote in REMOTE_FRACTIONS:
-            row = {"remote%": int(remote * 100)}
-            for batch in BATCHES:
-                row[f"b={batch}"] = _run(remote, batch).throughput_mops
-            rows.append(row)
-        dedicated = run_dfaster_experiment(
-            "fig15 dedicated ref", duration=0.3, warmup=0.1,
-            workload=YCSB_A_ZIPFIAN,
-        ).throughput_mops
-        return rows, dedicated
-
-    rows, dedicated = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    text = format_table(
-        rows, title="Figure 15: co-located throughput vs remote fraction "
-                    "(Mops/s)")
-    text += f"\n(dedicated-server reference at b=1024: {dedicated:.1f} Mops/s)"
-    report("fig15_colocation", text)
+def test_fig15_colocation(figure, report):
+    title, rows, _ = figure("fig15")
+    report(format_table(rows, title=title))
 
     by_remote = {r["remote%"]: r for r in rows}
+    dedicated = by_remote["dedicated"]["b=1024"]
     # All-local runs are batch-size independent and beat dedicated.
     local = by_remote[0]
     assert abs(local["b=1"] - local["b=1024"]) < 0.15 * local["b=1024"]
     assert local["b=1024"] > dedicated
     # Throughput declines with remote fraction at every batch size.
-    for batch in BATCHES:
-        key = f"b={batch}"
+    for key in ("b=1", "b=16", "b=1024"):
         assert by_remote[100][key] < by_remote[0][key]
     # Small batches crater once remote ops dominate (log-scale drop).
     assert by_remote[75]["b=1"] < 0.15 * by_remote[0]["b=1"]

@@ -15,40 +15,17 @@ with fewer aborts the second time (few operations executed between).
 
 import pytest
 
-from repro.bench.harness import run_dfaster_experiment
 from repro.bench.report import format_table
-from repro.workloads import YCSB_A_ZIPFIAN
-
-DURATION = 45.0
-FAILURES = (15.0, 30.0, 30.05)
 
 
 @pytest.mark.benchmark(group="fig16")
-def test_fig16_recovery_timeline(benchmark, report):
-    result = benchmark.pedantic(
-        lambda: run_dfaster_experiment(
-            "fig16", duration=DURATION, warmup=0.25,
-            workload=YCSB_A_ZIPFIAN, failures=FAILURES,
-        ),
-        rounds=1, iterations=1,
-    )
+def test_fig16_recovery_timeline(figure, report):
+    title, rows, (result,) = figure("fig16")
+    report(format_table(rows, title=title))
     stats = result.stats
     completed = dict(stats.completed.series(0.25))
     committed = dict(stats.committed.series(0.25))
     aborted = dict(stats.aborted.series(0.25))
-    rows = []
-    for bucket in sorted(completed):
-        if not (13.0 <= bucket <= 18.0 or 28.0 <= bucket <= 33.0):
-            continue
-        rows.append({
-            "t_s": bucket,
-            "completed_mops": completed.get(bucket, 0.0) / 1e6,
-            "committed_mops": committed.get(bucket, 0.0) / 1e6,
-            "aborted_mops": aborted.get(bucket, 0.0) / 1e6,
-        })
-    report("fig16_recovery", format_table(
-        rows, title="Figure 16: throughput around failures at t=15s and "
-                    "t=30s+30.05s (250ms buckets)"))
 
     # Steady-state baselines averaged over 10-14s (commits arrive in
     # bursts at cut publishes, so single buckets are spiky).

@@ -11,60 +11,35 @@ D-Redis (the network pattern, not DPR, is the cost).
 
 import pytest
 
-from repro.bench.harness import run_dredis_experiment
 from repro.bench.report import format_table
-from repro.cluster.dredis import RedisMode
-
-SHARDS = [2, 4, 8]
-MODES = [("redis", RedisMode.PLAIN), ("redis+proxy", RedisMode.PROXY),
-         ("d-redis", RedisMode.DPR)]
 
 
-def _sweep(batch_size, window, duration, warmup):
-    rows = []
-    for shards in SHARDS:
-        row = {"#shard": shards}
-        for name, mode in MODES:
-            result = run_dredis_experiment(
-                f"fig17 {name} n={shards} b={batch_size}",
-                duration=duration, warmup=warmup,
-                n_shards=shards, mode=mode,
-                batch_size=batch_size, window=window,
-                n_client_machines=shards,
-            )
-            row[name] = result.throughput_mops
-        rows.append(row)
-    return rows
+def _by_shards(rows, regime):
+    return {r["#shard"]: r for r in rows if r["regime"] == regime}
 
 
 @pytest.mark.benchmark(group="fig17")
-def test_fig17_saturated(benchmark, report):
-    rows = benchmark.pedantic(
-        lambda: _sweep(batch_size=1024, window=8192, duration=0.4,
-                       warmup=0.1),
-        rounds=1, iterations=1)
-    report("fig17a_saturated", format_table(
-        rows, title="Figure 17a: saturated (w=8192, b=1024), Mops/s"))
-    by_n = {r["#shard"]: r for r in rows}
+def test_fig17_saturated(figure, report):
+    by_n = _by_shards(figure("fig17")[1], "saturated")
+    report(format_table(
+        list(by_n.values()),
+        title="Figure 17a: saturated (w=8192, b=1024), Mops/s"))
     # Linear shard scalability for all three.
     assert by_n[8]["redis"] > 3.0 * by_n[2]["redis"]
     assert by_n[8]["d-redis"] > 3.0 * by_n[2]["d-redis"]
     # D-Redis does not reduce saturated throughput (within 10%).
-    for row in rows:
+    for row in by_n.values():
         assert row["d-redis"] > 0.9 * row["redis"]
 
 
 @pytest.mark.benchmark(group="fig17")
-def test_fig17_unsaturated(benchmark, report):
-    rows = benchmark.pedantic(
-        lambda: _sweep(batch_size=16, window=1024, duration=0.2,
-                       warmup=0.05),
-        rounds=1, iterations=1)
-    report("fig17b_unsaturated", format_table(
-        rows, title="Figure 17b: unsaturated (w=1024, b=16), Mops/s"))
-    by_n = {r["#shard"]: r for r in rows}
+def test_fig17_unsaturated(figure, report):
+    by_n = _by_shards(figure("fig17")[1], "unsaturated")
+    report(format_table(
+        list(by_n.values()),
+        title="Figure 17b: unsaturated (w=1024, b=16), Mops/s"))
     # Still scalable.
     assert by_n[8]["d-redis"] > 2.5 * by_n[2]["d-redis"]
     # D-Redis tracks the pass-through proxy (DPR itself is not the cost).
-    for row in rows:
+    for row in by_n.values():
         assert row["d-redis"] > 0.9 * row["redis+proxy"]

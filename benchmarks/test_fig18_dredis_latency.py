@@ -10,41 +10,20 @@ cost on the extra network hop rather than the DPR algorithm.
 
 import pytest
 
-from repro.bench.harness import run_dredis_experiment
 from repro.bench.report import format_latency_histogram, format_table
-from repro.cluster.dredis import RedisMode
-
-MODES = [("redis", RedisMode.PLAIN), ("redis+proxy", RedisMode.PROXY),
-         ("d-redis", RedisMode.DPR)]
-
-
-def _run(mode):
-    return run_dredis_experiment(
-        f"fig18 {mode}", duration=0.2, warmup=0.05,
-        mode=mode, batch_size=16, window=64, client_threads=2,
-    )
 
 
 @pytest.mark.benchmark(group="fig18")
-def test_fig18_latency(benchmark, report):
-    results = benchmark.pedantic(
-        lambda: {name: _run(mode) for name, mode in MODES},
-        rounds=1, iterations=1)
-    rows = [{
-        "config": name,
-        "p50_ms": r.operation_latency["p50"] * 1e3,
-        "p95_ms": r.operation_latency["p95"] * 1e3,
-        "p99_ms": r.operation_latency["p99"] * 1e3,
-    } for name, r in results.items()]
-    text = format_table(rows, title="Figure 18: unsaturated latency, "
-                                    "D-Redis vs Redis")
-    for name, result in results.items():
+def test_fig18_latency(figure, report):
+    title, rows, results = figure("fig18")
+    text = format_table(rows, title=title)
+    for row, result in zip(rows, results):
         text += "\n\n" + format_latency_histogram(
             [v * 1e3 for v in result.stats.operation_latency._samples],
-            f"latency distribution: {name}")
-    report("fig18_dredis_latency", text)
+            f"latency distribution: {row['config']}")
+    report(text)
 
-    p50 = {name: r.operation_latency["p50"] for name, r in results.items()}
+    p50 = {row["config"]: row["p50_ms"] for row in rows}
     # D-Redis costs extra latency over plain Redis...
     assert p50["d-redis"] > 1.1 * p50["redis"]
     # ...but no worse than a pass-through proxy: the network pattern,

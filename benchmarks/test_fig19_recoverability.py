@@ -13,44 +13,25 @@ throughputs.
 
 import pytest
 
-from repro.baselines import RecoverabilityLevel, run_recoverability_matrix
 from repro.bench.report import format_table
-
-LEVELS = [RecoverabilityLevel.SYNC, RecoverabilityLevel.DPR,
-          RecoverabilityLevel.EVENTUAL, RecoverabilityLevel.NONE]
 
 
 @pytest.mark.benchmark(group="fig19")
-def test_fig19_recoverability_levels(benchmark, report):
-    matrix = benchmark.pedantic(
-        lambda: run_recoverability_matrix(duration=0.3, warmup=0.1),
-        rounds=1, iterations=1)
-    rows = []
-    for system, row in matrix.items():
-        rows.append({
-            "system": system,
-            **{level.value: (None if row[level] is None
-                             else row[level] / 1e6)
-               for level in LEVELS},
-        })
-    report("fig19_recoverability", format_table(
-        rows, title="Figure 19: throughput by recoverability level "
-                    "(Mops/s; N/A = unsupported)"))
+def test_fig19_recoverability_levels(figure, report):
+    title, rows, _ = figure("fig19")
+    report(format_table(rows, title=title))
 
-    cassandra = matrix["cassandra"]
-    dredis = matrix["d-redis"]
-    dfaster = matrix["d-faster"]
+    by_system = {row["system"]: row for row in rows}
+    cassandra = by_system["cassandra"]
+    dredis = by_system["d-redis"]
+    dfaster = by_system["d-faster"]
     # DPR ~= eventual on both DPR systems (within 15%).
-    assert dredis[RecoverabilityLevel.DPR] > \
-        0.85 * dredis[RecoverabilityLevel.EVENTUAL]
-    assert dfaster[RecoverabilityLevel.DPR] > \
-        0.85 * dfaster[RecoverabilityLevel.EVENTUAL]
+    assert dredis["dpr"] > 0.85 * dredis["eventual"]
+    assert dfaster["dpr"] > 0.85 * dfaster["eventual"]
     # Synchronous recoverability costs much more, on every system.
-    assert dredis[RecoverabilityLevel.SYNC] < \
-        0.3 * dredis[RecoverabilityLevel.DPR]
-    assert cassandra[RecoverabilityLevel.SYNC] < \
-        0.7 * cassandra[RecoverabilityLevel.EVENTUAL]
+    assert dredis["sync"] < 0.3 * dredis["dpr"]
+    assert cassandra["sync"] < 0.7 * cassandra["eventual"]
     # The support matrix matches the paper's N/A cells.
-    assert cassandra[RecoverabilityLevel.DPR] is None
-    assert cassandra[RecoverabilityLevel.NONE] is None
-    assert dfaster[RecoverabilityLevel.SYNC] is None
+    assert cassandra["dpr"] is None
+    assert cassandra["none"] is None
+    assert dfaster["sync"] is None

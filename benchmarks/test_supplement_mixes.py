@@ -36,7 +36,7 @@ def test_workload_mixes(benchmark, report):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    report("supplement_mixes", format_table(
+    report(format_table(
         rows, title="Supplementary: workload mixes x recoverability "
                     "(Mops/s)"))
     for row in rows:

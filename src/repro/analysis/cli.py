@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", dest="fmt", choices=("text", "json", "sarif"),
+        "--format", dest="fmt", choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -157,10 +157,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.fmt == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
-    elif args.fmt == "sarif":
-        from repro.analysis.sarif import render_sarif
-
-        print(render_sarif(findings))
     else:
         for finding in findings:
             print(finding.render())

@@ -239,9 +239,8 @@ class Rule:
     #: Module-name prefixes the rule applies to; empty = everywhere.
     scope: Tuple[str, ...] = ()
     #: Severity tier: "error" (protocol/determinism correctness) or
-    #: "warning" (hygiene).  Maps onto the SARIF level of the same name
-    #: and is shown by ``--list-rules``; any finding still fails the
-    #: run regardless of tier.
+    #: "warning" (hygiene).  Shown by ``--list-rules``; any finding
+    #: still fails the run regardless of tier.
     severity: str = "error"
 
     def applies_to(self, module: str) -> bool:

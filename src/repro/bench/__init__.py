@@ -1,16 +1,4 @@
-"""Benchmark harness regenerating every table and figure in §7."""
-
-from repro.bench.harness import (
-    ExperimentResult,
-    run_dfaster_experiment,
-    run_dredis_experiment,
-)
-from repro.bench.report import format_table, format_latency_histogram
-
-__all__ = [
-    "ExperimentResult",
-    "format_latency_histogram",
-    "format_table",
-    "run_dfaster_experiment",
-    "run_dredis_experiment",
-]
+"""Benchmark layer regenerating every table and figure in §7:
+``figures`` (the sweeps, written once), ``harness`` (one experiment),
+``artifacts`` (``BENCH_<figure>.json``), ``report`` (text rendering)
+and the ``python -m repro.bench`` command line."""

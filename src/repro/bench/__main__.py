@@ -26,9 +26,11 @@ Budgets gate *unprofiled* time — combining ``--budget`` with
 fail any honest budget; wallclock_probe deltas from an unprofiled run
 are the budget source of truth.
 
-The pytest benchmarks in ``benchmarks/`` remain the source of truth for
-shape assertions; this entry point is for quick interactive sweeps and
-for the CI perf-regression gate (``--compare`` exits 1 on regression).
+The sweeps themselves are written once, in ``repro.bench.figures``; the
+pytest wrappers in ``benchmarks/`` assert the paper's shapes over the
+same rows this entry point prints.  ``--compare`` is the CI
+perf-regression gate: exit 0 within tolerance, 1 on regression, 2 when
+the two artifacts cannot be compared at all.
 """
 
 from __future__ import annotations
@@ -41,15 +43,23 @@ import time
 from pathlib import Path
 
 from repro.bench import artifacts
-from repro.bench.figures import FIGURES, generate, generate_artifact
+from repro.bench.figures import FIGURES, run_figure
 from repro.bench.harness import wallclock_probe
+from repro.bench.report import format_table
 
 
 def _run_compare(base_path: str, current_path: str,
                  tolerance: float) -> int:
-    baseline = artifacts.load_artifact(base_path)
-    current = artifacts.load_artifact(current_path)
-    findings = artifacts.compare(baseline, current, tolerance=tolerance)
+    try:
+        baseline = artifacts.load_artifact(base_path)
+        current = artifacts.load_artifact(current_path)
+        findings = artifacts.compare(baseline, current,
+                                     tolerance=tolerance)
+    except (OSError, ValueError) as error:
+        # Missing, malformed or mismatched input is not a regression.
+        reason = str(error).removeprefix("cannot compare: ")
+        print(f"cannot compare: {reason}", file=sys.stderr)
+        return 2
     if findings:
         print(f"REGRESSION: {len(findings)} experiment(s) below "
               f"baseline (tolerance {tolerance:.0%})")
@@ -106,7 +116,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compare", nargs=2, metavar=("BASELINE", "CURRENT"),
         help="compare two BENCH_*.json artifacts; exit 1 if CURRENT "
-             "regressed beyond --tolerance",
+             "regressed beyond --tolerance, 2 if they cannot be compared",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.15,
@@ -140,15 +150,13 @@ def main(argv=None) -> int:
             profiler.enable()
         try:
             for figure in figures:
+                title, rows, results = run_figure(figure, args.scale)
+                texts.append(format_table(rows, title=title))
                 if json_dir is not None:
-                    text, artifact = generate_artifact(figure,
-                                                       scale=args.scale)
                     path = json_dir / artifacts.artifact_name(figure)
-                    artifacts.write_artifact(artifact, path)
+                    artifacts.write_artifact(artifacts.build_artifact(
+                        figure, args.scale, results), path)
                     print(f"[wrote {path}]")
-                else:
-                    text = generate(figure, scale=args.scale)
-                texts.append(text)
         finally:
             if profiler is not None:
                 profiler.disable()

@@ -1,25 +1,26 @@
-"""Programmatic figure generation (shared by the CLI and ad-hoc use).
+"""The figure catalog: every §7 sweep is written here, once.
 
-Each ``fig*`` function runs the corresponding experiment sweep and
-returns ``(title, rows)``; ``generate`` renders any of them to text.
-The pytest benchmarks in ``benchmarks/`` carry the shape assertions;
-these functions are the quick, assertion-free path:
+Each ``fig*`` function runs one figure's experiment sweep and returns
+``(title, rows)``; :func:`run_figure` runs any of them by name and also
+hands back every ``ExperimentResult`` the sweep produced.  The CLI, the
+``BENCH_<figure>.json`` artifacts and the pytest wrappers in
+``benchmarks/`` (which assert the paper's shapes over these rows at
+``scale=1.0``) all go through it:
 
     python -m repro.bench fig10 --scale 0.5
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.baselines import RecoverabilityLevel, run_recoverability_matrix
-from repro.bench.artifacts import build_artifact
 from repro.bench.harness import (
+    ExperimentResult,
     collect_results,
     run_dfaster_experiment,
     run_dredis_experiment,
 )
-from repro.bench.report import format_table
 from repro.cluster.client import ReplicaReadClient
 from repro.cluster.dredis import RedisMode
 from repro.sim.storage import StorageKind
@@ -69,14 +70,15 @@ def fig11(scale: float = 1.0) -> Tuple[str, Rows]:
         ("dpr", dict()),
     ]
     rows = []
-    for vcpus in (4, 8, 16):
-        row = {"#vCPU": vcpus}
-        for name, overrides in configs:
-            row[name] = run_dfaster_experiment(
-                f"fig11 {name}", duration=duration, warmup=warmup,
-                vcpus=vcpus, workload=YCSB_A, **overrides,
-            ).throughput_mops
-        rows.append(row)
+    for workload in (YCSB_A, YCSB_A_ZIPFIAN):
+        for vcpus in (4, 8, 16):
+            row = {"workload": workload.name, "#vCPU": vcpus}
+            for name, overrides in configs:
+                row[name] = run_dfaster_experiment(
+                    f"fig11 {name}", duration=duration, warmup=warmup,
+                    vcpus=vcpus, workload=workload, **overrides,
+                ).throughput_mops
+            rows.append(row)
     return "Figure 11: scaling up D-FASTER (Mops/s)", rows
 
 
@@ -92,15 +94,17 @@ def fig12(scale: float = 1.0) -> Tuple[str, Rows]:
             "config": f"b={batch}",
             "tput_mops": result.throughput_mops,
             "op_p50_ms": result.operation_latency["p50"] * 1e3,
+            "op_p95_ms": result.operation_latency["p95"] * 1e3,
             "commit_p50_ms": result.commit_latency["p50"] * 1e3,
             "commit_p95_ms": result.commit_latency["p95"] * 1e3,
         })
-    return "Figure 12: D-FASTER latency", rows
+    return "Figure 12: D-FASTER latency summary", rows
 
 
 def fig13(scale: float = 1.0) -> Tuple[str, Rows]:
     rows = []
-    for batch in (1, 4, 16, 64, 256, 1024):
+    # Small batches generate enormous event counts; shrink their windows.
+    for batch in (1, 4, 16, 64, 256, 512, 1024):
         duration, warmup = _window(scale, 0.15 if batch < 16 else 0.3,
                                    0.05 if batch < 16 else 0.1)
         result = run_dfaster_experiment(
@@ -111,7 +115,7 @@ def fig13(scale: float = 1.0) -> Tuple[str, Rows]:
         rows.append({"b": batch, "w": 16 * batch,
                      "tput_mops": result.throughput_mops,
                      "op_p50_ms": result.operation_latency["p50"] * 1e3})
-    return "Figure 13: throughput-latency trade-off", rows
+    return "Figure 13: throughput-latency trade-off (w = 16b)", rows
 
 
 def fig14(scale: float = 1.0) -> Tuple[str, Rows]:
@@ -144,7 +148,16 @@ def fig15(scale: float = 1.0) -> Tuple[str, Rows]:
                 batch_size=batch, workload=YCSB_A_ZIPFIAN,
             ).throughput_mops
         rows.append(row)
-    return "Figure 15: co-located throughput (Mops/s)", rows
+    # What co-location is compared against: dedicated servers, at the
+    # default batch size only.
+    duration, warmup = _window(scale)
+    dedicated = run_dfaster_experiment(
+        "fig15 dedicated ref", duration=duration, warmup=warmup,
+        workload=YCSB_A_ZIPFIAN)
+    rows.append({"remote%": "dedicated", "b=1": None, "b=16": None,
+                 "b=1024": dedicated.throughput_mops})
+    return ("Figure 15: co-located throughput vs remote fraction (Mops/s)",
+            rows)
 
 
 def fig16(scale: float = 1.0) -> Tuple[str, Rows]:
@@ -170,8 +183,9 @@ def fig16(scale: float = 1.0) -> Tuple[str, Rows]:
 
 def fig17(scale: float = 1.0) -> Tuple[str, Rows]:
     rows = []
-    for regime, batch, window, duration in [
-        ("saturated", 1024, 8192, 0.4), ("unsaturated", 16, 1024, 0.2),
+    for regime, batch, window, duration, warmup in [
+        ("saturated", 1024, 8192, 0.4, 0.1),
+        ("unsaturated", 16, 1024, 0.2, 0.05),
     ]:
         for shards in (2, 4, 8):
             row = {"regime": regime, "#shard": shards}
@@ -180,9 +194,9 @@ def fig17(scale: float = 1.0) -> Tuple[str, Rows]:
                                ("d-redis", RedisMode.DPR)]:
                 row[name] = run_dredis_experiment(
                     f"fig17 {name}", duration=duration * max(scale, 0.5),
-                    warmup=0.05,
-                    n_shards=shards, mode=mode, batch_size=batch,
-                    window=window, n_client_machines=shards,
+                    warmup=warmup, n_shards=shards, mode=mode,
+                    batch_size=batch, window=window,
+                    n_client_machines=shards,
                 ).throughput_mops
             rows.append(row)
     return "Figure 17: D-Redis vs Redis throughput (Mops/s)", rows
@@ -200,8 +214,9 @@ def fig18(scale: float = 1.0) -> Tuple[str, Rows]:
         )
         rows.append({"config": name,
                      "p50_ms": result.operation_latency["p50"] * 1e3,
-                     "p95_ms": result.operation_latency["p95"] * 1e3})
-    return "Figure 18: D-Redis latency, unsaturated", rows
+                     "p95_ms": result.operation_latency["p95"] * 1e3,
+                     "p99_ms": result.operation_latency["p99"] * 1e3})
+    return "Figure 18: unsaturated latency, D-Redis vs Redis", rows
 
 
 def fig19(scale: float = 1.0) -> Tuple[str, Rows]:
@@ -215,7 +230,8 @@ def fig19(scale: float = 1.0) -> Tuple[str, Rows]:
             for level in levels}}
         for system, row in matrix.items()
     ]
-    return "Figure 19: recoverability levels (Mops/s)", rows
+    return ("Figure 19: throughput by recoverability level "
+            "(Mops/s; N/A = unsupported)", rows)
 
 
 def elastic(scale: float = 1.0) -> Tuple[str, Rows]:
@@ -383,29 +399,17 @@ FIGURES: Dict[str, Callable[[float], Tuple[str, Rows]]] = {
 }
 
 
-def generate(name: str, scale: float = 1.0) -> str:
-    """Render one figure (or 'all') to text."""
-    if name == "all":
-        return "\n\n".join(generate(key, scale) for key in FIGURES)
-    if name not in FIGURES:
-        known = ", ".join(sorted(FIGURES))
-        raise KeyError(f"unknown figure {name!r}; known: {known}, all")
-    title, rows = FIGURES[name](scale)
-    return format_table(rows, title=title)
+def run_figure(name: str, scale: float = 1.0,
+               ) -> Tuple[str, Rows, List[ExperimentResult]]:
+    """Run one figure's sweep: ``(title, rows, results)``.
 
-
-def generate_artifact(name: str, scale: float = 1.0):
-    """Render one figure and build its ``BENCH_<figure>.json`` payload.
-
-    Returns ``(text, artifact)``.  The artifact carries every
-    experiment the sweep ran (captured via the harness collector, since
-    the fig* functions themselves only return selected columns) plus
-    merged per-phase trace aggregates.
+    ``results`` is every experiment the sweep ran, in order (captured
+    via the harness collector, since the fig* functions themselves only
+    return selected columns): what the artifact builder reads, and the
+    wrappers' histograms and timelines.  An unknown ``name`` is a
+    ``KeyError``.
     """
-    if name not in FIGURES:
-        known = ", ".join(sorted(FIGURES))
-        raise KeyError(f"unknown figure {name!r}; known: {known}")
+    sweep = FIGURES[name]
     with collect_results() as results:
-        title, rows = FIGURES[name](scale)
-    text = format_table(rows, title=title)
-    return text, build_artifact(name, scale, results)
+        title, rows = sweep(scale)
+    return title, rows, results

@@ -41,7 +41,6 @@ class DFasterConfig(ClusterConfig):
     vcpus: int = 16
     dpr_enabled: bool = True
     finder: str = "approximate"  # "approximate" | "exact" | "hybrid"
-    finder_tick: float = 10e-3
     #: Co-located mode (§7.3): clients run on worker vCPUs.
     colocated: bool = False
     #: Fraction of co-located operations hitting the local shard.
@@ -49,8 +48,6 @@ class DFasterConfig(ClusterConfig):
     #: "modeled" runs the counters-only engine (performance studies);
     #: "faster" runs real FasterKV shards (functional studies).
     engine: str = "modeled"
-    #: Keyspace for functional runs (modeled runs use workload.keyspace).
-    functional_keyspace: int = 4096
 
 
 class DFasterCluster(ClusterShell):
@@ -77,7 +74,7 @@ class DFasterCluster(ClusterShell):
         self.workers: List[DFasterWorker] = self.hosts
         self.client_targets.extend(
             f"worker-{i}" for i in range(config.n_workers))
-        self._build_services(tick_interval=config.finder_tick)
+        self._build_services()
         for _ in range(config.n_workers):
             self.workers.append(self._build_worker())
         self._colocated: List["_ColocatedDriver"] = []

@@ -124,11 +124,11 @@ class ClusterShell:
         return StorageDevice(self.env, self.config.storage,
                              rng=spawn(self._rng, label))
 
-    def _build_services(self, **finder_options) -> None:
+    def _build_services(self) -> None:
         """The finder service and cluster manager over ``client_targets``."""
         self.finder_service = FinderService(
             self.env, self.net, FINDER_ADDRESS, self.finder, self.metadata,
-            self.client_targets, **finder_options)
+            self.client_targets)
         self.manager = ClusterManager(
             self.env, self.net, MANAGER_ADDRESS, self.finder, self.metadata,
             self.client_targets)

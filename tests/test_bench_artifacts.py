@@ -14,8 +14,9 @@ import pytest
 
 from repro.bench import artifacts
 from repro.bench.__main__ import main
-from repro.bench.figures import generate_artifact
+from repro.bench.figures import run_figure
 from repro.bench.harness import collect_results, run_dfaster_experiment
+from repro.bench.report import format_table
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +127,17 @@ class TestCompare:
             artifacts.compare(artifact, other)
 
 
+def _text_and_artifact(name, scale):
+    """What the CLI makes of one ``run_figure`` call."""
+    title, rows, results = run_figure(name, scale)
+    return (format_table(rows, title=title),
+            artifacts.build_artifact(name, scale, results))
+
+
 class TestGenerateArtifact:
     @pytest.fixture(scope="class")
     def fig18(self):
-        return generate_artifact("fig18", scale=0.5)
+        return _text_and_artifact("fig18", 0.5)
 
     def test_text_and_artifact_agree(self, fig18):
         text, artifact = fig18
@@ -143,14 +151,14 @@ class TestGenerateArtifact:
     def test_regeneration_is_byte_identical(self, fig18):
         """Same figure, same scale, same commit => same bytes.  This is
         the property that lets CI diff against a checked-in baseline."""
-        _, again = generate_artifact("fig18", scale=0.5)
+        _, again = _text_and_artifact("fig18", 0.5)
         assert artifacts.dumps(again) == artifacts.dumps(fig18[1])
 
     def test_rejects_all_and_unknown(self):
         with pytest.raises(KeyError):
-            generate_artifact("all")
+            run_figure("all")
         with pytest.raises(KeyError):
-            generate_artifact("fig99")
+            run_figure("fig99")
 
 
 class TestCliGate:
@@ -183,6 +191,37 @@ class TestCliGate:
         base = self._write(artifact, tmp_path / "base.json")
         cur = self._write(regressed, tmp_path / "cur.json")
         assert main(["--compare", base, cur, "--tolerance", "0.6"]) == 0
+
+    def test_compare_missing_artifact_exits_two(self, artifact, tmp_path,
+                                                capsys):
+        """Input errors are not regressions: exit 2 and one line, not a
+        traceback (which exits 1, the REGRESSION code)."""
+        base = self._write(artifact, tmp_path / "base.json")
+        assert main(["--compare", base, str(tmp_path / "absent.json")]) == 2
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps({"schema": "other/v0"}))
+        assert main(["--compare", base, str(broken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("cannot compare: ") for line in lines)
+
+    def test_compare_mismatched_artifacts_exit_two(self, artifact,
+                                                   tmp_path, capsys):
+        other = copy.deepcopy(artifact)
+        other["figure"] = "figY"
+        base = self._write(artifact, tmp_path / "base.json")
+        cur = self._write(other, tmp_path / "cur.json")
+        assert main(["--compare", base, cur]) == 2
+        assert capsys.readouterr().err == (
+            "cannot compare: figure differs ('figX' vs 'figY')\n")
+        relabelled = copy.deepcopy(artifact)
+        relabelled["experiments"][0]["label"] = "renamed"
+        cur = self._write(relabelled, tmp_path / "cur.json")
+        assert main(["--compare", base, cur]) == 2
+        assert capsys.readouterr().err.startswith(
+            "cannot compare: experiment sequence differs")
 
     def test_figure_run_emits_artifact(self, tmp_path, capsys):
         code = main(["fig18", "--scale", "0.5",

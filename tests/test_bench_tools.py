@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from repro.bench import artifacts
-from repro.bench.figures import FIGURES, generate
+from repro.bench.figures import FIGURES, run_figure
 from repro.bench.harness import (
     collect_results,
     run_dfaster_experiment,
@@ -202,13 +202,15 @@ class TestFiguresModule:
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):
-            generate("fig99")
+            run_figure("fig99")
 
     def test_generate_small_figure(self):
         # fig18 is the cheapest figure; a scaled-down run keeps this fast.
-        text = generate("fig18", scale=0.5)
+        title, rows, results = run_figure("fig18", scale=0.5)
+        text = format_table(rows, title=title)
         assert "Figure 18" in text
         assert "d-redis" in text
+        assert len(results) == len(rows) == 3
 
 
 class TestCli:

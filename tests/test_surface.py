@@ -1,6 +1,6 @@
 """The public surface is what the system uses, no more.
 
-Two tripwires over the ASTs of the non-test tree (``src/repro/``,
+Three tripwires over the ASTs of the non-test tree (``src/repro/``,
 ``examples/``, ``benchmarks/``):
 
 * **the simulator** — every name ``repro.sim`` exports and every public
@@ -15,9 +15,15 @@ Two tripwires over the ASTs of the non-test tree (``src/repro/``,
   referenced by name somewhere other than its own ``def``/``class``
   statement and an ``__init__.py`` re-export.  PR 23 deleted
   ``repro.logstore``, ``FasterSession``, ``OwnershipTransfer`` and
-  ``RangePartitioner`` on that evidence.
+  ``RangePartitioner`` on that evidence;
+* **the figures** — a fig10–fig19 sweep is written once, in
+  ``repro.bench.figures``: no wrapper under ``benchmarks/`` other than
+  the four that have no catalog entry runs experiments itself, and
+  every ``fig1x`` key of ``FIGURES`` is named by exactly one wrapper.
+  PR 24 deleted ten re-stated sweeps that had drifted from the catalog
+  (grids, windows, columns) on that evidence.
 
-Both checks are by name (an attribute ``x.put`` counts for ``Queue.put``
+All three checks are by name (an attribute ``x.put`` counts for ``Queue.put``
 whatever ``x`` is), so this is a tripwire for new test-only API, not a
 proof of reachability.
 """
@@ -28,6 +34,7 @@ from pathlib import Path
 import pytest
 
 import repro.sim
+from repro.bench.figures import FIGURES
 from repro.sim.kernel import Environment, Process
 from repro.sim.queues import Queue
 
@@ -57,6 +64,13 @@ ALLOWED = {
         "reference model: the FASTER property and recovery tests compare "
         "a store's surviving state against the image it folds from the log",
 }
+
+
+#: The wrappers with no catalog entry: they drive the harness themselves.
+CATALOG_LESS = {"test_ablation_finders.py", "test_ablation_progress.py",
+                "test_ablation_relaxed.py", "test_supplement_mixes.py"}
+EXPERIMENT_RUNNERS = {"run_dfaster_experiment", "run_dredis_experiment",
+                      "run_recoverability_matrix"}
 
 
 def _top(path):
@@ -136,3 +150,29 @@ def test_allowed_names_still_exist(trees):
     surface = {**_sim_surface(), **_definition_surface(trees)}
     stale = sorted(set(ALLOWED) - set(surface))
     assert not stale, f"ALLOWED names that no longer exist: {stale}"
+
+
+def test_figure_sweeps_are_written_once(trees):
+    wrappers = {path: list(ast.walk(tree)) for path, tree in trees.items()
+                if path.parent == REPO_ROOT / "benchmarks"}
+    restated = sorted(
+        f"{path.name}:{node.lineno}"
+        for path, nodes in wrappers.items()
+        if path.name not in CATALOG_LESS
+        for node in nodes
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in EXPERIMENT_RUNNERS)
+    assert not restated, (
+        f"experiments run outside the catalog: {restated} — write the "
+        "sweep in repro.bench.figures and assert over run_figure's rows")
+    catalog = [name for name in FIGURES if name.startswith("fig1")]
+    assert len(catalog) == 10
+    owners = {name: sorted(path.name for path, nodes in wrappers.items()
+                           if any(isinstance(node, ast.Constant)
+                                  and node.value == name for node in nodes))
+              for name in catalog}
+    shared = {name: files for name, files in owners.items()
+              if len(files) != 1}
+    assert not shared, (
+        f"catalog figures not named by exactly one wrapper: {shared}")
