@@ -9,7 +9,7 @@ The package is organised as:
 - :mod:`repro.faster` — a FASTER-style single-node key-value store with a
   HybridLog, CPR checkpointing and a THROW/PURGE rollback state machine.
 - :mod:`repro.redisclone` — a Redis-style single-threaded cache-store with
-  BGSAVE snapshots and an append-only file for synchronous durability.
+  BGSAVE-style snapshots and restart-based recovery.
 - :mod:`repro.core` — the DPR protocol itself: StateObjects, sessions,
   precedence graphs, cut finders, world-lines, and the libDPR wrappers.
 - :mod:`repro.cluster` — the distributed layer: metadata store, ownership

@@ -19,12 +19,14 @@ from repro.analysis.framework import (
     ModuleInfo,
     Project,
     ProjectRule,
+    dotted_name,
     register,
 )
 
-#: Where the wire messages live and which module must dispatch them.
+#: Where the wire messages live, and the package that dispatches them
+#: (workers, replicas, services and clients each own some arms).
 MESSAGES_MODULE = "repro.cluster.messages"
-HANDLER_MODULE = "repro.cluster.worker"
+DISPATCH_PACKAGE = "repro.cluster"
 
 #: Modules whose private attributes form the DPR bookkeeping surface.
 PROTOCOL_STATE_MODULES = (
@@ -38,54 +40,66 @@ STATE_OBJECT_MODULE = "repro.core.state_object"
 STATE_OBJECT_CLASS = "StateObject"
 
 
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
+def _is_message_class(node: ast.ClassDef) -> bool:
+    """A wire message is a ``__slots__`` class or a ``@dataclass`` (the
+    ``BatchIds`` allocator beside them is neither)."""
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name) and target.id == "dataclass":
+        if (dotted_name(target) or "").rpartition(".")[2] == "dataclass":
             return True
-        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
-            return True
-    return False
+    return any(isinstance(stmt, ast.Assign)
+               and any(isinstance(target, ast.Name)
+                       and target.id == "__slots__"
+                       for target in stmt.targets)
+               for stmt in node.body)
+
+
+def _isinstance_arms(tree: ast.AST) -> Set[str]:
+    """Class names tested by ``isinstance(x, C)`` / ``(C, D)`` calls."""
+    arms: Set[str] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            classes = node.args[1]
+            for target in (classes.elts if isinstance(classes, ast.Tuple)
+                           else [classes]):
+                name = dotted_name(target)
+                if name is not None:
+                    arms.add(name.rpartition(".")[2])
+    return arms
 
 
 @register
 class MessageExhaustivenessRule(ProjectRule):
-    """DPR-P01: every message dataclass is dispatched by the worker.
+    """DPR-P01: every wire message has an ``isinstance`` dispatch arm.
 
-    Adding a payload to ``cluster/messages.py`` without teaching
-    ``cluster/worker.py`` about it means the message is silently dropped
-    by the dispatch loop — the classic way a protocol extension rots.
-    The check is by name reference: the worker must mention the class
-    (an ``isinstance`` dispatch arm, a construction site, or an explicit
-    routing comment is not enough — it must appear in code).
+    Adding a payload to ``cluster/messages.py`` without teaching some
+    receiver in ``repro.cluster`` to recognise it means the message is
+    silently dropped (or mis-handled by a catch-all ``else``) — the
+    classic way a protocol extension rots.  A construction site or a
+    bare name reference is not a dispatch arm: the class must appear as
+    the second argument of an ``isinstance`` call in the package.
     """
 
     id = "DPR-P01"
-    title = "message dataclass without a worker dispatch handler"
-    scope = ("repro.cluster",)
+    title = "wire message without an isinstance dispatch arm"
+    scope = (DISPATCH_PACKAGE,)
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         messages = project.get(MESSAGES_MODULE)
-        handler = project.get(HANDLER_MODULE)
-        if messages is None or handler is None:
+        if messages is None:
             return
-        referenced: Set[str] = set()
-        for node in ast.walk(handler.tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+        dispatched: Set[str] = set()
+        for info in project.in_scope((DISPATCH_PACKAGE,)):
+            dispatched |= _isinstance_arms(info.tree)
         for node in messages.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _is_dataclass_decorated(node):
-                continue
-            if node.name not in referenced:
+            if (isinstance(node, ast.ClassDef) and _is_message_class(node)
+                    and node.name not in dispatched):
                 yield messages.finding(
                     self, node,
-                    f"message dataclass {node.name} is never referenced in "
-                    f"{HANDLER_MODULE} — add a dispatch arm (or construction "
-                    f"site) so the worker cannot silently drop it",
+                    f"message {node.name} has no isinstance dispatch arm "
+                    f"in {DISPATCH_PACKAGE} — add one so its receiver "
+                    f"cannot silently drop it",
                 )
 
 

@@ -138,6 +138,10 @@ class BatchSession:
 class ClientMachine:
     """One client VM: ``n_threads`` sessions sharing a NIC endpoint."""
 
+    #: Batches unanswered this long are abandoned (the worker crashed
+    #: mid-flight); the TCP analog of a broken connection.
+    REQUEST_TIMEOUT = 0.2
+
     def __init__(
         self,
         env: Environment,
@@ -153,8 +157,6 @@ class ClientMachine:
         recovery_pause: float = 20e-3,
         retry_delay: float = 2e-3,
         retry_backoff_cap: float = 0.1,
-        request_timeout: float = 0.2,
-        router=None,
     ):
         self.env = env
         self.net = net
@@ -169,14 +171,11 @@ class ClientMachine:
         self.retry_delay = retry_delay
         #: Upper bound on the exponential RETRY backoff.
         self.retry_backoff_cap = retry_backoff_cap
-        #: Batches unanswered this long are abandoned (the worker
-        #: crashed mid-flight); the TCP analog of a broken connection.
-        self.request_timeout = request_timeout
         self._rng = make_rng(rng)
         #: Optional ElasticCoordinator (§5.3): when set, batches route
         #: by partition through a locally cached owner map instead of
         #: uniformly over ``self.workers``.
-        self.router = router
+        self.router = None
         self._owner_cache: Dict[int, str] = {}
         self.not_owner_bounces = 0
         self._batch_ids = BatchIds()
@@ -291,10 +290,10 @@ class ClientMachine:
         """Abandon batches stuck on a crashed worker (broken-pipe analog)."""
         env = self.env
         while self.running:
-            yield self.request_timeout / 2
+            yield self.REQUEST_TIMEOUT / 2
             if not self.running:
                 break
-            deadline = env.now - self.request_timeout
+            deadline = env.now - self.REQUEST_TIMEOUT
             for session in self.sessions.values():
                 stuck = [
                     span for span in session.records.values()
@@ -349,12 +348,14 @@ class ReplicaReadClient:
     runs are deterministic and load spreads across chains.
     """
 
+    REFRESH_INTERVAL = 20e-3
+    REQUEST_TIMEOUT = 50e-3
+    #: A read returns None after this many failed attempts.
+    MAX_ATTEMPTS = 50
+
     def __init__(self, env: Environment, net: Network, address: str,
                  metadata, primaries: List[str],
-                 refresh_interval: float = 20e-3,
                  retry_delay: float = 2e-3,
-                 request_timeout: float = 50e-3,
-                 max_attempts: int = 50,
                  rng: Optional[random.Random] = None):
         self.env = env
         self.net = net
@@ -364,11 +365,7 @@ class ReplicaReadClient:
         #: The shards' primary addresses (== their engine object ids;
         #: promotion preserves the id, so routing keys stay stable).
         self.primaries = list(primaries)
-        self.refresh_interval = refresh_interval
         self.retry_delay = retry_delay
-        self.request_timeout = request_timeout
-        #: A read returns None after this many failed attempts.
-        self.max_attempts = max_attempts
         self._rng = make_rng(rng)
         self._next_read = 0
         #: primary -> guaranteed-cut version, from the last refresh.
@@ -426,13 +423,13 @@ class ReplicaReadClient:
         """A generator process: one recoverable-prefix GET batch.
 
         Returns the "ok" :class:`~repro.cluster.messages.ReplicaReadReply`
-        (values ordered as ``keys``), or None once ``max_attempts``
+        (values ordered as ``keys``), or None once ``MAX_ATTEMPTS``
         rounds found no replica able to serve at the guaranteed cut.
         """
         env = self.env
         keys = tuple(keys)
-        for _attempt in range(self.max_attempts):
-            if env.now - self._last_refresh > self.refresh_interval:
+        for _attempt in range(self.MAX_ATTEMPTS):
+            if env.now - self._last_refresh > self.REFRESH_INTERVAL:
                 yield self.metadata.access()
                 self._refresh_routing()
             target = self._pick_replica(primary)
@@ -496,7 +493,7 @@ class ReplicaReadClient:
 
     def _read_watchdog(self, read_id: int, state: Dict):
         while not state["done"]:
-            yield self.request_timeout
+            yield self.REQUEST_TIMEOUT
             if state["done"]:
                 return
             self.net.send(self.address, self.address, _ReadGiveUp(read_id),

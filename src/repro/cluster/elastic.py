@@ -279,11 +279,17 @@ class PartitionedClient:
     :class:`~repro.cluster.client.BatchSession`.
     """
 
+    #: Unanswered requests are retransmitted this often (the network is
+    #: at-least-once; the worker's dedup absorbs extra copies).
+    REQUEST_TIMEOUT = 50e-3
+    #: After this many resends the attempt gives up and the owner
+    #: mapping is re-resolved — the addressee may be gone for good
+    #: (crashed, with a promoted replica now owning the partition).
+    MAX_RESENDS = 8
+
     def __init__(self, env: Environment, net: Network, address: str,
                  metadata: MetadataStore, coordinator: ElasticCoordinator,
-                 retry_delay: float = 2e-3,
-                 request_timeout: float = 50e-3,
-                 max_resends: int = 8):
+                 retry_delay: float = 2e-3):
         self.env = env
         self.net = net
         self.address = address
@@ -291,14 +297,7 @@ class PartitionedClient:
         self.metadata = metadata
         self.coordinator = coordinator
         self.retry_delay = retry_delay
-        #: Unanswered requests are retransmitted this often (the network
-        #: is at-least-once; the worker's dedup absorbs extra copies).
-        self.request_timeout = request_timeout
-        #: After this many resends the attempt gives up and the owner
-        #: mapping is re-resolved — the addressee may be gone for good
-        #: (crashed, with a promoted replica now owning the partition).
-        self.max_resends = max_resends
-        #: Attempts abandoned after max_resends (owner unreachable).
+        #: Attempts abandoned after MAX_RESENDS (owner unreachable).
         self.giveups = 0
         #: The DPR session: world-line, Vs, commit watermark.
         self.session = Session(address)
@@ -420,7 +419,7 @@ class PartitionedClient:
         to earlier attempts, and taking "whatever arrives" would
         misattribute them.  Mismatches are counted and dropped.
 
-        Returns None when the attempt exhausts ``max_resends`` without
+        Returns None when the attempt exhausts ``MAX_RESENDS`` without
         an answer — an unreachable owner must not wedge the client
         forever (its address may never come back: a crash handled by
         promotion re-homes the partition to a different address).
@@ -429,9 +428,8 @@ class PartitionedClient:
         self.net.send(self.address, owner, request,
                       size_ops=request.op_count)
         state = {"done": False, "attempts": 0}
-        if self.request_timeout is not None:
-            env.process(self._retransmit(owner, request, state),
-                        name=f"pclient-retx:{self.address}")
+        env.process(self._retransmit(owner, request, state),
+                    name=f"pclient-retx:{self.address}")
         try:
             while True:
                 message = yield self.endpoint.inbox  # channel wait
@@ -452,10 +450,10 @@ class PartitionedClient:
 
     def _retransmit(self, owner: str, request: BatchRequest, state: Dict):
         while not state["done"]:
-            yield self.request_timeout
+            yield self.REQUEST_TIMEOUT
             if state["done"]:
                 return
-            if state["attempts"] >= self.max_resends:
+            if state["attempts"] >= self.MAX_RESENDS:
                 # Tell the waiter to abandon this attempt; keep nudging
                 # (the marker itself rides the lossy network) until the
                 # waiter flips state["done"].

@@ -54,10 +54,6 @@ class MetadataStore:
         self.queries = 0
         self.faults = faults
 
-    def install_faults(self, faults: Optional[FaultPlan]) -> None:
-        """Install (or, with None, remove) a fault-injection plan."""
-        self.faults = faults
-
     def access(self) -> float:
         """One timed round trip to the store (yield this, then read).
 
@@ -153,9 +149,3 @@ class MetadataStore:
 
     def members(self):
         return self.version_table.members()
-
-    def add_member(self, worker_id: str) -> None:
-        self.version_table.upsert(worker_id, 0)
-
-    def remove_member(self, worker_id: str) -> None:
-        self.version_table.delete(worker_id)

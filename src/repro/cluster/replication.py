@@ -286,11 +286,13 @@ class ReplicaNode(DFasterWorker):
     mirror stays tiny.
     """
 
+    #: How often the replica publishes its (applied, durable) record.
+    PUBLISH_INTERVAL = 10e-3
+
     def __init__(self, env: Environment, net: Network, address: str,
                  primary_address: str, engine, device, cost, stats,
                  metadata, vcpus: int = 4,
                  checkpoint_interval: float = 0.1,
-                 publish_interval: float = 10e-3,
                  rng: Optional[random.Random] = None):
         super().__init__(env, net, address, engine, device, cost, stats,
                          finder_address=None, manager_address=None,
@@ -300,7 +302,6 @@ class ReplicaNode(DFasterWorker):
                          rng=rng)
         self.primary_address = primary_address
         self.metadata = metadata
-        self.publish_interval = publish_interval
         self.promoted = False
         #: Permanently behind (missed entries across a reset): excluded
         #: from promotion and reads until a (not modeled) state transfer.
@@ -527,7 +528,7 @@ class ReplicaNode(DFasterWorker):
         watermark.
         """
         while self.running:
-            yield self.publish_interval
+            yield self.PUBLISH_INTERVAL
             if not self.running or self.crashed:
                 if not self.running:
                     return

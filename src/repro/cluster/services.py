@@ -57,6 +57,14 @@ from repro.sim.rand import make_rng
 class FinderService:
     """The DPR-tracking service wrapping a cut-finder algorithm."""
 
+    TICK_INTERVAL = 10e-3
+    #: Re-broadcast the current cut at least this often even when it has
+    #: not changed, so workers that lost a broadcast converge.
+    ANTI_ENTROPY_INTERVAL = 50e-3
+    #: A metadata access stalled past this is a coordinator failover:
+    #: the in-memory exact graph is gone (hybrid finder, §3.4).
+    FAILOVER_THRESHOLD = 20e-3
+
     def __init__(
         self,
         env: Environment,
@@ -65,9 +73,6 @@ class FinderService:
         finder: DprFinder,
         metadata: MetadataStore,
         worker_addresses: List[str],
-        tick_interval: float = 10e-3,
-        anti_entropy_interval: float = 50e-3,
-        failover_threshold: float = 20e-3,
     ):
         self.env = env
         self.net = net
@@ -76,13 +81,6 @@ class FinderService:
         self.finder = finder
         self.metadata = metadata
         self.workers = list(worker_addresses)
-        self.tick_interval = tick_interval
-        #: Re-broadcast the current cut at least this often even when it
-        #: has not changed, so workers that lost a broadcast converge.
-        self.anti_entropy_interval = anti_entropy_interval
-        #: A metadata access stalled past this is a coordinator failover:
-        #: the in-memory exact graph is gone (hybrid finder, §3.4).
-        self.failover_threshold = failover_threshold
         self.ticks = 0
         self.broadcasts = 0
         self.coordinator_failovers = 0
@@ -128,11 +126,11 @@ class FinderService:
         previous = None
         last_broadcast = 0.0
         while True:
-            yield self.tick_interval
+            yield self.TICK_INTERVAL
             # The cut computation reads/writes the durable store.
             started = env.now
             yield self.metadata.access()
-            if env.now - started > self.failover_threshold:
+            if env.now - started > self.FAILOVER_THRESHOLD:
                 # The store was unreachable long enough for the lease on
                 # the coordinator to lapse: the replacement coordinator
                 # has no in-memory precedence graph.
@@ -154,7 +152,7 @@ class FinderService:
             # Anti-entropy: a changed cut broadcasts immediately, and an
             # unchanged one is still re-sent periodically — a worker that
             # lost the last broadcast must not stay stale forever.
-            due = env.now - last_broadcast >= self.anti_entropy_interval
+            due = env.now - last_broadcast >= self.ANTI_ENTROPY_INTERVAL
             if cut.versions != previous or due:
                 previous = dict(cut.versions)
                 last_broadcast = env.now
@@ -189,6 +187,12 @@ class FinderService:
 class ClusterManager:
     """Failure detection and recovery orchestration (§4.1, §7.4)."""
 
+    HEARTBEAT_TIMEOUT = 80e-3
+    RESTART_DELAY = 50e-3
+    #: Unacked RollbackCommands are retransmitted this often until the
+    #: addressee's RollbackDone arrives.
+    ACK_TIMEOUT = 40e-3
+
     def __init__(
         self,
         env: Environment,
@@ -197,9 +201,6 @@ class ClusterManager:
         finder: DprFinder,
         metadata: MetadataStore,
         worker_addresses: List[str],
-        heartbeat_timeout: float = 80e-3,
-        restart_delay: float = 50e-3,
-        ack_timeout: float = 40e-3,
     ):
         self.env = env
         self.net = net
@@ -215,11 +216,6 @@ class ClusterManager:
         #: "the cluster manager restarts failed servers in bounded
         #: time", §4.1).  Populated by the cluster assembly.
         self.worker_registry: Dict[str, object] = {}
-        self.heartbeat_timeout = heartbeat_timeout
-        self.restart_delay = restart_delay
-        #: Unacked RollbackCommands are retransmitted this often until
-        #: the addressee's RollbackDone arrives.
-        self.ack_timeout = ack_timeout
         self.retransmissions = 0
         self._last_heartbeat: Dict[str, float] = {}
         self._handling_crash: set = set()
@@ -293,7 +289,7 @@ class ClusterManager:
         """
         env = self.env
         while True:
-            yield self.ack_timeout
+            yield self.ACK_TIMEOUT
             pending = self._pending.get(world_line)
             if pending is None:
                 return  # everyone acked
@@ -316,12 +312,12 @@ class ClusterManager:
     def _monitor_loop(self):
         """Detect crashed workers by heartbeat silence and restart them."""
         env = self.env
-        check_interval = self.heartbeat_timeout / 4
+        check_interval = self.HEARTBEAT_TIMEOUT / 4
         while True:
             yield check_interval
             # Seed the clock for restartable workers that have never
             # beaten, so a worker that crashes before its first
-            # heartbeat is still caught within heartbeat_timeout.
+            # heartbeat is still caught within HEARTBEAT_TIMEOUT.
             # (Unregistered addressees — e.g. D-Redis proxies, which do
             # not send heartbeats at all — are never monitored.)
             for worker_id in self.workers:
@@ -333,7 +329,7 @@ class ClusterManager:
                 last = self._last_heartbeat.get(worker_id)
                 if last is None or worker_id in self._handling_crash:
                     continue
-                if env.now - last > self.heartbeat_timeout:
+                if env.now - last > self.HEARTBEAT_TIMEOUT:
                     self._handling_crash.add(worker_id)
                     env.process(self._handle_crash(worker_id),
                                 name=f"crash:{worker_id}")
@@ -370,7 +366,7 @@ class ClusterManager:
         env.process(self._retransmit_loop(plan.world_line, command),
                     name=f"manager-retx:{plan.world_line}")
         # Bounded-time restart of the failed worker from durable state.
-        yield self.restart_delay
+        yield self.RESTART_DELAY
         if self.controller.world_line != plan.world_line:
             # A nested failure superseded this recovery while the
             # restart was in flight (§7.4): restart the worker onto
@@ -382,7 +378,7 @@ class ClusterManager:
             # flight (scale-in raced the crash): there is nothing to
             # restart.  Forget the address entirely — re-seeding its
             # heartbeat clock here would make the monitor re-detect the
-            # ghost every heartbeat_timeout forever.
+            # ghost every HEARTBEAT_TIMEOUT forever.
             if worker_id in self.workers:
                 self.workers.remove(worker_id)
             self._last_heartbeat.pop(worker_id, None)

@@ -7,9 +7,9 @@ the DPR-cut.  Exact, but the durable graph can grow quadratically with
 cluster size, which is the scalability concern §3.4 addresses.
 
 The coordinator is stateless w.r.t. the durable graph: restarting it
-(:meth:`ExactDprFinder.restart_coordinator`) loses nothing because the
-graph itself is persisted.  The *hybrid* variant keeps the graph in
-memory instead and pays for that on coordinator failure.
+loses nothing because the graph itself is persisted.  The *hybrid*
+variant keeps the graph in memory instead and pays for that on
+coordinator failure.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ class ExactDprFinder(DprFinder):
     """Durable-graph cut finder with a coordinator traversal."""
 
     def __init__(self, table: Optional[VersionTable] = None,
-                 prune: bool = True, enforce_monotonicity: bool = True):
+                 enforce_monotonicity: bool = True):
         super().__init__(table)
         #: The durable precedence graph (write volume is the cost).
         #: ``enforce_monotonicity=False`` admits traces violating the
         #: §3.2 progress rule — used to demonstrate the Figure 3
         #: no-progress counter-example.
         self.graph = PrecedenceGraph(enforce_monotonicity=enforce_monotonicity)
-        self._prune = prune
         #: Writes to the durable graph, the §3.4 scalability metric.
         self.graph_writes = 0
 
@@ -55,11 +54,7 @@ class ExactDprFinder(DprFinder):
     def _compute(self) -> DprCut:
         """``FindDpr()``: traverse the graph, publish the maximal cut."""
         cut = self._publish(self.graph.max_closed_cut())
-        if self._prune:
-            # Versions covered by a fault-tolerantly published cut can
-            # never roll back; drop them from the durable graph.
-            self.graph.prune_below(cut)
+        # Versions covered by a fault-tolerantly published cut can never
+        # roll back; drop them from the durable graph.
+        self.graph.prune_below(cut)
         return cut
-
-    def restart_coordinator(self) -> None:
-        """Coordinator crash + restart: a no-op, the graph is durable."""

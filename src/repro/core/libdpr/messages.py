@@ -43,10 +43,6 @@ class DprBatchHeader:
     count: int
     deps: Tuple[Token, ...] = ()
 
-    @property
-    def seqnos(self) -> range:
-        return range(self.first_seqno, self.first_seqno + self.count)
-
 
 @dataclass(frozen=True)
 class DprBatchResponse:

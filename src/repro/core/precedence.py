@@ -9,14 +9,13 @@ relation and every member is durable.
 Because the progress protocol guarantees *monotonicity* (no version
 depends on a larger version, §3.2) and versions are cumulative, the
 maximal cut can be found with a per-object fixpoint over durable
-versions rather than a full BFS per vertex — though we also provide the
-paper's literal ``BuildDependencySet`` BFS for the exact coordinator.
+versions rather than the paper's ``BuildDependencySet`` BFS per vertex.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.core.cuts import DprCut
 from repro.core.versioning import NEVER_COMMITTED, CommitDescriptor, Token, merge_dependencies
@@ -40,15 +39,14 @@ class PrecedenceGraph:
 
     def __init__(self, enforce_monotonicity: bool = True):
         self._descriptors: Dict[Token, CommitDescriptor] = {}
-        self._persisted: Set[Token] = set()
         #: per-object sorted list of committed versions
         self._versions: Dict[str, List[int]] = defaultdict(list)
         self._enforce = enforce_monotonicity
-        # Incremental mirrors of the durability state, maintained on
-        # report_persist/prune instead of rescanned per finder tick:
-        # per-object persisted-version int sets (avoids Token churn in
-        # the fixpoint inner loop) and the per-object max persisted
-        # version (the fixpoint seed, previously an O(versions) scan).
+        # The durability state, maintained on report_persist/prune
+        # instead of rescanned per finder tick: per-object
+        # persisted-version int sets (no Token churn in the fixpoint
+        # inner loop) and the per-object max persisted version (the
+        # fixpoint seed, previously an O(versions) scan).
         self._persisted_by_object: Dict[str, Set[int]] = {}
         self._max_persisted: Dict[str, int] = {}
         # Structural revision counter + single-entry cut memo: between
@@ -91,7 +89,6 @@ class PrecedenceGraph:
         """Mark a previously added commit as durable."""
         if token not in self._descriptors:
             raise KeyError(f"unknown token {token}")
-        self._persisted.add(token)
         object_id, version = token.object_id, token.version
         per_object = self._persisted_by_object.get(object_id)
         if per_object is None:
@@ -99,16 +96,6 @@ class PrecedenceGraph:
         per_object.add(version)
         if version > self._max_persisted.get(object_id, NEVER_COMMITTED):
             self._max_persisted[object_id] = version
-        self._revision += 1
-
-    def forget_object(self, object_id: str) -> None:
-        """Drop all state for an object (used when a shard is removed)."""
-        for version in self._versions.pop(object_id, []):
-            token = Token(object_id, version)
-            self._descriptors.pop(token, None)
-            self._persisted.discard(token)
-        self._persisted_by_object.pop(object_id, None)
-        self._max_persisted.pop(object_id, None)
         self._revision += 1
 
     def prune_below(self, cut: DprCut) -> int:
@@ -129,7 +116,6 @@ class PrecedenceGraph:
                 if version <= floor:
                     token = Token(object_id, version)
                     self._descriptors.pop(token, None)
-                    self._persisted.discard(token)
                     if per_object is not None:
                         per_object.discard(version)
                     removed += 1
@@ -156,63 +142,17 @@ class PrecedenceGraph:
     def descriptor(self, token: Token) -> CommitDescriptor:
         return self._descriptors[token]
 
-    def is_persisted(self, token: Token) -> bool:
-        return token in self._persisted
-
     def objects(self) -> Iterable[str]:
         return self._versions.keys()
-
-    def committed_versions(self, object_id: str) -> List[int]:
-        return list(self._versions.get(object_id, ()))
 
     def max_persisted_version(self, object_id: str) -> int:
         """Largest durable version of an object (cumulative restore point).
 
         O(1): maintained incrementally by :meth:`mark_persisted` /
-        :meth:`prune_below` / :meth:`forget_object` instead of scanning
-        the version list on every call.
+        :meth:`prune_below` instead of scanning the version list on
+        every call.
         """
         return self._max_persisted.get(object_id, NEVER_COMMITTED)
-
-    def _dep_satisfied_at(self, dep: Token, cut: Dict[str, int]) -> bool:
-        return cut.get(dep.object_id, NEVER_COMMITTED) >= dep.version
-
-    # -- cut computation ---------------------------------------------------
-
-    def build_dependency_set(self, start: Token) -> FrozenSet[Token]:
-        """The paper's ``BuildDependencySet``: BFS transitive closure.
-
-        Exploits cumulativeness: reaching token ``X-v`` pulls in every
-        committed token of ``X`` with version ``<= v``.
-        """
-        seen: Set[Token] = set()
-        frontier: List[Token] = [start]
-        while frontier:
-            token = frontier.pop()
-            if token in seen:
-                continue
-            seen.add(token)
-            # Cumulative prefixes: X-v implies X-(anything smaller).
-            for version in self._versions.get(token.object_id, ()):
-                if version < token.version:
-                    lesser = Token(token.object_id, version)
-                    if lesser not in seen:
-                        frontier.append(lesser)
-            descriptor = self._descriptors.get(token)
-            if descriptor is None:
-                continue
-            for dep in sorted(descriptor.deps):
-                resolved = self._resolve_dep(dep)
-                if resolved is not None and resolved not in seen:
-                    frontier.append(resolved)
-        return frozenset(seen)
-
-    def _resolve_dep(self, dep: Token) -> Optional[Token]:
-        """Map a dependency onto the smallest committed token covering it."""
-        for version in self._versions.get(dep.object_id, ()):
-            if version >= dep.version:
-                return Token(dep.object_id, version)
-        return None  # dependency version not even committed yet
 
     def max_closed_cut(self, floor: int = NEVER_COMMITTED) -> DprCut:
         """The maximal DPR-cut over *persisted* tokens.
@@ -278,7 +218,3 @@ class PrecedenceGraph:
         self._cut_key = key
         self._cut_cache = result
         return result
-
-    def _dep_durable(self, dep: Token) -> bool:
-        """Whether some persisted token covers the dependency."""
-        return self.max_persisted_version(dep.object_id) >= dep.version

@@ -274,9 +274,6 @@ class StateObject(abc.ABC):
             return  # duplicate notification
         self._persisted_versions.append(version)
 
-    def sealed_descriptor(self, version: int) -> CommitDescriptor:
-        return self._sealed[version]
-
     def sealed_descriptors(self) -> Dict[int, CommitDescriptor]:
         """Snapshot of every sealed version's descriptor, by version.
 
@@ -373,10 +370,7 @@ class InMemoryStateObject(StateObject):
         for stale in [v for v in self._checkpoints if v > version]:
             del self._checkpoints[stale]
 
-    # Convenience accessors used by tests.
+    # Convenience accessor used by tests.
 
     def get(self, key: Any) -> Any:
         return self._data.get(key)
-
-    def checkpoint_versions(self) -> List[int]:
-        return sorted(self._checkpoints)

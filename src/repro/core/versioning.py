@@ -59,18 +59,6 @@ class CommitDescriptor:
     session_watermarks: Dict[str, int] = field(default_factory=dict)
     exceptions: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
 
-    def depends_on(self, other: Token) -> bool:
-        """Whether this version directly depends on ``other``.
-
-        A dependency on ``(obj, m)`` is satisfied by any token of ``obj``
-        with version ``>= m`` because versions are cumulative, so we only
-        record the max version per object.
-        """
-        return any(
-            dep.object_id == other.object_id and dep.version <= other.version
-            for dep in self.deps
-        )
-
 
 def merge_dependencies(deps: FrozenSet[Token]) -> FrozenSet[Token]:
     """Collapse a dependency set to the max version per object.

@@ -97,10 +97,6 @@ class HybridLog:
             self.flushed_until_address = until_address
         self._maybe_shift_head()
 
-    def unflushed_bytes(self) -> int:
-        count = self.read_only_address - self.flushed_until_address
-        return max(0, count) * Record.SERIALIZED_BYTES
-
     # -- traversal -----------------------------------------------------------
 
     def walk_chain(self, address: int) -> Iterator[Tuple[int, Record]]:

@@ -107,17 +107,8 @@ class EpochStateMachine:
         self._observed.add(thread_id)  # joins already-observing
         return context
 
-    def deregister_thread(self, thread_id: str) -> None:
-        self._threads.pop(thread_id, None)
-        self._observed.discard(thread_id)
-        self._check_established()
-
     def thread(self, thread_id: str) -> ThreadContext:
         return self._threads[thread_id]
-
-    @property
-    def thread_count(self) -> int:
-        return len(self._threads)
 
     # -- refresh protocol -----------------------------------------------------
 

@@ -324,8 +324,3 @@ class FasterKV:
         for version in [v for v in self.checkpoints if v > safe_version]:
             del self.checkpoints[version]
         return invalidated
-
-    # -- introspection ------------------------------------------------------------------
-
-    def size_estimate_bytes(self) -> int:
-        return len(self.log) * Record.SERIALIZED_BYTES

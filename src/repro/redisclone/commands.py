@@ -1,14 +1,13 @@
-"""The command table: name -> (arity, handler, mutating?).
+"""The command table: name -> (arity, handler).
 
 Commands arrive as ``(NAME, arg, ...)`` tuples (the simulated cluster
-skips RESP text framing; batching and headers live in libDPR).  The
-``mutating`` flag tells the append-only file which commands to log.
+skips RESP text framing; batching and headers live in libDPR).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence
 
 from repro.redisclone.datastore import DataStore, RedisError
 
@@ -17,210 +16,52 @@ from repro.redisclone.datastore import DataStore, RedisError
 class CommandSpec:
     """Arity is the minimum argument count; ``variadic`` allows more."""
 
-    name: str
     arity: int
     handler: Callable[..., Any]
-    mutating: bool
     variadic: bool = False
-
-
-def _spec(name: str, arity: int, mutating: bool, variadic: bool = False):
-    def wrap(handler: Callable[..., Any]) -> CommandSpec:
-        return CommandSpec(name=name, arity=arity, handler=handler,
-                           mutating=mutating, variadic=variadic)
-    return wrap
 
 
 COMMANDS: Dict[str, CommandSpec] = {}
 
 
-def _register(name: str, arity: int, mutating: bool, variadic: bool = False):
+def _register(name: str, arity: int, variadic: bool = False):
     def decorate(handler):
-        COMMANDS[name] = CommandSpec(name, arity, handler, mutating, variadic)
+        COMMANDS[name] = CommandSpec(arity, handler, variadic)
         return handler
     return decorate
 
 
-# -- strings ----------------------------------------------------------------
+def _integer(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise RedisError("value is not an integer or out of range") from None
 
-@_register("SET", 2, mutating=True)
+
+@_register("SET", 2)
 def _set(db: DataStore, key, value):
     db.set(key, value)
     return "OK"
 
 
-@_register("SETNX", 2, mutating=True)
-def _setnx(db: DataStore, key, value):
-    return 1 if db.setnx(key, value) else 0
-
-
-@_register("GET", 1, mutating=False)
+@_register("GET", 1)
 def _get(db: DataStore, key):
     return db.get(key)
 
 
-@_register("GETSET", 2, mutating=True)
-def _getset(db: DataStore, key, value):
-    return db.getset(key, value)
-
-
-@_register("APPEND", 2, mutating=True)
-def _append(db: DataStore, key, value):
-    return db.append(key, value)
-
-
-@_register("STRLEN", 1, mutating=False)
-def _strlen(db: DataStore, key):
-    return db.strlen(key)
-
-
-@_register("INCR", 1, mutating=True)
-def _incr(db: DataStore, key):
-    return db.incrby(key, 1)
-
-
-@_register("DECR", 1, mutating=True)
-def _decr(db: DataStore, key):
-    return db.incrby(key, -1)
-
-
-@_register("INCRBY", 2, mutating=True)
-def _incrby(db: DataStore, key, amount):
-    return db.incrby(key, int(amount))
-
-
-# -- generic ------------------------------------------------------------------
-
-@_register("DEL", 1, mutating=True, variadic=True)
-def _del(db: DataStore, *keys):
-    return db.delete(*keys)
-
-
-@_register("EXISTS", 1, mutating=False)
-def _exists(db: DataStore, key):
-    return 1 if db.exists(key) else 0
-
-
-@_register("TYPE", 1, mutating=False)
-def _type(db: DataStore, key):
-    return db.type_of(key)
-
-
-@_register("KEYS", 0, mutating=False)
-def _keys(db: DataStore):
-    return sorted(db.keys())
-
-
-@_register("DBSIZE", 0, mutating=False)
-def _dbsize(db: DataStore):
-    return db.dbsize()
-
-
-@_register("FLUSHALL", 0, mutating=True)
-def _flushall(db: DataStore):
-    db.flushall()
-    return "OK"
-
-
-@_register("EXPIRE", 2, mutating=True)
-def _expire(db: DataStore, key, seconds):
-    return 1 if db.expire(key, float(seconds)) else 0
-
-
-@_register("TTL", 1, mutating=False)
-def _ttl(db: DataStore, key):
-    return db.ttl(key)
-
-
-@_register("PERSIST", 1, mutating=True)
-def _persist(db: DataStore, key):
-    return 1 if db.persist(key) else 0
-
-
-# -- hashes --------------------------------------------------------------------
-
-@_register("HSET", 3, mutating=True)
-def _hset(db: DataStore, key, field, value):
-    return db.hset(key, field, value)
-
-
-@_register("HGET", 2, mutating=False)
-def _hget(db: DataStore, key, field):
-    return db.hget(key, field)
-
-
-@_register("HDEL", 2, mutating=True, variadic=True)
-def _hdel(db: DataStore, key, *fields):
-    return db.hdel(key, *fields)
-
-
-@_register("HGETALL", 1, mutating=False)
-def _hgetall(db: DataStore, key):
-    return db.hgetall(key)
-
-
-@_register("HLEN", 1, mutating=False)
-def _hlen(db: DataStore, key):
-    return db.hlen(key)
-
-
-# -- lists ----------------------------------------------------------------------
-
-@_register("LPUSH", 2, mutating=True, variadic=True)
-def _lpush(db: DataStore, key, *values):
-    return db.lpush(key, *values)
-
-
-@_register("RPUSH", 2, mutating=True, variadic=True)
+@_register("RPUSH", 2, variadic=True)
 def _rpush(db: DataStore, key, *values):
     return db.rpush(key, *values)
 
 
-@_register("LPOP", 1, mutating=True)
+@_register("LPOP", 1)
 def _lpop(db: DataStore, key):
     return db.lpop(key)
 
 
-@_register("RPOP", 1, mutating=True)
-def _rpop(db: DataStore, key):
-    return db.rpop(key)
-
-
-@_register("LLEN", 1, mutating=False)
-def _llen(db: DataStore, key):
-    return db.llen(key)
-
-
-@_register("LRANGE", 3, mutating=False)
+@_register("LRANGE", 3)
 def _lrange(db: DataStore, key, start, stop):
-    return db.lrange(key, int(start), int(stop))
-
-
-# -- sets ------------------------------------------------------------------------
-
-@_register("SADD", 2, mutating=True, variadic=True)
-def _sadd(db: DataStore, key, *members):
-    return db.sadd(key, *members)
-
-
-@_register("SREM", 2, mutating=True, variadic=True)
-def _srem(db: DataStore, key, *members):
-    return db.srem(key, *members)
-
-
-@_register("SISMEMBER", 2, mutating=False)
-def _sismember(db: DataStore, key, member):
-    return 1 if db.sismember(key, member) else 0
-
-
-@_register("SCARD", 1, mutating=False)
-def _scard(db: DataStore, key):
-    return db.scard(key)
-
-
-@_register("SMEMBERS", 1, mutating=False)
-def _smembers(db: DataStore, key):
-    return sorted(db.smembers(key))
+    return db.lrange(key, _integer(start), _integer(stop))
 
 
 def execute_command(db: DataStore, command: Sequence) -> Any:
@@ -235,9 +76,3 @@ def execute_command(db: DataStore, command: Sequence) -> Any:
     if len(args) < spec.arity or (len(args) > spec.arity and not spec.variadic):
         raise RedisError(f"wrong number of arguments for '{name.lower()}' command")
     return spec.handler(db, *args)
-
-
-def is_mutating(command: Sequence) -> bool:
-    """Whether a command must be logged to the AOF."""
-    spec = COMMANDS.get(str(command[0]).upper())
-    return spec is not None and spec.mutating

@@ -1,18 +1,14 @@
 """The in-memory data structures behind the Redis clone.
 
-One :class:`DataStore` holds a flat keyspace of typed values (strings,
-hashes, lists, sets) with optional per-key expiry.  All accesses are
-strictly serial — the clone, like Redis, is single-threaded — so no
-locking appears anywhere.
-
-Expiry uses a caller-supplied clock (the simulation passes ``env.now``)
-and is *lazy*: keys are reaped when touched, plus an explicit sweep for
-tests.
+One :class:`DataStore` holds a flat keyspace whose values are strings
+(``str``) or lists (``list`` of ``str``).  All accesses are strictly
+serial — the clone, like Redis, is single-threaded — so no locking
+appears anywhere.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 
 class RedisError(Exception):
@@ -28,299 +24,64 @@ class WrongTypeError(RedisError):
         )
 
 
-_STRING = "string"
-_HASH = "hash"
-_LIST = "list"
-_SET = "set"
-
-
 class DataStore:
-    """The keyspace: typed values plus expiry times."""
+    """The keyspace: key -> string or list."""
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(self):
         self._values: Dict[str, Any] = {}
-        self._types: Dict[str, str] = {}
-        self._expires: Dict[str, float] = {}
-        self._clock = clock or (lambda: 0.0)
 
-    # -- infrastructure ---------------------------------------------------
-
-    def now(self) -> float:
-        return self._clock()
-
-    def _reap(self, key: str) -> None:
-        deadline = self._expires.get(key)
-        if deadline is not None and self.now() >= deadline:
-            self._remove(key)
-
-    def _remove(self, key: str) -> None:
-        self._values.pop(key, None)
-        self._types.pop(key, None)
-        self._expires.pop(key, None)
-
-    def _typed(self, key: str, expected: str, create: Callable[[], Any]):
-        """Fetch a live value of the expected type, creating if absent."""
-        self._reap(key)
-        if key in self._values:
-            if self._types[key] != expected:
-                raise WrongTypeError()
-            return self._values[key]
-        value = create()
-        self._values[key] = value
-        self._types[key] = expected
-        return value
-
-    def _peek(self, key: str, expected: str):
-        self._reap(key)
-        if key not in self._values:
-            return None
-        if self._types[key] != expected:
+    def _list(self, key: str, create: bool = False) -> Optional[List[str]]:
+        """The list at ``key`` (created empty if asked), or None."""
+        items = self._values.get(key)
+        if items is None:
+            if create:
+                items = self._values[key] = []
+            return items
+        if not isinstance(items, list):
             raise WrongTypeError()
-        return self._values[key]
-
-    # -- generic -------------------------------------------------------------
-
-    def exists(self, key: str) -> bool:
-        self._reap(key)
-        return key in self._values
-
-    def delete(self, *keys: str) -> int:
-        removed = 0
-        for key in keys:
-            self._reap(key)
-            if key in self._values:
-                self._remove(key)
-                removed += 1
-        return removed
-
-    def type_of(self, key: str) -> str:
-        self._reap(key)
-        return self._types.get(key, "none")
-
-    def keys(self) -> List[str]:
-        for key in list(self._expires):
-            self._reap(key)
-        return list(self._values)
-
-    def dbsize(self) -> int:
-        return len(self.keys())
-
-    def flushall(self) -> None:
-        self._values.clear()
-        self._types.clear()
-        self._expires.clear()
-
-    # -- expiry ----------------------------------------------------------------
-
-    def expire(self, key: str, seconds: float) -> bool:
-        self._reap(key)
-        if key not in self._values:
-            return False
-        self._expires[key] = self.now() + seconds
-        return True
-
-    def ttl(self, key: str) -> float:
-        """Seconds to live; -2 if missing, -1 if no expiry (as in Redis)."""
-        self._reap(key)
-        if key not in self._values:
-            return -2
-        if key not in self._expires:
-            return -1
-        return self._expires[key] - self.now()
-
-    def persist(self, key: str) -> bool:
-        self._reap(key)
-        return self._expires.pop(key, None) is not None
+        return items
 
     # -- strings ------------------------------------------------------------------
 
     def set(self, key: str, value: str) -> None:
-        self._remove(key)
         self._values[key] = str(value)
-        self._types[key] = _STRING
-
-    def setnx(self, key: str, value: str) -> bool:
-        self._reap(key)
-        if key in self._values:
-            return False
-        self.set(key, value)
-        return True
 
     def get(self, key: str) -> Optional[str]:
-        return self._peek(key, _STRING)
-
-    def getset(self, key: str, value: str) -> Optional[str]:
-        old = self._peek(key, _STRING)
-        self.set(key, value)
-        return old
-
-    def append(self, key: str, suffix: str) -> int:
-        current = self._peek(key, _STRING) or ""
-        combined = current + str(suffix)
-        self.set(key, combined)
-        return len(combined)
-
-    def strlen(self, key: str) -> int:
-        return len(self._peek(key, _STRING) or "")
-
-    def incrby(self, key: str, amount: int = 1) -> int:
-        current = self._peek(key, _STRING)
-        if current is None:
-            value = 0
-        else:
-            try:
-                value = int(current)
-            except ValueError:
-                raise RedisError("value is not an integer or out of range")
-        value += amount
-        self.set(key, str(value))
+        value = self._values.get(key)
+        if isinstance(value, list):
+            raise WrongTypeError()
         return value
-
-    # -- hashes ---------------------------------------------------------------------
-
-    def hset(self, key: str, field: str, value: str) -> int:
-        table = self._typed(key, _HASH, dict)
-        added = 0 if field in table else 1
-        table[field] = str(value)
-        return added
-
-    def hget(self, key: str, field: str) -> Optional[str]:
-        table = self._peek(key, _HASH)
-        if table is None:
-            return None
-        return table.get(field)
-
-    def hdel(self, key: str, *fields: str) -> int:
-        table = self._peek(key, _HASH)
-        if table is None:
-            return 0
-        removed = 0
-        for field in fields:
-            if field in table:
-                del table[field]
-                removed += 1
-        if not table:
-            self._remove(key)
-        return removed
-
-    def hgetall(self, key: str) -> Dict[str, str]:
-        table = self._peek(key, _HASH)
-        return dict(table) if table else {}
-
-    def hlen(self, key: str) -> int:
-        table = self._peek(key, _HASH)
-        return len(table) if table else 0
 
     # -- lists -----------------------------------------------------------------------
 
-    def lpush(self, key: str, *values: str) -> int:
-        items = self._typed(key, _LIST, list)
-        for value in values:
-            items.insert(0, str(value))
-        return len(items)
-
     def rpush(self, key: str, *values: str) -> int:
-        items = self._typed(key, _LIST, list)
+        items = self._list(key, create=True)
         items.extend(str(v) for v in values)
         return len(items)
 
     def lpop(self, key: str) -> Optional[str]:
-        items = self._peek(key, _LIST)
+        items = self._list(key)
         if not items:
             return None
         value = items.pop(0)
         if not items:
-            self._remove(key)
+            del self._values[key]
         return value
-
-    def rpop(self, key: str) -> Optional[str]:
-        items = self._peek(key, _LIST)
-        if not items:
-            return None
-        value = items.pop()
-        if not items:
-            self._remove(key)
-        return value
-
-    def llen(self, key: str) -> int:
-        items = self._peek(key, _LIST)
-        return len(items) if items else 0
 
     def lrange(self, key: str, start: int, stop: int) -> List[str]:
-        items = self._peek(key, _LIST) or []
+        items = self._list(key) or []
         # Redis LRANGE stop is inclusive; -1 means end of list.
         if stop == -1:
             return list(items[start:])
         return list(items[start:stop + 1])
 
-    # -- sets --------------------------------------------------------------------------
-
-    def sadd(self, key: str, *members: str) -> int:
-        group = self._typed(key, _SET, set)
-        added = 0
-        for member in members:
-            member = str(member)
-            if member not in group:
-                group.add(member)
-                added += 1
-        return added
-
-    def srem(self, key: str, *members: str) -> int:
-        group = self._peek(key, _SET)
-        if group is None:
-            return 0
-        removed = 0
-        for member in members:
-            member = str(member)
-            if member in group:
-                group.remove(member)
-                removed += 1
-        if not group:
-            self._remove(key)
-        return removed
-
-    def sismember(self, key: str, member: str) -> bool:
-        group = self._peek(key, _SET)
-        return bool(group) and str(member) in group
-
-    def scard(self, key: str) -> int:
-        group = self._peek(key, _SET)
-        return len(group) if group else 0
-
-    def smembers(self, key: str) -> Set[str]:
-        group = self._peek(key, _SET)
-        return set(group) if group else set()
-
     # -- snapshot support ----------------------------------------------------------------
 
     def dump(self) -> Dict[str, Any]:
         """A deep-enough copy for RDB-style snapshots."""
-        values = {}
-        for key, value in self._values.items():
-            if isinstance(value, dict):
-                values[key] = dict(value)
-            elif isinstance(value, list):
-                values[key] = list(value)
-            elif isinstance(value, set):
-                values[key] = set(value)
-            else:
-                values[key] = value
-        return {
-            "values": values,
-            "types": dict(self._types),
-            "expires": dict(self._expires),
-        }
+        return {key: list(value) if isinstance(value, list) else value
+                for key, value in self._values.items()}
 
     def load(self, image: Dict[str, Any]) -> None:
-        self._values = {}
-        for key, value in image["values"].items():
-            if isinstance(value, dict):
-                self._values[key] = dict(value)
-            elif isinstance(value, list):
-                self._values[key] = list(value)
-            elif isinstance(value, set):
-                self._values[key] = set(value)
-            else:
-                self._values[key] = value
-        self._types = dict(image["types"])
-        self._expires = dict(image["expires"])
+        self._values = {key: list(value) if isinstance(value, list) else value
+                        for key, value in image.items()}

@@ -2,124 +2,54 @@
 
 Processes one command at a time (so a batch executes atomically w.r.t.
 snapshots — the property the D-Redis wrapper's shared latch provides),
-owns the snapshot store and the optional AOF, and supports crash and
-restart with the real recovery order: newest durable RDB image first,
-then replay of the durable AOF suffix.
+takes ``BGSAVE``-style snapshot images, and restarts from one.
+
+``BGSAVE`` forks in real Redis; here :meth:`RedisServer.bgsave` takes
+the copy synchronously (the fork's copy-on-write moment).  When that
+copy becomes durable is the flush layer's business, not the server's:
+D-Redis only reports a version persisted once its flush finishes (§6).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
-from repro.redisclone.commands import execute_command, is_mutating
-from repro.redisclone.datastore import DataStore, RedisError
-from repro.redisclone.persistence import (
-    AofPolicy,
-    AppendOnlyFile,
-    Snapshot,
-    SnapshotStore,
-)
+from repro.redisclone.commands import execute_command
+from repro.redisclone.datastore import DataStore
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """One RDB-style snapshot image."""
+
+    image: Dict[str, Any]
+    #: Estimated on-disk size, for the storage-latency model.
+    size_bytes: int
 
 
 class RedisServer:
     """One Redis-clone instance."""
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 aof_policy: AofPolicy = AofPolicy.NO):
-        self._clock = clock or (lambda: 0.0)
-        self.db = DataStore(clock=self._clock)
-        self.snapshots = SnapshotStore()
-        self.aof = AppendOnlyFile(policy=aof_policy)
-        #: Commands the current AOF prefix starts after (set on BGSAVE so
-        #: recovery replays only the post-snapshot suffix).
-        self._aof_offset_at_snapshot: dict = {}
-        self.commands_processed = 0
-        self._running = True
+    #: Nominal per-key size for flush modelling.
+    KEY_BYTES = 64
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def now(self) -> float:
-        return self._clock()
-
-    # -- command path ---------------------------------------------------
+    def __init__(self):
+        self.db = DataStore()
 
     def execute(self, command: Sequence) -> Any:
         """Execute one command (raises RedisError on bad input)."""
-        if not self._running:
-            raise ConnectionError("server is down")
-        result = execute_command(self.db, command)
-        if is_mutating(command):
-            self.aof.append(command)
-        self.commands_processed += 1
-        return result
-
-    def execute_batch(self, commands: Sequence[Sequence]) -> List[Any]:
-        """Execute a batch serially; per-command errors become values."""
-        results: List[Any] = []
-        for command in commands:
-            try:
-                results.append(self.execute(command))
-            except RedisError as error:
-                results.append(error)
-        return results
-
-    # -- persistence ------------------------------------------------------
+        return execute_command(self.db, command)
 
     def bgsave(self) -> Snapshot:
-        """``BGSAVE``: snapshot now, durable later (caller completes)."""
-        snapshot = self.snapshots.bgsave(self.db.dump(), self.now())
-        self._aof_offset_at_snapshot[snapshot.snapshot_id] = len(self.aof)
-        return snapshot
+        """``BGSAVE``: capture the keyspace image now."""
+        image = self.db.dump()
+        return Snapshot(image, max(1, len(image)) * self.KEY_BYTES)
 
-    def complete_bgsave(self, snapshot: Snapshot) -> None:
-        """The background writer finished; LASTSAVE advances."""
-        self.snapshots.complete(snapshot, self.now())
-
-    def save(self) -> Snapshot:
-        """Synchronous ``SAVE``."""
-        snapshot = self.bgsave()
-        self.complete_bgsave(snapshot)
-        return snapshot
-
-    def lastsave(self) -> float:
-        return self.snapshots.lastsave()
-
-    def fsync_aof(self) -> None:
-        self.aof.fsync()
-
-    # -- crash & restart ------------------------------------------------------
-
-    def crash(self) -> None:
-        """Process dies: volatile state is gone, unsynced AOF lost."""
-        self._running = False
-        self.aof.truncate_to_durable()
-
-    def restart(self, snapshot: Optional[Snapshot] = None,
-                replay_aof: Optional[bool] = None) -> None:
-        """Restart from durable state.
-
-        Loads ``snapshot`` (default: newest durable), then — when the
-        AOF is enabled or ``replay_aof`` forces it — replays the durable
-        AOF suffix recorded after that snapshot.  D-Redis's
-        ``Restore(token)`` calls this with the snapshot matching the
-        token and *without* AOF replay (DPR's durability comes from the
-        snapshots).
-        """
-        if snapshot is None:
-            snapshot = self.snapshots.latest_durable()
-        self.db = DataStore(clock=self._clock)
+    def restart(self, snapshot: Optional[Snapshot]) -> None:
+        """Restart the instance from ``snapshot`` (None: an empty
+        keyspace).  D-Redis's ``Restore(token)`` passes the snapshot
+        that seals the restored version."""
+        self.db = DataStore()
         if snapshot is not None:
             self.db.load(snapshot.image)
-        if replay_aof is None:
-            replay_aof = self.aof.policy is not AofPolicy.NO
-        if replay_aof:
-            offset = 0
-            if snapshot is not None:
-                offset = self._aof_offset_at_snapshot.get(
-                    snapshot.snapshot_id, 0
-                )
-            for command in self.aof.durable_entries()[offset:]:
-                execute_command(self.db, command)
-        self._running = True

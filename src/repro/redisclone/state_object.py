@@ -3,9 +3,10 @@
 The mapping the paper describes:
 
 - ``Commit()``  -> ``BGSAVE`` under an exclusive latch (the snapshot is
-  the sealed version's image; ``LASTSAVE`` polling decides durability);
+  the sealed version's image; the version becomes durable when the
+  flush layer calls ``mark_persisted``);
 - ``Restore()`` -> restart the Redis instance from the snapshot that
-  matches the restore token, without AOF replay;
+  matches the restore token;
 - operations    -> unmodified Redis commands, forwarded as-is.
 
 Because the wrapper executes whole batches under one shared latch, all
@@ -15,20 +16,18 @@ drives this class exactly like any other StateObject.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.core.state_object import StateObject
-from repro.redisclone.persistence import AofPolicy, Snapshot
-from repro.redisclone.server import RedisServer
+from repro.redisclone.server import RedisServer, Snapshot
 
 
 class RedisStateObject(StateObject):
     """One D-Redis shard: an unmodified RedisServer behind StateObject."""
 
-    def __init__(self, object_id: str, clock=None,
-                 aof_policy: AofPolicy = AofPolicy.NO, **kwargs):
+    def __init__(self, object_id: str, **kwargs):
         super().__init__(object_id, **kwargs)
-        self.server = RedisServer(clock=clock, aof_policy=aof_policy)
+        self.server = RedisServer()
         #: DPR version -> the BGSAVE snapshot that seals it.
         self._version_snapshots: Dict[int, Snapshot] = {}
 
@@ -40,12 +39,7 @@ class RedisStateObject(StateObject):
 
     def snapshot(self, version: int) -> None:
         """Seal = BGSAVE; the image is captured at the latch boundary."""
-        snapshot = self.server.bgsave()
-        # Durability timing is owned by the flush layer; completing the
-        # snapshot record here models the fork's consistent image.  The
-        # *token* only becomes durable when mark_persisted runs.
-        self.server.complete_bgsave(snapshot)
-        self._version_snapshots[version] = snapshot
+        self._version_snapshots[version] = self.server.bgsave()
 
     def checkpoint_bytes(self, version: int) -> int:
         return self._version_snapshots[version].size_bytes
@@ -53,16 +47,10 @@ class RedisStateObject(StateObject):
     def rollback_to(self, version: int) -> None:
         """Restore() = restart the instance from the matching snapshot."""
         candidates = [v for v in self._version_snapshots if v <= version]
-        snapshot = None
-        if candidates:
-            snapshot = self._version_snapshots[max(candidates)]
         for stale in [v for v in self._version_snapshots if v > version]:
             del self._version_snapshots[stale]
-        if snapshot is None:
-            self.server.restart(snapshot=None, replay_aof=False)
-            self.server.db.flushall()
-        else:
-            self.server.restart(snapshot=snapshot, replay_aof=False)
+        self.server.restart(
+            self._version_snapshots[max(candidates)] if candidates else None)
 
     # -- convenience ----------------------------------------------------------
 

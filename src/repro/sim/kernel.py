@@ -134,16 +134,6 @@ class Event:
         self.env._schedule(self.env._now, _K_EVENT, self)
         return self
 
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback`` to run when the event fires.
-
-        If the event has fired already the callback runs immediately.
-        """
-        if self._triggered:
-            callback(self)
-        else:
-            self._callbacks.append(callback)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self._triggered else "pending"
         return f"<Event {self._name!r} {state}>"
@@ -344,8 +334,6 @@ class Process(Event):
 
     def _wait_event(self, target: Event) -> None:
         self._waiting_on = target
-        # Inlined target.add_callback(self._resume): this is the
-        # per-yield path for every Event wait in the simulation.
         if target._triggered:
             self._resume(target)
         else:

@@ -99,10 +99,6 @@ class Network:
         self._endpoints: Dict[str, Endpoint] = {}
         self.faults = faults
 
-    def install_faults(self, faults: Optional[FaultPlan]) -> None:
-        """Install (or, with None, remove) a fault-injection plan."""
-        self.faults = faults
-
     def register(self, address: str) -> Endpoint:
         """Create (or return) the endpoint for ``address``."""
         if address in self._endpoints:

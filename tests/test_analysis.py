@@ -6,7 +6,7 @@ packages under a tmp dir so the module-scoping logic (protocol packages
 vs. the bench allowlist) is exercised, not bypassed.  The CLI tests at
 the bottom are the acceptance criteria: the shipped tree lints clean,
 and injecting a wall-clock call, an unsorted-set iteration, or an
-unhandled message dataclass makes ``python -m repro.analysis`` fail.
+undispatched wire message makes ``python -m repro.analysis`` fail.
 """
 
 import json
@@ -380,6 +380,56 @@ class TestProtocolRules:
                 def dispatch(payload):
                     if isinstance(payload, Known):
                         return "ok"
+            """,
+        })
+        assert "DPR-P01" not in rules_found(findings)
+
+    def test_p01_flags_undispatched_slots_message(self, tmp_path):
+        # The real messages are __slots__ classes; a name reference that
+        # is not an isinstance arm (here: a construction) does not count.
+        findings = lint_fixture(tmp_path, {
+            "repro/cluster/messages.py": """\
+                class Known:
+                    __slots__ = ("x",)
+
+                class Orphan:
+                    __slots__ = ("y",)
+
+                class Allocator:
+                    def allocate(self):
+                        return 1
+            """,
+            "repro/cluster/replication.py": """\
+                from repro.cluster.messages import Known, Orphan
+
+                def dispatch(payload):
+                    if isinstance(payload, (int, Known)):
+                        return Orphan()
+            """,
+        })
+        p01 = [f for f in findings if f.rule == "DPR-P01"]
+        assert [f.message.split()[1] for f in p01] == ["Orphan"]
+
+    def test_p01_arms_anywhere_in_the_package_count(self, tmp_path):
+        findings = lint_fixture(tmp_path, {
+            "repro/cluster/messages.py": """\
+                class Request:
+                    __slots__ = ("x",)
+
+                class Reply:
+                    __slots__ = ("y",)
+            """,
+            "repro/cluster/worker.py": """\
+                from repro.cluster import messages
+
+                def dispatch(payload):
+                    return isinstance(payload, messages.Request)
+            """,
+            "repro/cluster/client.py": """\
+                from repro.cluster.messages import Reply
+
+                def on_reply(payload):
+                    return isinstance(payload, Reply)
             """,
         })
         assert "DPR-P01" not in rules_found(findings)
@@ -807,8 +857,8 @@ class TestCli:
         victim = target / "repro/cluster/messages.py"
         victim.write_text(
             victim.read_text(encoding="utf-8")
-            + "\n\n@dataclass(frozen=True)\nclass InjectedProbe:\n"
-              "    flag: int = 0\n",
+            + "\n\nclass InjectedProbe:\n"
+              "    __slots__ = (\"flag\",)\n",
             encoding="utf-8",
         )
         result = run_cli([str(target)])

@@ -27,7 +27,7 @@ class TestCrashRestart:
         assert crash["worker_id"] == "worker-1"
         # Detection within the heartbeat timeout plus a check interval.
         assert crash["detected_at"] - 0.3 < \
-            cluster.manager.heartbeat_timeout + 0.05
+            cluster.manager.HEARTBEAT_TIMEOUT + 0.05
         assert crash["restarted_at"] is not None
         # The worker is back up and serving.
         worker = cluster.workers[1]
@@ -131,7 +131,7 @@ class TestDeliveryHardening:
         [crash] = cluster.manager.detected_crashes
         assert crash["worker_id"] == "worker-1"
         assert crash["detected_at"] < \
-            cluster.manager.heartbeat_timeout + 0.05
+            cluster.manager.HEARTBEAT_TIMEOUT + 0.05
         assert crash["restarted_at"] is not None
         assert not cluster.workers[1].crashed
 
@@ -301,7 +301,7 @@ class TestDeliveryHardening:
         cluster = DFasterCluster(DFasterConfig(**SMALL),
                                  checkpoints_enabled=False)
         cluster.run(0.4, warmup=0.05)
-        interval = cluster.finder_service.anti_entropy_interval
+        interval = cluster.finder_service.ANTI_ENTROPY_INTERVAL
         assert cluster.finder_service.broadcasts >= int(0.4 / interval) - 1
 
     def test_duplicate_batch_requests_not_double_applied(self):

@@ -41,10 +41,10 @@ class TestMetadataStore:
 
     def test_membership_via_dpr_table(self, env):
         metadata = MetadataStore(env)
-        metadata.add_member("w0")
-        metadata.add_member("w1")
+        metadata.version_table.upsert("w0", 0)
+        metadata.version_table.upsert("w1", 0)
         assert set(metadata.members()) == {"w0", "w1"}
-        metadata.remove_member("w0")
+        metadata.version_table.delete("w0")
         assert set(metadata.members()) == {"w1"}
 
 

@@ -1,9 +1,11 @@
-"""Docs-consistency: the README documentation index covers docs/.
+"""Docs-consistency: the README documentation index covers docs/, and
+the source paths the documents name exist.
 
-CI's ``docs-consistency`` job enforces the same invariant; this test
-keeps it visible in local runs.  A document that ships without a row
+CI's ``docs-consistency`` job enforces the same invariants; this test
+keeps them visible in local runs.  A document that ships without a row
 in the README index table is invisible to readers, and a row pointing
-at a deleted file is worse.
+at a deleted file is worse — as is a module map naming a deleted
+``repro/...py`` file.
 """
 
 import re
@@ -12,6 +14,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = (REPO_ROOT / "README.md").read_text()
 DOCS_DIR = REPO_ROOT / "docs"
+#: ``repro/a/b.py`` or ``repro/a/{b,c}.py`` (a brace set names several).
+SOURCE_PATH = re.compile(r"repro/[A-Za-z0-9_/{},.-]*\.py")
 
 
 def test_every_doc_is_indexed():
@@ -29,3 +33,26 @@ def test_no_dangling_doc_references():
                      if not (DOCS_DIR / name).exists())
     assert not dangling, (
         f"README references missing docs/ file(s): {dangling}")
+
+
+def _expand(path):
+    """``repro/x/{a,b}.py`` -> ``[repro/x/a.py, repro/x/b.py]``."""
+    match = re.search(r"\{([^{}]*)\}", path)
+    if match is None:
+        return [path]
+    return [expanded for part in match.group(1).split(",")
+            for expanded in _expand(path[:match.start()] + part
+                                    + path[match.end():])]
+
+
+def test_named_source_paths_exist():
+    documents = [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md",
+                 *sorted(DOCS_DIR.glob("*.md"))]
+    named = {path for document in documents
+             for raw in SOURCE_PATH.findall(document.read_text())
+             for path in _expand(raw)}
+    assert named, "no repro/...py paths found: is the pattern stale?"
+    dangling = sorted(path for path in named
+                      if not (REPO_ROOT / "src" / path).is_file())
+    assert not dangling, (
+        f"documents name missing source file(s): {dangling}")

@@ -74,15 +74,6 @@ class TestFoldOver:
         with pytest.raises(ValueError):
             log.flush_complete(1)
 
-    def test_unflushed_bytes(self):
-        log = HybridLog()
-        for i in range(4):
-            log.append(record(i, i))
-        log.mark_read_only()
-        assert log.unflushed_bytes() == 4 * Record.SERIALIZED_BYTES
-        log.flush_complete(4)
-        assert log.unflushed_bytes() == 0
-
 
 class TestMemoryBudget:
     def test_head_shifts_only_after_flush(self):

@@ -134,12 +134,6 @@ class TestExact:
         # 2 vertices + 1 edge + 2 persists.
         assert finder.graph_writes == 5
 
-    def test_coordinator_restart_is_noop(self):
-        finder = ExactDprFinder()
-        seal(finder, "A", 1)
-        finder.restart_coordinator()
-        assert finder.tick().version_of("A") == 1
-
 
 class TestHybrid:
     def test_failure_free_matches_exact(self):

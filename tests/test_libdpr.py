@@ -154,7 +154,8 @@ class TestServerCommit:
         session = DprClientSession("c")
         roundtrip(session, servers, "A", ("set", "x", 1))
         descriptor = servers["A"].commit()
-        assert finder.graph.is_persisted(descriptor.token)
+        assert descriptor.token in finder.graph
+        assert finder.graph.max_persisted_version("A") == 1
 
     def test_async_flush_fn(self):
         finder = ApproximateDprFinder()

@@ -55,32 +55,6 @@ class TestConstruction:
         assert stored.deps == frozenset({Token("A", 2)})
 
 
-class TestBuildDependencySet:
-    def test_transitive_closure(self):
-        graph = PrecedenceGraph()
-        commit(graph, "A", 1)
-        commit(graph, "B", 1, deps=[("A", 1)])
-        commit(graph, "C", 2, deps=[("B", 1)])
-        closure = graph.build_dependency_set(Token("C", 2))
-        assert Token("A", 1) in closure
-        assert Token("B", 1) in closure
-        assert Token("C", 2) in closure
-
-    def test_cumulative_pulls_lower_versions(self):
-        graph = PrecedenceGraph()
-        commit(graph, "A", 1)
-        commit(graph, "A", 2)
-        closure = graph.build_dependency_set(Token("A", 2))
-        assert Token("A", 1) in closure
-
-    def test_dep_resolves_to_covering_token(self):
-        graph = PrecedenceGraph()
-        commit(graph, "A", 3)  # A fast-forwarded; dep on A-2 covered by A-3
-        commit(graph, "B", 3, deps=[("A", 2)])
-        closure = graph.build_dependency_set(Token("B", 3))
-        assert Token("A", 3) in closure
-
-
 class TestMaxClosedCut:
     def test_figure2_cut(self):
         # The paper's Figure 2: tokens A-1, A-2, B-1, B-2, C-2 with
@@ -148,14 +122,6 @@ class TestMaintenance:
         assert removed == 2
         assert Token("A", 1) not in graph
         assert Token("A", 2) in graph
-
-    def test_forget_object(self):
-        graph = PrecedenceGraph()
-        commit(graph, "A", 1)
-        commit(graph, "B", 1)
-        graph.forget_object("A")
-        assert Token("A", 1) not in graph
-        assert Token("B", 1) in graph
 
     def test_max_persisted_version(self):
         graph = PrecedenceGraph()

@@ -1,10 +1,9 @@
-"""Tests for command dispatch, persistence, and the server lifecycle."""
+"""Tests for command dispatch, snapshots, and the server lifecycle."""
 
 import pytest
 
-from repro.redisclone.commands import COMMANDS, execute_command, is_mutating
+from repro.redisclone.commands import COMMANDS, execute_command
 from repro.redisclone.datastore import DataStore, RedisError
-from repro.redisclone.persistence import AofPolicy, AppendOnlyFile, SnapshotStore
 from repro.redisclone.server import RedisServer
 from repro.redisclone.state_object import RedisStateObject
 
@@ -28,148 +27,47 @@ class TestCommandDispatch:
             execute_command(DataStore(), ("GET", "k", "extra"))
 
     def test_variadic_accepts_more(self):
-        db = DataStore()
-        db.set("a", "1")
-        db.set("b", "2")
-        assert execute_command(db, ("DEL", "a", "b")) == 2
+        assert execute_command(DataStore(), ("RPUSH", "l", "a", "b", "c")) == 3
 
     def test_empty_command(self):
         with pytest.raises(RedisError):
             execute_command(DataStore(), ())
 
-    def test_mutating_classification(self):
-        assert is_mutating(("SET", "k", "v"))
-        assert is_mutating(("del", "k"))
-        assert not is_mutating(("GET", "k"))
-        assert not is_mutating(("UNKNOWN",))
-
     def test_command_table_coverage(self):
-        # All the families the examples use must be registered.
-        for name in ["SET", "GET", "INCR", "DEL", "EXPIRE", "HSET",
-                     "LPUSH", "RPUSH", "SADD", "KEYS", "TTL"]:
-            assert name in COMMANDS
+        # The contract libDPR's callers use: strings and a FIFO list.
+        assert set(COMMANDS) == {"SET", "GET", "RPUSH", "LRANGE", "LPOP"}
 
-
-class TestAppendOnlyFile:
-    def test_always_policy_fsyncs_per_append(self):
-        aof = AppendOnlyFile(policy=AofPolicy.ALWAYS)
-        aof.append(("SET", "k", "v"))
-        assert aof.durable_count == 1
-        assert aof.fsyncs == 1
-
-    def test_no_policy_defers(self):
-        aof = AppendOnlyFile(policy=AofPolicy.NO)
-        aof.append(("SET", "k", "v"))
-        assert aof.durable_count == 0
-        aof.fsync()
-        assert aof.durable_count == 1
-
-    def test_truncate_to_durable(self):
-        aof = AppendOnlyFile(policy=AofPolicy.NO)
-        aof.append(("SET", "a", "1"))
-        aof.fsync()
-        aof.append(("SET", "b", "2"))
-        aof.truncate_to_durable()
-        assert len(aof) == 1
-
-    def test_rewrite(self):
-        aof = AppendOnlyFile(policy=AofPolicy.ALWAYS)
-        for i in range(4):
-            aof.append(("SET", str(i), "x"))
-        aof.rewrite(keep_from=2)
-        assert len(aof) == 2
-        assert aof.durable_count == 2
-
-
-class TestSnapshotStore:
-    def test_lastsave_tracks_completion(self):
-        store = SnapshotStore()
-        snapshot = store.bgsave({"values": {}, "types": {}, "expires": {}},
-                                now=1.0)
-        assert store.lastsave() == 0.0
-        store.complete(snapshot, now=2.5)
-        assert store.lastsave() == 2.5
-
-    def test_latest_durable(self):
-        store = SnapshotStore()
-        first = store.bgsave({"values": {}, "types": {}, "expires": {}}, 1.0)
-        second = store.bgsave({"values": {}, "types": {}, "expires": {}}, 2.0)
-        store.complete(first, 1.5)
-        assert store.latest_durable() is first
-        store.complete(second, 2.5)
-        assert store.latest_durable() is second
-
-    def test_drop_after(self):
-        store = SnapshotStore()
-        first = store.bgsave({"values": {}, "types": {}, "expires": {}}, 1.0)
-        store.bgsave({"values": {}, "types": {}, "expires": {}}, 2.0)
-        store.drop_after(first.snapshot_id)
-        assert len(store.durable_snapshots()) == 0
-        store.complete(first, 3.0)
-        assert store.latest_durable() is first
+    @pytest.mark.parametrize("start, stop", [("x", "1"), ("0", "1.5"),
+                                             (None, "1")])
+    def test_malformed_lrange_bound_is_a_redis_error(self, start, stop):
+        server = RedisServer()
+        server.execute(("RPUSH", "l", "a", "b"))
+        with pytest.raises(RedisError, match="not an integer"):
+            server.execute(("LRANGE", "l", start, stop))
+        assert server.execute(("LRANGE", "l", "0", "-1")) == ["a", "b"]
 
 
 class TestServerLifecycle:
-    def test_batch_collects_errors_as_values(self):
-        server = RedisServer()
-        results = server.execute_batch([("SET", "k", "v"), ("BOGUS",),
-                                        ("GET", "k")])
-        assert results[0] == "OK"
-        assert isinstance(results[1], RedisError)
-        assert results[2] == "v"
-
     def test_crash_without_persistence_loses_all(self):
         server = RedisServer()
         server.execute(("SET", "k", "v"))
-        server.crash()
-        with pytest.raises(ConnectionError):
-            server.execute(("GET", "k"))
-        server.restart()
+        server.restart(None)
         assert server.execute(("GET", "k")) is None
 
     def test_snapshot_recovers_prefix(self):
         server = RedisServer()
         server.execute(("SET", "k", "v1"))
-        server.save()
-        server.execute(("SET", "k", "v2"))
-        server.crash()
-        server.restart()
-        assert server.execute(("GET", "k")) == "v1"
-
-    def test_aof_always_recovers_everything(self):
-        server = RedisServer(aof_policy=AofPolicy.ALWAYS)
-        server.execute(("SET", "k", "v"))
-        server.execute(("INCR", "n"))
-        server.crash()
-        server.restart()
-        assert server.execute(("GET", "k")) == "v"
-        assert server.execute(("GET", "n")) == "1"
-
-    def test_aof_replays_only_post_snapshot_suffix(self):
-        server = RedisServer(aof_policy=AofPolicy.ALWAYS)
-        server.execute(("INCR", "n"))
-        server.save()
-        server.execute(("INCR", "n"))
-        server.crash()
-        server.restart()
-        # Snapshot has n=1; replaying only the suffix gives exactly 2
-        # (replaying everything would give 3).
-        assert server.execute(("GET", "n")) == "2"
-
-    def test_unsynced_aof_suffix_lost(self):
-        server = RedisServer(aof_policy=AofPolicy.NO)
-        server.execute(("SET", "k", "v"))  # appended, never fsynced
-        server.crash()
-        server.restart(replay_aof=True)
-        assert server.execute(("GET", "k")) is None
-
-    def test_lastsave_advances(self):
-        clock = {"now": 0.0}
-        server = RedisServer(clock=lambda: clock["now"])
+        server.execute(("RPUSH", "l", "a"))
         snapshot = server.bgsave()
-        clock["now"] = 3.0
-        server.complete_bgsave(snapshot)
-        assert server.lastsave() == 3.0
+        server.execute(("SET", "k", "v2"))
+        server.execute(("RPUSH", "l", "b"))
+        server.restart(snapshot)
+        assert server.execute(("GET", "k")) == "v1"
+        assert server.execute(("LRANGE", "l", 0, -1)) == ["a"]
+        # The image outlives a restart: writes after it do not leak in.
+        server.execute(("LPOP", "l"))
+        server.restart(snapshot)
+        assert server.execute(("LRANGE", "l", 0, -1)) == ["a"]
 
 
 class TestRedisStateObject:

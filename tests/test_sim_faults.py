@@ -14,10 +14,9 @@ from repro.sim.faults import (
 from repro.sim.network import Network, NetworkConfig
 
 
-@pytest.fixture
-def net(env):
+def faulty_net(env, plan):
     return Network(env, NetworkConfig(jitter_stddev=0.0),
-                   rng=random.Random(1))
+                   rng=random.Random(1), faults=plan)
 
 
 class TestLinkFault:
@@ -113,19 +112,19 @@ class TestFaultPlan:
 
 
 class TestNetworkIntegration:
-    def test_dropping_plan_loses_message(self, env, net):
+    def test_dropping_plan_loses_message(self, env):
+        net = faulty_net(env, FaultPlan(3, links=[LinkFault(drop=1.0)]))
         net.register("a")
         b = net.register("b")
-        net.install_faults(FaultPlan(3, links=[LinkFault(drop=1.0)]))
         net.send("a", "b", "lost")
         env.run()
         assert len(b.inbox) == 0
         assert b.dropped == 1
 
-    def test_duplicating_plan_delivers_twice(self, env, net):
+    def test_duplicating_plan_delivers_twice(self, env):
+        net = faulty_net(env, FaultPlan(3, links=[LinkFault(duplicate=1.0)]))
         net.register("a")
         b = net.register("b")
-        net.install_faults(FaultPlan(3, links=[LinkFault(duplicate=1.0)]))
         got = []
 
         def receiver():
@@ -139,14 +138,15 @@ class TestNetworkIntegration:
         assert [payload for payload, _ in got] == ["twice", "twice"]
         assert got[1][1] > got[0][1]
 
-    def test_loopback_exempt_from_faults(self, env, net):
+    def test_loopback_exempt_from_faults(self, env):
+        net = faulty_net(env, FaultPlan(3, links=[LinkFault(drop=1.0)]))
         a = net.register("a")
-        net.install_faults(FaultPlan(3, links=[LinkFault(drop=1.0)]))
         net.send("a", "a", "self")
         env.run()
         assert len(a.inbox) == 1
 
-    def test_no_plan_behaves_as_before(self, env, net):
+    def test_no_plan_behaves_as_before(self, env):
+        net = faulty_net(env, None)
         net.register("a")
         b = net.register("b")
         net.send("a", "b", "clean")

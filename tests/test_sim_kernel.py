@@ -58,8 +58,15 @@ class TestEvent:
         event = env.event()
         event.succeed("x")
         seen = []
-        event.add_callback(lambda e: seen.append(e.value))
-        assert seen == ["x"]
+
+        def late_waiter():
+            yield 1.0  # the event fires and dispatches meanwhile
+            value = yield event
+            seen.append((value, env.now))
+
+        env.process(late_waiter())
+        env.run()
+        assert seen == [("x", 1.0)]
 
 
 class TestTimeout:

@@ -1,6 +1,6 @@
 """The public surface is what the system uses, no more.
 
-Three tripwires over the ASTs of the non-test tree (``src/repro/``,
+Five tripwires over the ASTs of the non-test tree (``src/repro/``,
 ``examples/``, ``benchmarks/``):
 
 * **the simulator** — every name ``repro.sim`` exports and every public
@@ -16,6 +16,16 @@ Three tripwires over the ASTs of the non-test tree (``src/repro/``,
   statement and an ``__init__.py`` re-export.  PR 23 deleted
   ``repro.logstore``, ``FasterSession``, ``OwnershipTransfer`` and
   ``RangePartitioner`` on that evidence;
+* **their members** — every public method or property of every class
+  under ``src/repro/`` (outside ``analysis/``) must be referenced by
+  name somewhere other than its own ``def``.  The precedence graph's
+  ``BuildDependencySet`` BFS, the metadata store's membership writers
+  and both ``install_faults`` were deleted on that evidence;
+* **the Redis clone's commands** — ``redisclone.COMMANDS`` is exactly
+  the set of command names that non-test code talking to the clone
+  issues as ``("NAME", ...)`` tuple literals.  Every command kept is one
+  more that a protocol oracle has to model; the clone went from 34
+  commands to five on that evidence;
 * **the figures** — a fig10–fig19 sweep is written once, in
   ``repro.bench.figures``: no wrapper under ``benchmarks/`` other than
   the four that have no catalog entry runs experiments itself, and
@@ -23,9 +33,9 @@ Three tripwires over the ASTs of the non-test tree (``src/repro/``,
   PR 24 deleted ten re-stated sweeps that had drifted from the catalog
   (grids, windows, columns) on that evidence.
 
-All three checks are by name (an attribute ``x.put`` counts for ``Queue.put``
-whatever ``x`` is), so this is a tripwire for new test-only API, not a
-proof of reachability.
+The reference checks are by name (an attribute ``x.put`` counts for
+``Queue.put`` whatever ``x`` is, and so does ``getattr(x, "put")``), so
+this is a tripwire for new test-only API, not a proof of reachability.
 """
 
 import ast
@@ -35,6 +45,7 @@ import pytest
 
 import repro.sim
 from repro.bench.figures import FIGURES
+from repro.redisclone import COMMANDS
 from repro.sim.kernel import Environment, Process
 from repro.sim.queues import Queue
 
@@ -63,6 +74,32 @@ ALLOWED = {
     "materialize":
         "reference model: the FASTER property and recovery tests compare "
         "a store's surviving state against the image it folds from the log",
+    "DprCut.of":
+        "the paper's token notation: the cut, session and finder tests "
+        "write their cuts as DprCut.of(Token('A', 1), ...)",
+    "DprCut.covers":
+        "oracle predicate: the cut tests state Definition 3.1's coverage "
+        "with it",
+    "DprCut.dominates":
+        "oracle predicate: the finder and recovery tests check that "
+        "published cuts never regress with it",
+    "DprGuarantee.survives":
+        "oracle predicate: the cut tests state Definition 3.2 with it",
+    "Tracer.serialize":
+        "byte-identity diagnostics: the obs and determinism tests diff "
+        "two runs' event streams through it",
+    "FaultPlan.replay":
+        "reproducer diagnostics: rewinds a plan's RNG so a failing fault "
+        "schedule replays",
+    "DFasterCluster.remove_worker":
+        "the shrink half of §5.3 membership (with decommission), the "
+        "other half of an operation the elastic figure performs",
+    "ElasticCoordinator.scale_in":
+        "the shrink half of §5.3 membership, the other half of the "
+        "elastic figure's scale_out",
+    "ReplicaNode.resume_apply":
+        "chaos hook: the lagging-replica tests set apply_paused and "
+        "drain the buffered backlog with it",
 }
 
 
@@ -97,6 +134,11 @@ def _names_used(trees, count_reexports):
             elif isinstance(node, ast.alias) and (
                     count_reexports or path.name != "__init__.py"):
                 used.add(node.name.rpartition(".")[2])
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                used.add(node.args[1].value)
     return used
 
 
@@ -124,6 +166,23 @@ def _definition_surface(trees):
     return surface
 
 
+def _member_surface(trees):
+    """label -> name for every public method or property of every class
+    of ``src/repro/`` outside ``analysis/``."""
+    surface = {}
+    for path, tree in trees.items():
+        if _top(path) in (None, "analysis"):
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    surface[f"{cls.name}.{node.name}"] = node.name
+    return surface
+
+
 def _assert_referenced(surface, used):
     unused = sorted(label for label, name in surface.items()
                     if name not in used and label not in ALLOWED)
@@ -146,8 +205,43 @@ def test_definitions_have_a_non_test_reference(trees):
                        _names_used(trees, count_reexports=False))
 
 
+def test_members_have_a_non_test_reference(trees):
+    # A method's own ``def`` is not a reference to it; a call from
+    # another method of the same class is.
+    _assert_referenced(_member_surface(trees),
+                       _names_used(trees, count_reexports=False))
+
+
+def _talks_to_the_clone(path, tree):
+    return _top(path) == "redisclone" or any(
+        isinstance(node, ast.ImportFrom)
+        and (node.module or "").startswith("repro.redisclone")
+        for node in ast.walk(tree))
+
+
+def test_clone_commands_are_the_ones_issued(trees):
+    # A command is an upper-case string heading a tuple literal in a
+    # module that imports the clone (the FASTER dialect's ("read", k)
+    # tuples share modules with it, hence the case).
+    issued = {node.elts[0].value
+              for path, tree in trees.items()
+              if _talks_to_the_clone(path, tree)
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Tuple) and node.elts
+              and isinstance(node.elts[0], ast.Constant)
+              and isinstance(node.elts[0].value, str)
+              and node.elts[0].value.isupper()}
+    unissued = sorted(set(COMMANDS) - issued)
+    assert not unissued, (
+        f"clone commands no non-test code issues: {unissued} — delete "
+        "them from repro.redisclone")
+    unknown = sorted(issued - set(COMMANDS))
+    assert not unknown, f"commands issued that the clone lacks: {unknown}"
+
+
 def test_allowed_names_still_exist(trees):
-    surface = {**_sim_surface(), **_definition_surface(trees)}
+    surface = {**_sim_surface(), **_definition_surface(trees),
+               **_member_surface(trees)}
     stale = sorted(set(ALLOWED) - set(surface))
     assert not stale, f"ALLOWED names that no longer exist: {stale}"
 

@@ -48,16 +48,6 @@ class TestMergeDependencies:
 
 
 class TestCommitDescriptor:
-    def test_depends_on_cumulative(self):
-        descriptor = CommitDescriptor(
-            token=Token("B", 3), deps=frozenset({Token("A", 2)}),
-        )
-        # Dependency on A-2 is satisfied by any A token >= 2.
-        assert descriptor.depends_on(Token("A", 2))
-        assert descriptor.depends_on(Token("A", 5))
-        assert not descriptor.depends_on(Token("A", 1))
-        assert not descriptor.depends_on(Token("C", 9))
-
     def test_frozen(self):
         descriptor = CommitDescriptor(token=Token("A", 1))
         with pytest.raises(AttributeError):
