@@ -13,19 +13,6 @@ See ``docs/ANALYSIS.md`` for the rule catalog and suppression syntax.
 """
 
 from repro.analysis.cli import main
-from repro.analysis.framework import (
-    Finding,
-    all_rules,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.analysis.framework import Finding, all_rules, run_lint
 
-__all__ = [
-    "Finding",
-    "all_rules",
-    "load_baseline",
-    "main",
-    "run_lint",
-    "write_baseline",
-]
+__all__ = ["Finding", "all_rules", "main", "run_lint"]

@@ -9,44 +9,46 @@ correctness rests on but Python does not check:
   :mod:`repro.core.audit`;
 - the **exact reproducibility** of the discrete-event kernel
   (:mod:`repro.sim.kernel` promises bit-identical runs for a fixed seed,
-  which a single ``time.time()`` or unsorted-``set`` iteration on a
-  protocol path silently breaks).
+  which a single ``time.time()`` or unsorted-``set`` iteration in any
+  package that runs inside a simulation or store silently breaks).
 
 This module provides the machinery: :class:`Finding`, :class:`ModuleInfo`
 (one parsed file with its suppression comments), :class:`Project` (the
-whole parsed tree plus shared cross-module analyses), the rule base
-classes and registry, and the :func:`run_lint` driver.  The rules
-themselves live in :mod:`repro.analysis.rules_determinism`,
-:mod:`repro.analysis.rules_protocol` and
+whole parsed tree), the rule base classes and registry, and the
+:func:`run_lint` driver.  The rules themselves live in
+:mod:`repro.analysis.rules_determinism`,
+:mod:`repro.analysis.rules_protocol`,
+:mod:`repro.analysis.rules_concurrency`,
+:mod:`repro.analysis.rules_observability` and
 :mod:`repro.analysis.rules_hygiene`.
 
 Suppressions
 ------------
 
 Append ``# dprlint: disable=DPR-D01`` (comma-separate several ids, or
-``disable=all``) to the offending line.  A ``# dprlint:
-disable-file=DPR-H03`` comment anywhere in a file suppresses the rule
-for the whole file.  A baseline file (``--baseline``) suppresses a
-recorded set of pre-existing findings; see :func:`load_baseline`.
+``disable=all``) to the offending line.  That is the only escape hatch.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-#: Module prefixes whose code runs inside (or feeds) the deterministic
-#: simulation and the DPR protocol: determinism rules apply here.
+#: Module prefixes whose code runs inside a simulation or a store: the
+#: determinism rules apply here, so a nondeterminism source is flagged
+#: in the module where it is written, whoever calls it.
 PROTOCOL_SCOPE: Tuple[str, ...] = (
     "repro.sim",
     "repro.core",
     "repro.cluster",
     "repro.faster",
     "repro.obs",
+    "repro.workloads",
+    "repro.baselines",
+    "repro.redisclone",
 )
 
 #: Module prefixes that legitimately measure host wall-clock time (the
@@ -54,9 +56,7 @@ PROTOCOL_SCOPE: Tuple[str, ...] = (
 #: timers are allowed here; calendar time and entropy still are not.
 WALL_CLOCK_ALLOWLIST: Tuple[str, ...] = ("repro.bench",)
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*dprlint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_\-, ]+)"
-)
+_SUPPRESS_RE = re.compile(r"#\s*dprlint:\s*disable\s*=\s*([A-Za-z0-9_\-, ]+)")
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,9 @@ class Finding:
     line: int
     col: int
     message: str
-    #: Stripped source line, used for baseline fingerprints (stable
-    #: across unrelated edits that shift line numbers).
-    snippet: str = ""
-    #: Interprocedural call chain (DPR-A02): caller -> ... -> source.
-    trace: Tuple[str, ...] = ()
     #: Supporting locations as (path, line, label) — e.g. DPR-A01's
-    #: snapshot line and preemption point.  Not part of the fingerprint.
+    #: snapshot line and preemption point.
     related: Tuple[Tuple[str, int, str], ...] = ()
-
-    def fingerprint(self) -> str:
-        return f"{self.rule}::{self.path}::{self.snippet}"
 
     def to_dict(self) -> Dict[str, object]:
         data: Dict[str, object] = {
@@ -88,8 +80,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-        if self.trace:
-            data["trace"] = list(self.trace)
         if self.related:
             data["related"] = [
                 {"path": path, "line": line, "label": label}
@@ -112,37 +102,24 @@ class ModuleInfo:
         self.path = path
         self.module = module
         self.tree = tree
-        self.lines = source.splitlines()
         self.line_suppressions: Dict[int, Set[str]] = {}
-        self.file_suppressions: Set[str] = set()
-        for lineno, text in enumerate(self.lines, start=1):
+        for lineno, text in enumerate(source.splitlines(), start=1):
             match = _SUPPRESS_RE.search(text)
-            if match is None:
-                continue
-            rules = {part.strip() for part in match.group(2).split(",")
-                     if part.strip()}
-            if match.group(1) == "disable-file":
-                self.file_suppressions |= rules
-            else:
-                self.line_suppressions.setdefault(lineno, set()).update(rules)
+            if match is not None:
+                self.line_suppressions[lineno] = {
+                    part.strip() for part in match.group(1).split(",")
+                    if part.strip()}
 
     def suppresses(self, finding: Finding) -> bool:
         on_line = self.line_suppressions.get(finding.line, set())
-        for spec in (on_line, self.file_suppressions):
-            if "all" in spec or finding.rule in spec:
-                return True
-        return False
+        return "all" in on_line or finding.rule in on_line
 
-    def snippet_at(self, line: int) -> str:
-        if 0 < line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        return Finding(rule=rule.id, path=self.path, line=line, col=col,
-                       message=message, snippet=self.snippet_at(line))
+    def finding(self, rule: "Rule", node: ast.AST, message: str,
+                related: Tuple[Tuple[str, int, str], ...] = ()) -> Finding:
+        return Finding(rule=rule.id, path=self.path,
+                       line=getattr(node, "lineno", 0),
+                       col=getattr(node, "col_offset", 0),
+                       message=message, related=related)
 
     # -- import resolution -------------------------------------------------
 
@@ -238,10 +215,6 @@ class Rule:
     title: str = ""
     #: Module-name prefixes the rule applies to; empty = everywhere.
     scope: Tuple[str, ...] = ()
-    #: Severity tier: "error" (protocol/determinism correctness) or
-    #: "warning" (hygiene).  Shown by ``--list-rules``; any finding
-    #: still fails the run regardless of tier.
-    severity: str = "error"
 
     def applies_to(self, module: str) -> bool:
         return module_in_scope(module, self.scope)
@@ -295,13 +268,20 @@ def all_rules() -> List[Rule]:
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
+    """Every ``.py`` file under ``paths``, once each.
+
+    A path that does not exist is an input error, not a finding:
+    :class:`FileNotFoundError`, which the CLI turns into exit 2.
+    """
     seen: Set[Path] = set()
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             candidates: Iterable[Path] = sorted(path.rglob("*.py"))
-        else:
+        elif path.exists():
             candidates = [path]
+        else:
+            raise FileNotFoundError(f"no such file or directory: {raw}")
         for candidate in candidates:
             resolved = candidate.resolve()
             if resolved not in seen:
@@ -322,7 +302,11 @@ def module_name_for(path: Path) -> str:
 
 
 def load_project(paths: Sequence[str]) -> Tuple[Project, List[Finding]]:
-    """Parse every file under ``paths``; syntax errors become findings."""
+    """Parse every file under ``paths``; syntax errors become findings.
+
+    Linting nothing is an input error: a mistyped path must not pass as
+    clean.
+    """
     modules: List[ModuleInfo] = []
     errors: List[Finding] = []
     for path in iter_python_files(paths):
@@ -342,43 +326,22 @@ def load_project(paths: Sequence[str]) -> Tuple[Project, List[Finding]]:
             continue
         modules.append(ModuleInfo(str(path), module_name_for(path),
                                   tree, source))
+    if not modules and not errors:
+        raise FileNotFoundError(
+            f"no Python files under {' '.join(map(str, paths))}")
     return Project(modules), errors
-
-
-# -- baseline ----------------------------------------------------------------
-
-
-def load_baseline(path: str) -> Set[str]:
-    """A baseline is a JSON list of finding fingerprints to ignore."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, list):
-        raise ValueError("baseline must be a JSON list of fingerprints")
-    return {str(entry) for entry in data}
-
-
-def write_baseline(path: str, findings: Sequence[Finding]) -> None:
-    fingerprints = sorted({f.fingerprint() for f in findings})
-    Path(path).write_text(json.dumps(fingerprints, indent=2) + "\n",
-                          encoding="utf-8")
 
 
 # -- driver ------------------------------------------------------------------
 
 
-def run_lint(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Lint ``paths`` and return the surviving findings, sorted."""
+def run_lint(paths: Sequence[str],
+             select: Optional[Iterable[str]] = None) -> List[Finding]:
+    """Lint ``paths`` with every rule (or the ``select``-ed ids) and
+    return the unsuppressed findings, sorted."""
     selected = set(select) if select else None
-    ignored = set(ignore) if ignore else set()
-    rules = [
-        rule for rule in all_rules()
-        if (selected is None or rule.id in selected)
-        and rule.id not in ignored
-    ]
+    rules = [rule for rule in all_rules()
+             if selected is None or rule.id in selected]
     project, findings = load_project(paths)
     for rule in rules:
         if isinstance(rule, ProjectRule):
@@ -387,13 +350,8 @@ def run_lint(
             for module in project.modules:
                 if rule.applies_to(module.module):
                     findings.extend(rule.check_module(module, project))
-    kept: List[Finding] = []
-    for finding in findings:
-        info = project.by_path.get(finding.path)
-        if info is not None and info.suppresses(finding):
-            continue
-        if baseline and finding.fingerprint() in baseline:
-            continue
-        kept.append(finding)
+    kept = [finding for finding in findings
+            if finding.path not in project.by_path
+            or not project.by_path[finding.path].suppresses(finding)]
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return kept

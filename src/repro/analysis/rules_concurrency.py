@@ -1,22 +1,13 @@
-"""Concurrency rules (DPR-A01, DPR-A02).
+"""Concurrency rule (DPR-A01).
 
 Every ``yield`` in a simulated process is a cooperative preemption
 point: between suspending and resuming, any other process — a crash, a
 migration, a nested recovery — may mutate the shared cluster state the
 process was looking at.  PR 5 fixed a family of elasticity bugs that
 were all the same mistake: *read shared protocol state, yield, keep
-trusting the pre-yield value*.  DPR-A01 detects that shape statically.
-
-DPR-A02 closes the other gap the per-file determinism rules leave
-open: a nondeterminism source (wall clock, entropy, real I/O, builtin
-``hash()``, unsorted-set iteration) wrapped in a helper function that
-lives *outside* the protocol packages is invisible to DPR-D01..D04 at
-the protocol call site.  A02 walks the project call graph and reports
-protocol-scope calls whose transitive callees reach such a source.
-
-Both rules carry interprocedural context on their findings: A01 cites
-the snapshot line and the preemption point (``related``), A02 the call
-chain down to the source (``trace``).
+trusting the pre-yield value*.  DPR-A01 detects that shape statically
+and cites the snapshot line and the preemption point on each finding
+(``related``).
 """
 
 from __future__ import annotations
@@ -24,7 +15,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallGraph, FunctionInfo
 from repro.analysis.dataflow import (
     CFG,
     EXIT,
@@ -36,25 +26,11 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.framework import (
     PROTOCOL_SCOPE,
-    WALL_CLOCK_ALLOWLIST,
     Finding,
     ModuleInfo,
     ModuleRule,
     Project,
-    ProjectRule,
-    module_in_scope,
     register,
-    resolve_name,
-)
-from repro.analysis.rules_determinism import (
-    ENTROPY_CALLS,
-    MONOTONIC_CALLS,
-    SEEDED_CONSTRUCTORS,
-    WALL_CLOCK_CALLS,
-    _BANNED_IO_CALLS,
-    _BANNED_IO_PREFIXES,
-    _ORDER_INSENSITIVE_CALLS,
-    _SetTypeRegistry,
 )
 
 #: Substrings marking an attribute or callee as *guarded protocol
@@ -255,7 +231,6 @@ class YieldAtomicityRule(ModuleRule):
     id = "DPR-A01"
     title = "guard state snapshot trusted across a yield point"
     scope = PROTOCOL_SCOPE
-    severity = "error"
 
     def check_module(self, module: ModuleInfo,
                      project: Project) -> Iterator[Finding]:
@@ -318,20 +293,17 @@ class YieldAtomicityRule(ModuleRule):
 
     def _stale_use_finding(self, module: ModuleInfo, load: ast.Name,
                            snap: _Snapshot) -> Finding:
-        base = module.finding(
+        return module.finding(
             self, load,
             f"local {load.id!r} snapshots {snap.desc} at line "
             f"{snap.snap_line} but is trusted after the yield at line "
             f"{snap.yield_line} — another process may have changed it; "
             f"re-read or re-validate it after the preemption point",
+            related=(
+                (module.path, snap.snap_line, f"{load.id} snapshotted here"),
+                (module.path, snap.yield_line, "preemption point (yield)"),
+            ),
         )
-        related = (
-            (module.path, snap.snap_line, f"{load.id} snapshotted here"),
-            (module.path, snap.yield_line, "preemption point (yield)"),
-        )
-        return Finding(rule=base.rule, path=base.path, line=base.line,
-                       col=base.col, message=base.message,
-                       snippet=base.snippet, related=related)
 
     def _check_rmw(self, module: ModuleInfo, stmt: ast.stmt,
                    state: Dict[str, _Snapshot],
@@ -352,23 +324,19 @@ class YieldAtomicityRule(ModuleRule):
                 key = (load.id, stmt.lineno, "rmw")
                 if key in findings:
                     continue
-                base = module.finding(
+                findings[key] = module.finding(
                     self, stmt,
                     f"read-modify-write on self.{attr} spans the yield "
                     f"at line {snap.yield_line}: {load.id!r} captured it "
                     f"at line {snap.snap_line}, so concurrent updates "
                     f"are lost — re-read self.{attr} after the yield",
+                    related=(
+                        (module.path, snap.snap_line,
+                         f"self.{attr} read into {load.id}"),
+                        (module.path, snap.yield_line,
+                         "preemption point (yield)"),
+                    ),
                 )
-                related = (
-                    (module.path, snap.snap_line,
-                     f"self.{attr} read into {load.id}"),
-                    (module.path, snap.yield_line,
-                     "preemption point (yield)"),
-                )
-                findings[key] = Finding(
-                    rule=base.rule, path=base.path, line=base.line,
-                    col=base.col, message=base.message,
-                    snippet=base.snippet, related=related)
 
     def _revalidations(self, stmt: ast.stmt, state: Dict[str, _Snapshot]
                        ) -> Tuple[Set[int], Set[str]]:
@@ -516,17 +484,14 @@ class YieldAtomicityRule(ModuleRule):
 
     def _while_guard_finding(self, module: ModuleInfo, stmt: ast.stmt,
                              guard_list: str, yield_line: int) -> Finding:
-        base = module.finding(
+        return module.finding(
             self, stmt,
             f"loop guarded by {guard_list} acts here after the yield at "
             f"line {yield_line} without re-testing the guard — the flag "
             f"may have flipped while this process slept; re-check it "
             f"right after waking",
+            related=((module.path, yield_line, "preemption point (yield)"),),
         )
-        related = ((module.path, yield_line, "preemption point (yield)"),)
-        return Finding(rule=base.rule, path=base.path, line=base.line,
-                       col=base.col, message=base.message,
-                       snippet=base.snippet, related=related)
 
 
 def _stmt_contains(outer: ast.stmt, inner: ast.stmt) -> bool:
@@ -558,230 +523,3 @@ def _is_effectful(stmt: ast.stmt) -> bool:
                     and isinstance(sub.ctx, (ast.Store, ast.Del))):
                 return True
     return False
-
-
-# -- DPR-A02: interprocedural nondeterminism taint ----------------------------
-
-
-class _TaintSource:
-    """One nondeterminism source inside one function."""
-
-    __slots__ = ("desc", "line", "covered")
-
-    def __init__(self, desc: str, line: int, covered: bool):
-        self.desc = desc
-        self.line = line
-        self.covered = covered
-
-
-class _Taint:
-    """How a function reaches a source: directly or via a callee."""
-
-    __slots__ = ("source", "holder", "via")
-
-    def __init__(self, source: _TaintSource, holder: str,
-                 via: Optional[str] = None):
-        self.source = source
-        self.holder = holder
-        self.via = via
-
-
-@register
-class InterproceduralTaintRule(ProjectRule):
-    """DPR-A02: protocol code must not reach nondeterminism via helpers.
-
-    The per-file rules (D01..D04) flag a source where it appears; they
-    cannot see a protocol function calling a utility that calls
-    ``time.perf_counter()`` in a package where the per-file rule does
-    not apply (or where it was suppressed).  This rule seeds taint at
-    every source the per-file rules do *not* already report, propagates
-    it up the project call graph, and flags protocol-scope call sites
-    whose callees reach one.  Findings carry the call chain in
-    ``trace``.
-    """
-
-    id = "DPR-A02"
-    title = "protocol call chain reaches a nondeterminism source"
-    scope = PROTOCOL_SCOPE
-    severity = "error"
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        graph = CallGraph(project)
-        registry = _SetTypeRegistry()
-        for module in project.modules:
-            registry.collect(module)
-        sources: Dict[str, List[_TaintSource]] = {}
-        for qualname in sorted(graph.functions):
-            info = graph.functions[qualname]
-            found = list(self._direct_sources(info, registry))
-            if found:
-                sources[qualname] = found
-        tainted = self._propagate(graph, sources)
-        yield from self._report(graph, sources, tainted)
-
-    # -- seeding -----------------------------------------------------------
-
-    def _direct_sources(self, info: FunctionInfo,
-                        registry: _SetTypeRegistry
-                        ) -> Iterator[_TaintSource]:
-        module = info.module
-        imports = module.import_map()
-        protocol = module_in_scope(module.module, PROTOCOL_SCOPE)
-        timers_ok = module_in_scope(module.module, WALL_CLOCK_ALLOWLIST)
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = resolve_name(node.func, imports)
-            if resolved is None:
-                continue
-            line = getattr(node, "lineno", 0)
-            if (resolved in WALL_CLOCK_CALLS
-                    or resolved in ENTROPY_CALLS
-                    or (resolved.startswith("random.")
-                        and resolved not in SEEDED_CONSTRUCTORS)):
-                # DPR-D01 bans these on every repro path, so the source
-                # is covered there unless someone suppressed it.
-                covered = not self._suppressed(module, "DPR-D01", line)
-                yield _TaintSource(f"{resolved}()", line, covered)
-            elif resolved in MONOTONIC_CALLS:
-                flagged = protocol and not timers_ok
-                covered = flagged and not self._suppressed(
-                    module, "DPR-D01", line)
-                yield _TaintSource(f"host timer {resolved}()", line,
-                                   covered)
-            elif (resolved in _BANNED_IO_CALLS
-                  or any(resolved.startswith(prefix)
-                         for prefix, _ in _BANNED_IO_PREFIXES)):
-                covered = protocol and not self._suppressed(
-                    module, "DPR-D03", line)
-                yield _TaintSource(f"real I/O {resolved}()", line, covered)
-            elif resolved == "hash":
-                covered = protocol and not self._suppressed(
-                    module, "DPR-D04", line)
-                yield _TaintSource("builtin hash()", line, covered)
-        yield from self._set_iterations(info, registry)
-
-    def _set_iterations(self, info: FunctionInfo,
-                        registry: _SetTypeRegistry
-                        ) -> Iterator[_TaintSource]:
-        module = info.module
-        protocol = module_in_scope(module.module, PROTOCOL_SCOPE)
-        exempt: Set[int] = set()
-        for node in ast.walk(info.node):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in _ORDER_INSENSITIVE_CALLS):
-                for arg in node.args:
-                    if isinstance(arg, (ast.GeneratorExp, ast.ListComp,
-                                        ast.SetComp)):
-                        exempt.add(id(arg))
-            if isinstance(node, ast.SetComp):
-                exempt.add(id(node))
-        for node in ast.walk(info.node):
-            iters: List[ast.AST] = []
-            if isinstance(node, ast.For):
-                iters = [node.iter]
-            elif isinstance(node, (ast.GeneratorExp, ast.ListComp,
-                                   ast.SetComp, ast.DictComp)):
-                if id(node) in exempt:
-                    continue
-                iters = [g.iter for g in node.generators]
-            for iterable in iters:
-                reason = registry.classifies(module, iterable)
-                if reason is None:
-                    continue
-                line = getattr(iterable, "lineno", 0)
-                covered = protocol and not self._suppressed(
-                    module, "DPR-D02", line)
-                yield _TaintSource(f"unsorted iteration over {reason}",
-                                   line, covered)
-
-    def _suppressed(self, module: ModuleInfo, rule_id: str,
-                    line: int) -> bool:
-        probe = Finding(rule=rule_id, path=module.path, line=line,
-                        col=0, message="")
-        return module.suppresses(probe)
-
-    # -- propagation -------------------------------------------------------
-
-    def _propagate(self, graph: CallGraph,
-                   sources: Dict[str, List[_TaintSource]]
-                   ) -> Dict[str, _Taint]:
-        tainted: Dict[str, _Taint] = {}
-        worklist: List[str] = []
-        for qualname in sorted(sources):
-            uncovered = [s for s in sources[qualname] if not s.covered]
-            if uncovered:
-                tainted[qualname] = _Taint(uncovered[0], qualname)
-                worklist.append(qualname)
-        reverse = graph.reverse_edges()
-        while worklist:
-            current = worklist.pop(0)
-            taint = tainted[current]
-            for caller in reverse.get(current, ()):
-                if caller in tainted:
-                    continue
-                tainted[caller] = _Taint(taint.source, taint.holder,
-                                         via=current)
-                worklist.append(caller)
-        return tainted
-
-    # -- reporting ---------------------------------------------------------
-
-    def _report(self, graph: CallGraph,
-                sources: Dict[str, List[_TaintSource]],
-                tainted: Dict[str, _Taint]) -> Iterator[Finding]:
-        seen: Set[Tuple[str, int, str]] = set()
-        for qualname in sorted(graph.functions):
-            info = graph.functions[qualname]
-            if not module_in_scope(info.module.module, PROTOCOL_SCOPE):
-                continue
-            for site in info.calls:
-                taint = tainted.get(site.callee)
-                if taint is None:
-                    continue
-                callee_info = graph.functions[site.callee]
-                callee_protocol = module_in_scope(
-                    callee_info.module.module, PROTOCOL_SCOPE)
-                direct = any(not s.covered
-                             for s in sources.get(site.callee, ()))
-                # Report only the boundary call into the tainted region:
-                # a protocol callee that merely forwards the taint gets
-                # its own finding at *its* boundary call site.
-                if callee_protocol and not direct:
-                    continue
-                line = getattr(site.node, "lineno", 0)
-                key = (info.module.path, line, site.callee)
-                if key in seen:
-                    continue
-                seen.add(key)
-                chain = self._chain(qualname, site.callee, tainted)
-                source = taint.source
-                holder = graph.functions[taint.holder]
-                base = info.module.finding(
-                    self, site.node,
-                    f"call reaches {source.desc} at "
-                    f"{holder.module.path}:{source.line} "
-                    f"(chain: {' -> '.join(chain)}) — nondeterminism "
-                    f"flows into protocol code through this helper",
-                )
-                related = ((holder.module.path, source.line,
-                            f"source: {source.desc}"),)
-                yield Finding(rule=base.rule, path=base.path,
-                              line=base.line, col=base.col,
-                              message=base.message, snippet=base.snippet,
-                              trace=tuple(chain), related=related)
-
-    def _chain(self, caller: str, callee: str,
-               tainted: Dict[str, _Taint]) -> List[str]:
-        chain = [caller, callee]
-        seen = {caller, callee}
-        current: Optional[str] = callee
-        while current is not None:
-            taint = tainted.get(current)
-            if taint is None or taint.via is None or taint.via in seen:
-                break
-            chain.append(taint.via)
-            seen.add(taint.via)
-            current = taint.via
-        return chain

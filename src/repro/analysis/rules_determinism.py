@@ -5,9 +5,13 @@ The discrete-event kernel promises that a whole-cluster experiment is
 events and every tie is broken by insertion order.  That promise dies
 the moment protocol code reads the host's clock, draws from process
 entropy, or iterates a ``set`` whose order depends on
-``PYTHONHASHSEED``.  These rules ban those constructs on protocol
-paths; simulated time comes from ``env.now`` and randomness from an
-explicit seeded :class:`random.Random` (see :mod:`repro.sim.rand`).
+``PYTHONHASHSEED``.  These rules ban those constructs in every package
+that runs inside a simulation or a store
+(:data:`~repro.analysis.framework.PROTOCOL_SCOPE`), flagging each
+source in the module where it is written — so wrapping it in a helper
+hides nothing.  Simulated time comes from ``env.now`` and randomness
+from an explicit seeded :class:`random.Random` (see
+:mod:`repro.sim.rand`).
 """
 
 from __future__ import annotations

@@ -1,14 +1,11 @@
-"""Hygiene rules (DPR-H01..H04).
+"""Hygiene rules (DPR-H02, DPR-H04).
 
-Generic Python footguns that have bitten protocol code before: mutable
-default arguments silently share state across calls (deadly for
-per-session bookkeeping), overbroad excepts swallow
-:class:`~repro.core.audit.InvariantViolation` and kernel errors alike,
-shadowed builtins make later maintenance edits misread, and docstrings
-drift — a module with no docstring gives the next reader nothing, and
-one that references a class deleted two refactors ago actively misleads
-(DPR-H04 cross-checks every Sphinx-role reference against what is still
-defined).
+Two footguns that have bitten protocol code before: overbroad excepts
+swallow :class:`~repro.core.audit.InvariantViolation` and kernel errors
+alike (DPR-H02), and docstrings drift — a module with no docstring
+gives the next reader nothing, and one that references a class deleted
+two refactors ago actively misleads (DPR-H04 cross-checks every
+Sphinx-role reference against what is still defined).
 """
 
 from __future__ import annotations
@@ -27,49 +24,6 @@ from repro.analysis.framework import (
     register,
 )
 
-_MUTABLE_FACTORY_NAMES = {
-    "list", "dict", "set", "bytearray",
-    "defaultdict", "OrderedDict", "Counter", "deque",
-}
-
-
-def _is_mutable_default(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-        return True
-    if isinstance(node, ast.Call):
-        target = node.func
-        name = target.id if isinstance(target, ast.Name) else (
-            target.attr if isinstance(target, ast.Attribute) else None)
-        return name in _MUTABLE_FACTORY_NAMES
-    return False
-
-
-@register
-class MutableDefaultArgRule(ModuleRule):
-    """DPR-H01: no mutable default arguments."""
-
-    id = "DPR-H01"
-    title = "mutable default argument"
-    severity = "warning"
-
-    def check_module(self, module: ModuleInfo,
-                     project: Project) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if _is_mutable_default(default):
-                    yield module.finding(
-                        self, default,
-                        "mutable default argument is shared across calls — "
-                        "default to None and create it in the body "
-                        "(dataclasses: field(default_factory=...))",
-                    )
-
 
 @register
 class OverbroadExceptRule(ModuleRule):
@@ -77,7 +31,6 @@ class OverbroadExceptRule(ModuleRule):
 
     id = "DPR-H02"
     title = "bare or overbroad except"
-    severity = "warning"
 
     def check_module(self, module: ModuleInfo,
                      project: Project) -> Iterator[Finding]:
@@ -108,98 +61,6 @@ class OverbroadExceptRule(ModuleRule):
                     f"swallows InvariantViolation and simulation errors — "
                     f"narrow the type or re-raise",
                 )
-
-
-#: Builtins whose shadowing has caused real confusion; deliberately a
-#: curated subset (shadowing ``license`` or ``copyright`` harms nobody).
-_SHADOWABLE_BUILTINS = {
-    "all", "any", "bin", "bool", "bytearray", "bytes", "callable", "chr",
-    "classmethod", "compile", "complex", "dict", "dir", "divmod",
-    "enumerate", "eval", "exec", "filter", "float", "format", "frozenset",
-    "getattr", "globals", "hasattr", "hash", "hex", "id", "input", "int",
-    "isinstance", "issubclass", "iter", "len", "list", "locals", "map",
-    "max", "memoryview", "min", "next", "object", "oct", "open", "ord",
-    "pow", "print", "property", "range", "repr", "reversed", "round",
-    "set", "setattr", "slice", "sorted", "staticmethod", "str", "sum",
-    "super", "tuple", "type", "vars", "zip",
-}
-
-
-@register
-class ShadowedBuiltinRule(ModuleRule):
-    """DPR-H03: no rebinding of commonly used builtins.
-
-    Class-body bindings (a ``set`` method on a Redis command engine, an
-    ``id`` dataclass field) are exempt: they live behind an attribute
-    lookup and shadow nothing at call sites.
-    """
-
-    id = "DPR-H03"
-    title = "shadowed builtin"
-    severity = "warning"
-
-    def check_module(self, module: ModuleInfo,
-                     project: Project) -> Iterator[Finding]:
-        class_level: Set[int] = set()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for statement in node.body:
-                class_level.add(id(statement))
-                if isinstance(statement, (ast.Assign, ast.AnnAssign,
-                                          ast.AugAssign)):
-                    targets = (statement.targets
-                               if isinstance(statement, ast.Assign)
-                               else [statement.target])
-                    for target in targets:
-                        for name in ast.walk(target):
-                            if isinstance(name, ast.Name):
-                                class_level.add(id(name))
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if (node.name in _SHADOWABLE_BUILTINS
-                        and id(node) not in class_level):
-                    yield self._shadow(module, node, node.name,
-                                       "definition name")
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from self._check_args(module, node)
-            elif isinstance(node, ast.Lambda):
-                yield from self._check_args(module, node)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                           ast.Store):
-                if (node.id in _SHADOWABLE_BUILTINS
-                        and id(node) not in class_level):
-                    yield self._shadow(module, node, node.id, "assignment")
-            elif isinstance(node, ast.ExceptHandler):
-                if node.name in _SHADOWABLE_BUILTINS:
-                    yield self._shadow(module, node, node.name,
-                                       "except binding")
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound in _SHADOWABLE_BUILTINS:
-                        yield self._shadow(module, node, bound,
-                                           "import binding")
-
-    def _check_args(self, module: ModuleInfo,
-                    node: ast.AST) -> Iterator[Finding]:
-        args = node.args
-        every = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        if args.vararg:
-            every.append(args.vararg)
-        if args.kwarg:
-            every.append(args.kwarg)
-        for arg in every:
-            if arg.arg in _SHADOWABLE_BUILTINS:
-                yield self._shadow(module, arg, arg.arg, "parameter")
-
-    def _shadow(self, module: ModuleInfo, node: ast.AST, name: str,
-                kind: str) -> Finding:
-        return module.finding(
-            self, node,
-            f"{kind} {name!r} shadows the builtin — rename it",
-        )
 
 
 #: Sphinx cross-reference roles whose targets name Python objects.
@@ -288,7 +149,6 @@ class DocstringDriftRule(ModuleRule):
 
     id = "DPR-H04"
     title = "missing or stale docstring"
-    severity = "warning"
 
     def check_module(self, module: ModuleInfo,
                      project: Project) -> Iterator[Finding]:

@@ -116,17 +116,19 @@ _INTEGERS = (
     ("session", "ops"), ("session", "coalesce"),
     ("admission", "queue_capacity"), ("admission", "max_inflight"),
 )
-_POSITIVE = {
+#: Checked in declared order, so a scenario breaking several rules
+#: names the same one under every PYTHONHASHSEED.
+_POSITIVE = (
     ("arrival", "rate"), ("arrival", "tick"), ("session", "ops"),
     ("session", "coalesce"), ("session", "retry_delay"),
     ("session", "retry_backoff_cap"), ("admission", "queue_capacity"),
     ("admission", "max_inflight"),
-}
-_NON_NEGATIVE = {
+)
+_NON_NEGATIVE = (
     ("arrival", "sigma"), ("session", "write_fraction"),
     ("session", "recovery_pause"), ("admission", "token_rate"),
     ("admission", "token_burst"),
-}
+)
 
 
 def validate_scenario(overrides: Optional[Dict[str, Any]] = None

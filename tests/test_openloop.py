@@ -1,6 +1,10 @@
 """Tests for the open-loop fleet driver and its admission stack."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,8 @@ from repro.workloads import (
     slo_report,
     validate_scenario,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_openloop(config_cls, cluster_cls, scenario, duration=0.4,
@@ -87,6 +93,25 @@ class TestScenarioValidation:
     def test_session_counts_must_be_ints(self, section, key, value):
         with pytest.raises(ScenarioError, match=f"{section}.{key}"):
             validate_scenario({section: {key: value}})
+
+    def test_first_broken_rule_is_hash_seed_independent(self):
+        # Two rules broken at once: the error names the first in
+        # declared order, whatever PYTHONHASHSEED salts set order with.
+        probe = ("from repro.workloads import ScenarioError, "
+                 "validate_scenario\n"
+                 "try:\n"
+                 "    validate_scenario({'arrival': {'rate': 0, 'tick': 0}})\n"
+                 "except ScenarioError as exc:\n"
+                 "    print(exc)\n")
+        messages = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+            result = subprocess.run([sys.executable, "-c", probe],
+                                    capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+            messages.append(result.stdout)
+        assert messages == ["arrival.rate must be > 0, got 0\n"] * 2
 
 
 class TestPrimitives:
