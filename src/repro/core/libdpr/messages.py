@@ -49,9 +49,9 @@ class DprBatchResponse:
     """Server-to-client DPR header (one per batch).
 
     ``versions`` has one entry per operation in batch order — the
-    version each executed in.  The D-Redis wrapper executes a whole
-    batch under one shared latch, so all entries are equal there; the
-    format supports per-operation versions for deeper integrations.
+    version each executed in.  The server executes a whole batch under
+    one shared latch, so all entries are equal; the format supports
+    per-operation versions for deeper integrations.
     """
 
     session_id: str

@@ -11,10 +11,10 @@ never sends, sleeps or spawns; a host calls it and performs the I/O.
   in service is dropped;
 - **execute**: the world-line gate (§4.2: reject batches from a stale
   world-line, delay batches from the future), the ``Vs`` fast-forward
-  (§3.2), dependency recording (§3.1), then the cache-store — always in
-  that order, at the moment of execution.  Versions a fast-forward
-  seals implicitly are reported and flushed (FIFO) before the call
-  returns;
+  (§3.2), dependency recording (§3.1), then the cache-store — once per
+  batch (:meth:`StateObject.execute_batch`), always in that order, at
+  the moment of execution.  Versions a fast-forward seals implicitly
+  are reported and flushed (FIFO) before the call returns;
 - **commit / persisted**: ``Commit()`` with the §3.4 laggard rule, and
   the completion of its flush — dropped when a rollback erased the
   version while the flush was in flight;
@@ -153,51 +153,45 @@ class DprServer:
     def execute(self, op: Any, session_id: str, seqno: int,
                 world_line: Optional[int] = None, min_version: int = 0,
                 deps: Sequence = ()) -> Tuple[str, int]:
-        """Batch-granular gated ``Op()``: ``op`` stands for a whole
-        batch executed under one shared latch, ``seqno`` is its last
-        sequence number.  Returns ``(status, version)``.
+        """Gated execute of a batch the store runs as one op: ``op``
+        stands for the whole batch, ``seqno`` is its last sequence
+        number.  Returns ``(status, version)``.
 
         ``world_line=None`` skips the gate (a replication stream is its
         own ordering authority; so is a deployment with DPR off).
         """
         try:
-            outcome = self.state_object.execute(
-                op, session_id=session_id, seqno=seqno,
-                min_version=min_version, deps=deps, world_line=world_line)
+            version, _ = self.state_object.execute_batch(
+                (op,), session_id, seqno, world_line, min_version, deps)
         except WorldLineMismatch as mismatch:
             return self._refuse(mismatch.decision), 0
         sealed = self.state_object.drain_sealed()
         if sealed:  # rare: keep the per-batch path one frame deep
             self._report_autosealed(sealed)
-        return OK, outcome.version
+        return OK, version
 
     def execute_ops(
         self, ops: Sequence[Any], session_id: str, first_seqno: int,
         world_line: Optional[int] = None, min_version: int = 0,
         deps: Sequence = (), apply_fn: Optional[Callable[[Any], Any]] = None,
     ) -> Tuple[str, Tuple[int, ...], Tuple]:
-        """Op-granular gated execute.  Returns ``(status, versions,
-        results)`` with one entry per operation in batch order.
+        """Gated execute of a batch op by op.  Returns ``(status,
+        versions, results)`` with one entry per operation in batch
+        order; the batch runs under one shared latch, so the versions
+        are all equal.
 
         ``apply_fn`` overrides the StateObject's own ``apply`` — the
         D-Redis wrapper passes the function that forwards a command to
         the real Redis instance.
         """
-        if world_line is not None:
-            status = self.check(world_line)
-            if status != OK:
-                return status, (), ()
-        versions = []
-        results = []
-        for offset, op in enumerate(ops):
-            outcome = self.state_object.execute(
-                op, session_id=session_id, seqno=first_seqno + offset,
-                min_version=min_version, deps=deps, apply_override=apply_fn)
-            deps = ()  # deps attach once per batch
-            versions.append(outcome.version)
-            results.append(outcome.value)
+        try:
+            version, results = self.state_object.execute_batch(
+                ops, session_id, first_seqno, world_line, min_version, deps,
+                apply_fn)
+        except WorldLineMismatch as mismatch:
+            return self._refuse(mismatch.decision), (), ()
         self._report_autosealed(self.state_object.drain_sealed())
-        return OK, tuple(versions), tuple(results)
+        return OK, (version,) * len(results), tuple(results)
 
     def process_batch(
         self,

@@ -30,7 +30,8 @@ from __future__ import annotations
 import abc
 import bisect
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple)
 
 from repro.core.versioning import (
     NEVER_COMMITTED,
@@ -84,8 +85,7 @@ class StateObject(abc.ABC):
       version, discarding every later effect.
     """
 
-    def __init__(self, object_id: str, start_version: int = 1,
-                 fast_forward_on_lag: bool = True):
+    def __init__(self, object_id: str, start_version: int = 1):
         if start_version < 1:
             raise ValueError("versions are 1-based")
         self.object_id = object_id
@@ -93,7 +93,6 @@ class StateObject(abc.ABC):
         #: The in-progress version; the next seal produces this token.
         self._version = start_version
         self._dirty = False
-        self._fast_forward_on_lag = fast_forward_on_lag
         #: Cross-shard dependencies accumulated for the in-progress version.
         self._pending_deps: set = set()
         #: Per-session largest seqno executed here (monotonic, cumulative).
@@ -169,40 +168,58 @@ class StateObject(abc.ABC):
         world_line: Optional[int] = None,
         apply_override: Optional[Any] = None,
     ) -> OpResult:
-        """``Op()``: execute with full DPR gating.
+        """``Op()``: :meth:`execute_batch` for one operation.  Returns
+        the result with the version it executed in, which the caller
+        folds into its ``Vs`` scalar."""
+        version, (value,) = self.execute_batch(
+            (op,), session_id, seqno, world_line, min_version, deps,
+            apply_override)
+        return OpResult(value, version, self.world_line.current)
 
-        Applies, in order: the world-line gate (§4.2), the version
-        fast-forward rule (§3.2), dependency recording (§3.1), then the
-        operation itself.  Returns the result together with the version
-        the operation executed in, which the caller folds into its
-        ``Vs`` scalar.
+    def execute_batch(self, ops: Sequence[Any], session_id: str,
+                      first_seqno: int, world_line: Optional[int] = None,
+                      min_version: int = 0, deps: Iterable[Token] = (),
+                      apply_fn: Optional[Callable[[Any], Any]] = None,
+                      ) -> Tuple[int, List[Any]]:
+        """Execute a batch under one shared latch, so every op lands in
+        the same version.  Returns ``(version, results)``.
+
+        Once per batch and in this order: the world-line gate (§4.2;
+        raises :class:`WorldLineMismatch` before touching any state),
+        the ``Vs`` fast-forward (§3.2), dependency recording (§3.1),
+        then each op through ``apply`` — or ``apply_fn``, with which
+        libDPR wrappers reach the unmodified cache-store (§6).  The
+        session's watermark ends at the last op's seqno.  An empty batch
+        only passes the gate; an op that raises leaves the ops before
+        it executed and counted.
         """
         if world_line is not None:
             decision = self.world_line.gate(world_line)
             if decision is not WorldLineDecision.EXECUTE:
-                raise WorldLineMismatch(
-                    decision, self.world_line.current, world_line
-                )
+                raise WorldLineMismatch(decision, self.world_line.current,
+                                        world_line)
+        if not ops:
+            return self._version, []
         if min_version > self._version:
-            if self._fast_forward_on_lag:
-                self.fast_forward(min_version)
-            else:
-                while self._version < min_version:
-                    self.commit()
+            self.fast_forward(min_version)
         for dep in deps:
             if dep.object_id != self.object_id:
                 self._pending_deps.add(dep)
-        # libDPR wrappers route execution to the unmodified cache-store
-        # via apply_override while DPR bookkeeping stays here (§6).
-        value = apply_override(op) if apply_override is not None else self.apply(op)
-        self._dirty = True
-        self.ops_executed += 1
-        if session_id:
-            prev = self._session_watermarks.get(session_id, 0)
-            if seqno > prev:
-                self._session_watermarks[session_id] = seqno
-        return OpResult(value=value, version=self._version,
-                        world_line=self.world_line.current)
+        apply = self.apply if apply_fn is None else apply_fn
+        results: List[Any] = []
+        try:
+            for op in ops:
+                results.append(apply(op))
+        finally:
+            done = len(results)
+            if done:
+                self._dirty = True
+                self.ops_executed += done
+                last = first_seqno + done - 1
+                if session_id and last > self._session_watermarks.get(
+                        session_id, 0):
+                    self._session_watermarks[session_id] = last
+        return self._version, results
 
     def fast_forward(self, version: int) -> None:
         """Jump the in-progress version ahead (§3.2 / §3.4 ``Vmax`` rule).

@@ -51,7 +51,8 @@ def recover(kv: FasterKV, version: int,
         replayed = Record(key=record.key, value=record.value,
                           version=record.version, tombstone=record.tombstone)
         address = recovered.log.append(replayed)
-        replayed.previous_address = recovered.index.publish(record.key, address)
+        replayed.previous_address = recovered.index.publish(
+            recovered.index.bucket_of(record.key), address)
     # The replayed state is durable by construction.
     span_from, span_to = recovered.log.mark_read_only()
     recovered.log.flush_complete(span_to)
@@ -77,12 +78,11 @@ def materialize(kv: FasterKV, version: Optional[int] = None) -> Dict:
         until = kv.log.tail_address
         ceiling = None
     state: Dict = {}
+    low, high = kv._hidden_versions()
     for _address, record in kv.log.scan(0, until):
-        if record.invalid:
+        if record.invalid or low < record.version <= high:
             continue
         if ceiling is not None and record.version > ceiling:
-            continue
-        if kv._hidden(record):
             continue
         if record.tombstone:
             state.pop(record.key, None)

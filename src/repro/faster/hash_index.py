@@ -55,18 +55,18 @@ class HashIndex:
     def bucket_of(self, key: Any) -> int:
         return _stable_hash(key) % self._bucket_count
 
-    def head_address(self, key: Any) -> int:
-        """Address of the newest record in ``key``'s bucket chain."""
-        return self._buckets.get(self.bucket_of(key), NULL_ADDRESS)
+    def head_address(self, bucket: int) -> int:
+        """Address of the newest record in ``bucket``'s chain."""
+        return self._buckets.get(bucket, NULL_ADDRESS)
 
-    def publish(self, key: Any, address: int) -> int:
-        """Point the bucket at a freshly appended record.
+    def publish(self, bucket: int, address: int) -> int:
+        """Point ``bucket`` (a key's :meth:`bucket_of`) at a freshly
+        appended record.
 
         Returns the previous head address — the appender stores it as
         the new record's ``previous_address`` (this mirrors FASTER's
         compare-and-swap on the bucket entry).
         """
-        bucket = self.bucket_of(key)
         previous = self._buckets.get(bucket, NULL_ADDRESS)
         self._buckets[bucket] = address
         return previous

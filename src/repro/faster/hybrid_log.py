@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.faster.record import NULL_ADDRESS, Record
+from repro.faster.record import Record
 
 
 class HybridLog:
@@ -45,7 +45,7 @@ class HybridLog:
         return len(self._records)
 
     def get(self, address: int) -> Record:
-        if not 0 <= address < self.tail_address:
+        if not 0 <= address < len(self._records):
             raise IndexError(f"address {address} out of range")
         return self._records[address]
 
@@ -98,13 +98,6 @@ class HybridLog:
         self._maybe_shift_head()
 
     # -- traversal -----------------------------------------------------------
-
-    def walk_chain(self, address: int) -> Iterator[Tuple[int, Record]]:
-        """Yield ``(address, record)`` along a hash chain, newest first."""
-        while address != NULL_ADDRESS:
-            record = self.get(address)
-            yield address, record
-            address = record.previous_address
 
     def scan(self, from_address: int = 0,
              to_address: Optional[int] = None) -> Iterator[Tuple[int, Record]]:

@@ -8,33 +8,34 @@ invalid bit set by the PURGE phase of rollbacks (§5.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 #: Logical address meaning "end of chain".
 NULL_ADDRESS = -1
 
 
-@dataclass
 class Record:
-    """One entry on the HybridLog."""
+    """One entry on the HybridLog (slotted: the log holds one per write)."""
 
-    key: Any
-    value: Any
-    #: CPR version the writing operation executed in.
-    version: int
-    #: Previous record in this hash bucket's chain (collision or older
-    #: version of the same key).
-    previous_address: int = NULL_ADDRESS
-    tombstone: bool = False
-    #: Set during PURGE for records in a rolled-back version range;
-    #: readers skip invalid records when traversing chains.
-    invalid: bool = False
+    __slots__ = ("key", "value", "version", "previous_address", "tombstone",
+                 "invalid")
 
     #: Nominal serialized size, used by flush-size accounting.  The
     #: paper's YCSB records are 8-byte keys and values; header overhead
     #: brings a record to roughly this size.
     SERIALIZED_BYTES = 64
 
-    def matches(self, key: Any) -> bool:
-        return not self.invalid and self.key == key
+    def __init__(self, key: Any, value: Any, version: int,
+                 previous_address: int = NULL_ADDRESS,
+                 tombstone: bool = False, invalid: bool = False):
+        self.key = key
+        self.value = value
+        #: CPR version the writing operation executed in.
+        self.version = version
+        #: Previous record in this hash bucket's chain (collision or
+        #: older version of the same key).
+        self.previous_address = previous_address
+        self.tombstone = tombstone
+        #: Set during PURGE for records in a rolled-back version range;
+        #: readers skip invalid records when traversing chains.
+        self.invalid = invalid

@@ -20,7 +20,7 @@ Operation semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.faster.hash_index import HashIndex
 from repro.faster.hybrid_log import HybridLog
@@ -38,16 +38,19 @@ class OpStatus:
     PENDING = "pending"
 
 
-@dataclass
 class OpOutcome:
-    """Result of a FasterKV operation."""
+    """Result of a FasterKV operation (slotted: one per op)."""
 
-    status: str
-    value: Any = None
-    #: CPR version the operation executed in (stamps the session op).
-    version: int = 0
-    #: Address needing I/O when status is PENDING.
-    pending_address: int = NULL_ADDRESS
+    __slots__ = ("status", "value", "version", "pending_address")
+
+    def __init__(self, status: str, value: Any = None, version: int = 0,
+                 pending_address: int = NULL_ADDRESS):
+        self.status = status
+        self.value = value
+        #: CPR version the operation executed in (stamps the session op).
+        self.version = version
+        #: Address needing I/O when status is PENDING.
+        self.pending_address = pending_address
 
 
 @dataclass
@@ -80,10 +83,7 @@ class FasterKV:
         #: determined; the embedder starts the storage write and calls
         #: :meth:`complete_flush` when durable.
         self.on_capture: Optional[Callable[[CheckpointInfo], None]] = None
-        #: Invoked when THROW is established and purge work is known.
-        self.on_purge_ready: Optional[Callable[[int, int], None]] = None
         self.epoch.on_established[Phase.IN_PROGRESS].append(self._capture)
-        self.epoch.on_established[Phase.PURGE].append(self._purge_ready)
         #: Counters.
         self.in_place_updates = 0
         self.rcu_appends = 0
@@ -94,13 +94,6 @@ class FasterKV:
     @property
     def current_version(self) -> int:
         return self.epoch.global_state.version
-
-    @property
-    def phase(self) -> Phase:
-        return self.epoch.global_state.phase
-
-    def register_thread(self, thread_id: str) -> None:
-        self.epoch.register_thread(thread_id)
 
     def fast_forward_version(self, version: int) -> None:
         """Jump the version without a checkpoint (clean fast-forward).
@@ -119,40 +112,43 @@ class FasterKV:
             for thread_id in list(self.epoch._threads):
                 self.epoch.refresh(thread_id)
 
-    def refresh(self, thread_id: str = DEFAULT_THREAD):
-        return self.epoch.refresh(thread_id)
-
     def _thread_version(self, thread_id: str) -> int:
         return self.epoch.thread(thread_id).version
 
     # -- visibility rules -----------------------------------------------------
 
-    def _hidden(self, record: Record) -> bool:
-        """Whether rollback filtering hides this record (§5.5).
+    def _hidden_versions(self) -> Tuple[int, int]:
+        """``(low, high]``: the versions rollback filtering hides (§5.5).
 
         During THROW/PURGE, readers ignore all entries in
         ``(safe_version, rolled_back_version]`` even before the
-        background invalidation marks them.
+        background invalidation marks them; otherwise the range is empty.
         """
-        if record.invalid:
-            return True
         state = self.epoch.global_state
-        if state.phase in (Phase.THROW, Phase.PURGE):
-            return state.safe_version < record.version <= state.boundary_version
-        return False
+        if state.phase is Phase.THROW or state.phase is Phase.PURGE:
+            return state.safe_version, state.boundary_version
+        return 0, 0
 
-    def _find(self, key: Any) -> Tuple[int, Optional[Record]]:
-        """Newest visible record for ``key`` (address, record)."""
-        for address, record in self.log.walk_chain(self.index.head_address(key)):
-            if record.key == key and not self._hidden(record):
-                return address, record
-        return NULL_ADDRESS, None
+    def _find(self, key: Any) -> Tuple[int, int, Optional[Record]]:
+        """``key``'s bucket and its newest visible record: ``(bucket,
+        address, record)``, skipping invalid and hidden records."""
+        bucket = self.index.bucket_of(key)
+        address = self.index.head_address(bucket)
+        low, high = self._hidden_versions()
+        get = self.log.get
+        while address != NULL_ADDRESS:
+            record = get(address)
+            if (record.key == key and not record.invalid
+                    and not low < record.version <= high):
+                return bucket, address, record
+            address = record.previous_address
+        return bucket, NULL_ADDRESS, None
 
     # -- operations ---------------------------------------------------------------
 
     def read(self, key: Any, thread_id: str = DEFAULT_THREAD) -> OpOutcome:
         version = self._thread_version(thread_id)
-        address, record = self._find(key)
+        _, address, record = self._find(key)
         if record is None:
             return OpOutcome(OpStatus.NOT_FOUND, version=version)
         if not self.log.in_memory(address):
@@ -168,14 +164,16 @@ class FasterKV:
         """Finish a PENDING read once the simulated I/O returned."""
         record = self.log.get(address)
         version = self._thread_version(thread_id)
-        if record.tombstone or self._hidden(record) or record.key != key:
+        low, high = self._hidden_versions()
+        if (record.tombstone or record.invalid
+                or low < record.version <= high or record.key != key):
             return OpOutcome(OpStatus.NOT_FOUND, version=version)
         return OpOutcome(OpStatus.OK, value=record.value, version=version)
 
     def upsert(self, key: Any, value: Any,
                thread_id: str = DEFAULT_THREAD) -> OpOutcome:
         version = self._thread_version(thread_id)
-        address, record = self._find(key)
+        bucket, address, record = self._find(key)
         if (
             record is not None
             and self.log.mutable(address)
@@ -185,7 +183,7 @@ class FasterKV:
             record.value = value
             self.in_place_updates += 1
             return OpOutcome(OpStatus.OK, version=version)
-        self._append(key, value, version, tombstone=False)
+        self._append(bucket, key, value, version, tombstone=False)
         if record is not None:
             self.rcu_appends += 1
         return OpOutcome(OpStatus.OK, version=version)
@@ -195,10 +193,10 @@ class FasterKV:
             thread_id: str = DEFAULT_THREAD) -> OpOutcome:
         """Read-modify-write; ``update`` maps old value to new value."""
         version = self._thread_version(thread_id)
-        address, record = self._find(key)
+        bucket, address, record = self._find(key)
         if record is None or record.tombstone:
             value = update(initial)
-            self._append(key, value, version, tombstone=False)
+            self._append(bucket, key, value, version, tombstone=False)
             return OpOutcome(OpStatus.OK, value=value, version=version)
         if not self.log.in_memory(address):
             self.reads_pending += 1
@@ -209,24 +207,25 @@ class FasterKV:
             self.in_place_updates += 1
             return OpOutcome(OpStatus.OK, value=record.value, version=version)
         value = update(record.value)
-        self._append(key, value, version, tombstone=False)
+        self._append(bucket, key, value, version, tombstone=False)
         self.rcu_appends += 1
         return OpOutcome(OpStatus.OK, value=value, version=version)
 
     def delete(self, key: Any, thread_id: str = DEFAULT_THREAD) -> OpOutcome:
         version = self._thread_version(thread_id)
-        _, record = self._find(key)
+        bucket, _, record = self._find(key)
         if record is None or record.tombstone:
             return OpOutcome(OpStatus.NOT_FOUND, version=version)
-        self._append(key, None, version, tombstone=True)
+        self._append(bucket, key, None, version, tombstone=True)
         return OpOutcome(OpStatus.OK, version=version)
 
-    def _append(self, key: Any, value: Any, version: int,
+    def _append(self, bucket: int, key: Any, value: Any, version: int,
                 tombstone: bool) -> int:
-        record = Record(key=key, value=value, version=version,
-                        tombstone=tombstone)
+        """Append at the tail and chain it into ``bucket`` (the key's,
+        as :meth:`_find` hashed it)."""
+        record = Record(key, value, version, tombstone=tombstone)
         address = self.log.append(record)
-        record.previous_address = self.index.publish(key, address)
+        record.previous_address = self.index.publish(bucket, address)
         return address
 
     # -- checkpointing (Commit) -----------------------------------------------------
@@ -293,17 +292,11 @@ class FasterKV:
 
         Operations keep executing throughout; readers immediately stop
         seeing entries in ``(safe_version, v]``.  When THROW is
-        established the machine moves to PURGE and ``on_purge_ready``
-        fires with the purge range; call :meth:`complete_purge` when the
-        background invalidation is done (or use
+        established the machine moves to PURGE; run
+        :meth:`purge_invalid`, then call :meth:`complete_purge` (or use
         :meth:`run_rollback_synchronously`).
         """
         return self.epoch.begin_rollback(safe_version)
-
-    def _purge_ready(self) -> None:
-        state = self.epoch.global_state
-        if self.on_purge_ready is not None:
-            self.on_purge_ready(state.safe_version, state.boundary_version)
 
     def purge_invalid(self) -> int:
         """Mark rolled-back entries invalid in the log (PURGE work)."""

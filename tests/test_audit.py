@@ -56,7 +56,7 @@ class TestHealthyDeployment:
 
 class TestViolationsDetected:
     def test_monotonicity_violation(self):
-        obj = InMemoryStateObject("A", fast_forward_on_lag=True)
+        obj = InMemoryStateObject("A")
         # Forge a non-monotone descriptor by injecting a dep directly.
         obj._pending_deps.add(Token("B", 99))
         obj.execute(("set", "k", 1))

@@ -29,15 +29,15 @@ class TestCrashRecovery:
         # Records stamped v+1 can sit below the fold boundary (threads
         # enter the new version before capture); recovery must skip them.
         kv = FasterKV(bucket_count=16)
-        kv.register_thread("t1")
+        kv.epoch.register_thread("t1")
         kv.upsert("old", 1)
         kv.begin_checkpoint()
-        kv.refresh("t0")
-        kv.refresh("t1")  # IN_PROGRESS established next refresh
-        kv.refresh("t0")
+        kv.epoch.refresh("t0")
+        kv.epoch.refresh("t1")  # IN_PROGRESS established next refresh
+        kv.epoch.refresh("t0")
         kv.upsert("fuzzy", 2, thread_id="t0")  # stamped version 2
-        kv.refresh("t1")
-        kv.refresh("t0")
+        kv.epoch.refresh("t1")
+        kv.epoch.refresh("t0")
         kv.complete_flush()
         info = kv.checkpoints[1]
         assert info.until_address >= 2  # fuzzy record inside the prefix

@@ -113,7 +113,7 @@ class TestCheckpoint:
         assert info.version == 1
         assert info.until_address == 2
         assert kv.current_version == 2
-        assert kv.phase is Phase.REST
+        assert kv.epoch.global_state.phase is Phase.REST
 
     def test_materialize_checkpoint_filters_versions(self, kv):
         kv.upsert("a", 1)
@@ -132,11 +132,11 @@ class TestCheckpoint:
         assert captured[0].version == 1
 
     def test_ops_continue_during_checkpoint(self, kv):
-        kv.register_thread("t1")
+        kv.epoch.register_thread("t1")
         kv.upsert("a", 1)
         kv.begin_checkpoint()
         # t0 refreshes into the checkpoint; t1 lags but still serves.
-        kv.refresh("t0")
+        kv.epoch.refresh("t0")
         outcome = kv.upsert("b", 2, thread_id="t1")
         assert outcome.status == OpStatus.OK
         assert outcome.version == 1  # t1 still in the old version

@@ -10,7 +10,9 @@ and the free-list must be recycling nearly every handle (a reuse-rate
 collapse means handles are leaking and the arrays are growing without
 bound).  The open-loop driver gets the same treatment: its count of
 Python calls (exact per seed) must track batches served, not sessions
-offered.
+offered.  So does the libDPR server: its DPR bookkeeping runs once per
+batch whatever the batch's size, and a FASTER log record costs its
+slots, not a dict.
 
 **Byte-identity anchors** pin sha256 digests of full trace streams
 captured *before* the array-core refactor landed.  The refactor's
@@ -43,6 +45,12 @@ import pytest
 from repro.bench.harness import run_dfaster_experiment
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig
+from repro.core.finder import ApproximateDprFinder
+from repro.core.libdpr import DprBatchHeader, DprServer
+from repro.core.state_object import InMemoryStateObject
+from repro.core.versioning import Token
+from repro.faster.hybrid_log import HybridLog
+from repro.faster.record import Record
 from repro.obs import Tracer
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -408,3 +416,56 @@ class TestOpenLoopScaling:
             for caller, edge in callers.items()
             if caller[0].endswith(samplers)}
         assert not entered, entered
+
+
+#: What 10 000 FASTER log records may retain, by ``tracemalloc``: a
+#: slotted record is ~88 B with its list slot; one with a ``__dict__``
+#: was ~137 B (1,367,352 B for the 10 000).
+FASTER_RECORDS_BYTES_BUDGET = 1_000_000
+
+
+def _core_calls(ops: int) -> dict:
+    """Python calls into ``repro.core``, by function name, for one
+    ``DprServer.process_batch`` of ``ops`` ops (after a warm-up batch)."""
+    server = DprServer(InMemoryStateObject("A"), ApproximateDprFinder())
+    batch = [("set", index, index) for index in range(ops)]
+    server.process_batch(DprBatchHeader("s", 0, 1, 1, ops), batch)
+    header = DprBatchHeader("s", 0, 1, 1 + ops, ops, (Token("B", 1),))
+    profiler = cProfile.Profile()
+    profiler.enable()
+    response = server.process_batch(header, batch)
+    profiler.disable()
+    assert response.versions == (1,) * ops
+    calls = {}
+    for (path, _line, name), (_cc, count, *_rest) in (
+            pstats.Stats(profiler).stats.items()):
+        if "/repro/core/" in path:
+            calls[name] = calls.get(name, 0) + count
+    return calls
+
+
+class TestLibDprBatchCost:
+    def test_bookkeeping_runs_once_per_batch(self):
+        # Only the store's own apply may scale with the batch; the gate,
+        # the fast-forward, the deps and the watermark run once.  (Per-op
+        # execute: one more StateObject.execute call per op.)
+        small, large = _core_calls(8), _core_calls(64)
+        assert (small.pop("apply"), large.pop("apply")) == (8, 64)
+        assert small == large
+
+    def test_a_faster_record_is_slotted(self):
+        assert not hasattr(Record("k", "v", 1), "__dict__")
+        log = HybridLog()
+        key, value = "k", "v"
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(10_000):
+                log.append(Record(key, value, 1))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 10_000
+        assert after - before <= FASTER_RECORDS_BYTES_BUDGET, (
+            f"10 000 records retain {after - before} B, budget is "
+            f"{FASTER_RECORDS_BYTES_BUDGET} B")

@@ -134,15 +134,6 @@ class TestFastForward:
         obj.execute(("set", "k", 1), min_version=4)
         assert obj.version == 4
 
-    def test_execute_min_version_commit_mode(self):
-        # fast_forward_on_lag=False: the §3.2 literal rule (commit until
-        # the version catches up).
-        obj = InMemoryStateObject("A", fast_forward_on_lag=False)
-        obj.execute(("set", "k", 1), min_version=3)
-        assert obj.version == 3
-        assert obj.max_persisted_version == 2
-        assert obj.commits == 2
-
 
 class TestWorldLineGating:
     def test_matching_worldline_executes(self, obj):

@@ -36,6 +36,11 @@ Five tripwires over the ASTs of the non-test tree (``src/repro/``,
 The reference checks are by name (an attribute ``x.put`` counts for
 ``Queue.put`` whatever ``x`` is, and so does ``getattr(x, "put")``), so
 this is a tripwire for new test-only API, not a proof of reachability.
+Its blind spot is a member whose name another class's live member
+shares: ``Record.matches`` outlived its last caller behind
+``LinkFault.matches``, and ``FasterKV.phase`` / ``register_thread`` /
+``refresh`` behind ``EpochStateMachine``'s and ``GlobalState``'s, until
+they were found by reading.
 """
 
 import ast
