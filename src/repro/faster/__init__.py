@@ -10,10 +10,10 @@ Reimplements, in Python, the pieces of FASTER the paper builds on
 - version-stamped records (:mod:`repro.faster.record`);
 - the **CPR** non-blocking checkpoint state machine and the THROW/PURGE
   non-blocking rollback state machine (:mod:`repro.faster.statemachine`);
-- PENDING operations on cold records: a read below the in-memory head
-  returns a :class:`~repro.faster.state_object.PendingMarker` the
-  caller resolves later (sessions, and strict vs relaxed DPR, are
-  :class:`repro.core.session.Session`'s job);
+- PENDING reads on cold records: a read below the in-memory head
+  returns a :class:`~repro.faster.store.PendingMarker` its caller
+  finishes with ``resolve_pending`` (sessions, and strict vs relaxed
+  DPR, are :class:`repro.core.session.Session`'s job);
 - fold-over checkpoints and crash recovery
   (:mod:`repro.faster.checkpoint`);
 - the :class:`~repro.faster.state_object.FasterStateObject` adapter that

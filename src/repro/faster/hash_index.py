@@ -15,6 +15,10 @@ from typing import Any, Dict
 
 from repro.faster.record import NULL_ADDRESS
 
+#: ``crc32(key.encode(), _STR_SEED)`` is ``crc32(b"s:" + key.encode())``
+#: without building the prefixed bytes (crc32 continues from a seed).
+_STR_SEED = zlib.crc32(b"s:")
+
 
 def _stable_hash(key: Any) -> int:
     """A PYTHONHASHSEED-independent key hash (dprlint DPR-D04).
@@ -28,7 +32,7 @@ def _stable_hash(key: Any) -> int:
     if isinstance(key, bytes):
         return zlib.crc32(b"b:" + key)
     if isinstance(key, str):
-        return zlib.crc32(b"s:" + key.encode("utf-8"))
+        return zlib.crc32(key.encode("utf-8"), _STR_SEED)
     if isinstance(key, int):
         return zlib.crc32(b"i:%d" % key)
     if isinstance(key, tuple):
@@ -45,19 +49,12 @@ class HashIndex:
     def __init__(self, bucket_count: int = 1 << 16):
         if bucket_count < 1:
             raise ValueError("need at least one bucket")
-        self._bucket_count = bucket_count
+        self.bucket_count = bucket_count
+        #: bucket -> its chain's newest address (``FasterKV`` reads it).
         self._buckets: Dict[int, int] = {}
 
-    @property
-    def bucket_count(self) -> int:
-        return self._bucket_count
-
     def bucket_of(self, key: Any) -> int:
-        return _stable_hash(key) % self._bucket_count
-
-    def head_address(self, bucket: int) -> int:
-        """Address of the newest record in ``bucket``'s chain."""
-        return self._buckets.get(bucket, NULL_ADDRESS)
+        return _stable_hash(key) % self.bucket_count
 
     def publish(self, bucket: int, address: int) -> int:
         """Point ``bucket`` (a key's :meth:`bucket_of`) at a freshly

@@ -49,12 +49,6 @@ class HybridLog:
             raise IndexError(f"address {address} out of range")
         return self._records[address]
 
-    def in_memory(self, address: int) -> bool:
-        return address >= self.head_address
-
-    def mutable(self, address: int) -> bool:
-        return address >= self.read_only_address
-
     # -- appends ----------------------------------------------------------
 
     def append(self, record: Record) -> int:

@@ -14,26 +14,21 @@ in lock-step:
 
 Operations are tuples: ``("read", key)``, ``("upsert", key, value)``,
 ``("rmw", key, update_fn)``, ``("incr", key, amount)``,
-``("delete", key)``.  A read that needs storage I/O returns a
-:class:`PendingMarker` — the D-FASTER worker parks it and resolves it
-later (relaxed DPR, §5.4).
+``("delete", key)``.  A read whose record lives below the in-memory
+head returns a :class:`PendingMarker`, which the caller finishes with
+:meth:`FasterStateObject.resolve_pending`.  Only a shard with a memory
+budget has cold records, and the cluster's ``engine="faster"`` shards
+have none, so the callers that meet a marker are libDPR drivers (the
+ledger's ``libdpr_stores`` resolves each one right after its batch) and
+tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.core.state_object import StateObject
-from repro.faster.store import FasterKV, OpStatus
-
-
-@dataclass(frozen=True)
-class PendingMarker:
-    """Returned for operations parked on simulated storage I/O."""
-
-    key: Any
-    address: int
+from repro.faster.store import FasterKV, PendingMarker
 
 
 class FasterStateObject(StateObject):
@@ -53,27 +48,23 @@ class FasterStateObject(StateObject):
     def apply(self, op: Tuple) -> Any:
         kind = op[0]
         if kind == "read" or kind == "get":
-            outcome = self.kv.read(op[1])
-        elif kind == "upsert" or kind == "set":
-            outcome = self.kv.upsert(op[1], op[2])
-        elif kind == "rmw":
-            outcome = self.kv.rmw(op[1], op[2])
-        elif kind == "incr":
+            return self.kv.read(op[1])
+        if kind == "upsert" or kind == "set":
+            return self.kv.upsert(op[1], op[2])
+        if kind == "rmw":
+            return self.kv.rmw(op[1], op[2])
+        if kind == "incr":
             amount = op[2] if len(op) > 2 else 1
-            outcome = self.kv.rmw(op[1], lambda v, a=amount: (v or 0) + a,
-                                  initial=0)
-        elif kind == "delete":
-            outcome = self.kv.delete(op[1])
-        else:
-            raise ValueError(f"unknown op {kind!r}")
-        if outcome.status == OpStatus.PENDING:
-            return PendingMarker(key=op[1], address=outcome.pending_address)
-        return outcome.value
+            return self.kv.rmw(op[1], lambda v, a=amount: (v or 0) + a,
+                               initial=0)
+        if kind == "delete":
+            self.kv.delete(op[1])
+            return None
+        raise ValueError(f"unknown op {kind!r}")
 
     def resolve_pending(self, marker: PendingMarker) -> Any:
         """Finish a PENDING read after the simulated I/O delay."""
-        outcome = self.kv.resolve_pending_read(marker.key, marker.address)
-        return outcome.value
+        return self.kv.resolve_pending_read(marker.key, marker.address)
 
     # -- DPR <-> CPR bridging -------------------------------------------------
 

@@ -107,9 +107,6 @@ class EpochStateMachine:
         self._observed.add(thread_id)  # joins already-observing
         return context
 
-    def thread(self, thread_id: str) -> ThreadContext:
-        return self._threads[thread_id]
-
     # -- refresh protocol -----------------------------------------------------
 
     def refresh(self, thread_id: str) -> ThreadContext:

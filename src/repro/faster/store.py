@@ -8,12 +8,14 @@ keep executing while the state machines run).
 Operation semantics:
 
 - ``read`` — walks the key's hash chain; skips invalid records and, in
-  THROW/PURGE, records of rolled-back versions (§5.5); goes PENDING if
-  the newest visible record lives below the in-memory head address.
+  THROW/PURGE, records of rolled-back versions (§5.5); returns the
+  value, or a :class:`PendingMarker` if the newest visible record lives
+  below the in-memory head address.
 - ``upsert`` — in-place when the target record is mutable *and* stamped
   with the executing thread's current version; otherwise appends a new
   record (read-copy-update across version boundaries).
-- ``rmw`` — read-modify-write with the same in-place rule.
+- ``rmw`` — read-modify-write with the same in-place rule; returns the
+  new value.
 - ``delete`` — appends a tombstone.
 """
 
@@ -21,36 +23,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
+from zlib import crc32
 
-from repro.faster.hash_index import HashIndex
+from repro.faster.hash_index import _STR_SEED, HashIndex, _stable_hash
 from repro.faster.hybrid_log import HybridLog
 from repro.faster.record import NULL_ADDRESS, Record
 from repro.faster.statemachine import EpochStateMachine, Phase, StateMachineBusy
 
 
-class OpStatus:
-    """Operation completion statuses (mirrors FASTER's Status enum)."""
+@dataclass(frozen=True)
+class PendingMarker:
+    """A read whose newest visible record lives below the in-memory
+    head: the caller finishes it with :meth:`FasterKV.resolve_pending_read`
+    once the simulated storage I/O returned (FASTER's PENDING status)."""
 
-    OK = "ok"
-    NOT_FOUND = "not_found"
-    #: The operation needs storage I/O; the session parks it and the
-    #: caller resolves it later via ``complete_pending`` (§5.4).
-    PENDING = "pending"
-
-
-class OpOutcome:
-    """Result of a FasterKV operation (slotted: one per op)."""
-
-    __slots__ = ("status", "value", "version", "pending_address")
-
-    def __init__(self, status: str, value: Any = None, version: int = 0,
-                 pending_address: int = NULL_ADDRESS):
-        self.status = status
-        self.value = value
-        #: CPR version the operation executed in (stamps the session op).
-        self.version = version
-        #: Address needing I/O when status is PENDING.
-        self.pending_address = pending_address
+    key: Any
+    address: int
 
 
 @dataclass
@@ -112,9 +100,6 @@ class FasterKV:
             for thread_id in list(self.epoch._threads):
                 self.epoch.refresh(thread_id)
 
-    def _thread_version(self, thread_id: str) -> int:
-        return self.epoch.thread(thread_id).version
-
     # -- visibility rules -----------------------------------------------------
 
     def _hidden_versions(self) -> Tuple[int, int]:
@@ -131,102 +116,127 @@ class FasterKV:
 
     def _find(self, key: Any) -> Tuple[int, int, Optional[Record]]:
         """``key``'s bucket and its newest visible record: ``(bucket,
-        address, record)``, skipping invalid and hidden records."""
-        bucket = self.index.bucket_of(key)
-        address = self.index.head_address(bucket)
-        low, high = self._hidden_versions()
-        get = self.log.get
-        while address != NULL_ADDRESS:
-            record = get(address)
+        address, record)``, skipping invalid and hidden records.  One
+        frame: it reads the index's, the log's and the epoch's fields."""
+        index = self.index
+        if type(key) is str:
+            bucket = crc32(key.encode(), _STR_SEED) % index.bucket_count
+        else:
+            bucket = _stable_hash(key) % index.bucket_count
+        address = index._buckets.get(bucket, NULL_ADDRESS)
+        state = self.epoch.global_state
+        phase = state.phase
+        if phase is Phase.THROW or phase is Phase.PURGE:
+            low, high = state.safe_version, state.boundary_version
+        else:
+            low = high = 0
+        records = self.log._records
+        while address >= 0:
+            record = records[address]
             if (record.key == key and not record.invalid
                     and not low < record.version <= high):
                 return bucket, address, record
             address = record.previous_address
+        if address != NULL_ADDRESS:
+            raise IndexError(f"address {address} out of range")
         return bucket, NULL_ADDRESS, None
 
     # -- operations ---------------------------------------------------------------
 
-    def read(self, key: Any, thread_id: str = DEFAULT_THREAD) -> OpOutcome:
-        version = self._thread_version(thread_id)
+    def read(self, key: Any) -> Any:
+        """The key's value; None when absent or deleted; a
+        :class:`PendingMarker` when the record is below the head."""
         _, address, record = self._find(key)
         if record is None:
-            return OpOutcome(OpStatus.NOT_FOUND, version=version)
-        if not self.log.in_memory(address):
+            return None
+        if address < self.log.head_address:
             self.reads_pending += 1
-            return OpOutcome(OpStatus.PENDING, version=version,
-                             pending_address=address)
+            return PendingMarker(key, address)
         if record.tombstone:
-            return OpOutcome(OpStatus.NOT_FOUND, version=version)
-        return OpOutcome(OpStatus.OK, value=record.value, version=version)
+            return None
+        return record.value
 
-    def resolve_pending_read(self, key: Any, address: int,
-                             thread_id: str = DEFAULT_THREAD) -> OpOutcome:
+    def resolve_pending_read(self, key: Any, address: int) -> Any:
         """Finish a PENDING read once the simulated I/O returned."""
         record = self.log.get(address)
-        version = self._thread_version(thread_id)
         low, high = self._hidden_versions()
         if (record.tombstone or record.invalid
                 or low < record.version <= high or record.key != key):
-            return OpOutcome(OpStatus.NOT_FOUND, version=version)
-        return OpOutcome(OpStatus.OK, value=record.value, version=version)
+            return None
+        return record.value
 
     def upsert(self, key: Any, value: Any,
-               thread_id: str = DEFAULT_THREAD) -> OpOutcome:
-        version = self._thread_version(thread_id)
+               thread_id: str = DEFAULT_THREAD) -> None:
+        """Blind write; ``thread_id`` names the CPR thread executing it
+        (its version stamps the record)."""
+        version = self.epoch._threads[thread_id].version
         bucket, address, record = self._find(key)
         if (
             record is not None
-            and self.log.mutable(address)
+            and address >= self.log.read_only_address
             and record.version == version
             and not record.tombstone
         ):
             record.value = value
             self.in_place_updates += 1
-            return OpOutcome(OpStatus.OK, version=version)
+            return
         self._append(bucket, key, value, version, tombstone=False)
         if record is not None:
             self.rcu_appends += 1
-        return OpOutcome(OpStatus.OK, version=version)
 
     def rmw(self, key: Any, update: Callable[[Any], Any],
-            initial: Any = None,
-            thread_id: str = DEFAULT_THREAD) -> OpOutcome:
-        """Read-modify-write; ``update`` maps old value to new value."""
-        version = self._thread_version(thread_id)
+            initial: Any = None) -> Any:
+        """Read-modify-write; ``update`` maps old value to new value.
+        Returns the new value.
+
+        A record below the head is read through the simulated I/O
+        (counted in ``reads_pending``) and the update is appended at
+        once, in the executing version, so a batch stays in one version
+        (§6's shared latch).  FASTER would instead park the RMW as
+        PENDING and finish it asynchronously, possibly in a later
+        version.
+        """
+        version = self.epoch._threads[self.DEFAULT_THREAD].version
         bucket, address, record = self._find(key)
         if record is None or record.tombstone:
             value = update(initial)
             self._append(bucket, key, value, version, tombstone=False)
-            return OpOutcome(OpStatus.OK, value=value, version=version)
-        if not self.log.in_memory(address):
+            return value
+        if address < self.log.head_address:
             self.reads_pending += 1
-            return OpOutcome(OpStatus.PENDING, version=version,
-                             pending_address=address)
-        if self.log.mutable(address) and record.version == version:
-            record.value = update(record.value)
+        elif (address >= self.log.read_only_address
+              and record.version == version):
+            value = record.value = update(record.value)
             self.in_place_updates += 1
-            return OpOutcome(OpStatus.OK, value=record.value, version=version)
+            return value
         value = update(record.value)
         self._append(bucket, key, value, version, tombstone=False)
         self.rcu_appends += 1
-        return OpOutcome(OpStatus.OK, value=value, version=version)
+        return value
 
-    def delete(self, key: Any, thread_id: str = DEFAULT_THREAD) -> OpOutcome:
-        version = self._thread_version(thread_id)
+    def delete(self, key: Any) -> bool:
+        """Append a tombstone; returns whether a live record was
+        deleted."""
+        version = self.epoch._threads[self.DEFAULT_THREAD].version
         bucket, _, record = self._find(key)
         if record is None or record.tombstone:
-            return OpOutcome(OpStatus.NOT_FOUND, version=version)
+            return False
         self._append(bucket, key, None, version, tombstone=True)
-        return OpOutcome(OpStatus.OK, version=version)
+        return True
 
     def _append(self, bucket: int, key: Any, value: Any, version: int,
-                tombstone: bool) -> int:
+                tombstone: bool) -> None:
         """Append at the tail and chain it into ``bucket`` (the key's,
-        as :meth:`_find` hashed it)."""
-        record = Record(key, value, version, tombstone=tombstone)
-        address = self.log.append(record)
-        record.previous_address = self.index.publish(bucket, address)
-        return address
+        as :meth:`_find` hashed it) -- FASTER's compare-and-swap on the
+        bucket entry, with the previous head as the back-pointer."""
+        buckets = self.index._buckets
+        log = self.log
+        records = log._records
+        records.append(Record(key, value, version,
+                              buckets.get(bucket, NULL_ADDRESS), tombstone))
+        buckets[bucket] = len(records) - 1
+        if log._memory_budget is not None:
+            log._maybe_shift_head()
 
     # -- checkpointing (Commit) -----------------------------------------------------
 

@@ -68,10 +68,14 @@ def execute_command(db: DataStore, command: Sequence) -> Any:
     """Dispatch one ``(NAME, arg, ...)`` tuple against the store."""
     if not command:
         raise RedisError("empty command")
-    name = str(command[0]).upper()
-    spec = COMMANDS.get(name)
+    # The table's own spelling hits at once; anything else is normalised.
+    name = command[0]
+    spec = COMMANDS.get(name) if type(name) is str else None
     if spec is None:
-        raise RedisError(f"unknown command '{name}'")
+        name = str(name).upper()
+        spec = COMMANDS.get(name)
+        if spec is None:
+            raise RedisError(f"unknown command '{name}'")
     args = command[1:]
     if len(args) < spec.arity or (len(args) > spec.arity and not spec.variadic):
         raise RedisError(f"wrong number of arguments for '{name.lower()}' command")

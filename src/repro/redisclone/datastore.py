@@ -1,14 +1,17 @@
 """The in-memory data structures behind the Redis clone.
 
 One :class:`DataStore` holds a flat keyspace whose values are strings
-(``str``) or lists (``list`` of ``str``).  All accesses are strictly
-serial — the clone, like Redis, is single-threaded — so no locking
-appears anywhere.
+(``str``) or lists (a ``tuple`` of ``str``).  Every value is immutable:
+a list command rebinds its key to a new tuple, so a snapshot image is a
+shallow copy of the keyspace dict that later commands cannot reach into
+(the fork's copy-on-write moment, with no per-key work).  All accesses
+are strictly serial — the clone, like Redis, is single-threaded — so no
+locking appears anywhere.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class RedisError(Exception):
@@ -25,19 +28,15 @@ class WrongTypeError(RedisError):
 
 
 class DataStore:
-    """The keyspace: key -> string or list."""
+    """The keyspace: key -> string or tuple of strings."""
 
     def __init__(self):
         self._values: Dict[str, Any] = {}
 
-    def _list(self, key: str, create: bool = False) -> Optional[List[str]]:
-        """The list at ``key`` (created empty if asked), or None."""
+    def _list(self, key: str) -> Optional[Tuple[str, ...]]:
+        """The list at ``key``, or None."""
         items = self._values.get(key)
-        if items is None:
-            if create:
-                items = self._values[key] = []
-            return items
-        if not isinstance(items, list):
+        if items is not None and not isinstance(items, tuple):
             raise WrongTypeError()
         return items
 
@@ -48,28 +47,29 @@ class DataStore:
 
     def get(self, key: str) -> Optional[str]:
         value = self._values.get(key)
-        if isinstance(value, list):
+        if isinstance(value, tuple):
             raise WrongTypeError()
         return value
 
     # -- lists -----------------------------------------------------------------------
 
     def rpush(self, key: str, *values: str) -> int:
-        items = self._list(key, create=True)
-        items.extend(str(v) for v in values)
+        items = self._values[key] = (
+            (self._list(key) or ()) + tuple(map(str, values)))
         return len(items)
 
     def lpop(self, key: str) -> Optional[str]:
         items = self._list(key)
         if not items:
             return None
-        value = items.pop(0)
-        if not items:
+        if len(items) > 1:
+            self._values[key] = items[1:]
+        else:
             del self._values[key]
-        return value
+        return items[0]
 
     def lrange(self, key: str, start: int, stop: int) -> List[str]:
-        items = self._list(key) or []
+        items = self._list(key) or ()
         # Redis LRANGE stop is inclusive; -1 means end of list.
         if stop == -1:
             return list(items[start:])
@@ -78,10 +78,9 @@ class DataStore:
     # -- snapshot support ----------------------------------------------------------------
 
     def dump(self) -> Dict[str, Any]:
-        """A deep-enough copy for RDB-style snapshots."""
-        return {key: list(value) if isinstance(value, list) else value
-                for key, value in self._values.items()}
+        """The keyspace image for RDB-style snapshots (values are
+        immutable, so a shallow copy is a deep one)."""
+        return dict(self._values)
 
     def load(self, image: Dict[str, Any]) -> None:
-        self._values = {key: list(value) if isinstance(value, list) else value
-                        for key, value in image.items()}
+        self._values = dict(image)

@@ -128,6 +128,28 @@ class TestFasterStateObject:
             assert shard.resolve_pending(value) == 0
         assert shard.get(0) == 0
 
+    def test_cold_rmw_applies_its_update(self):
+        # A RMW on a record paged out below the head used to come back
+        # PENDING with the update dropped, and resolving the marker only
+        # read the old value.
+        shard = FasterStateObject("A", memory_budget_records=4)
+        shard.execute(("upsert", "ctr", 5))
+        for i in range(20):
+            shard.execute(("upsert", f"filler{i}", i))
+            if i % 5 == 4:
+                shard.commit()
+        assert shard.kv.log.head_address > 0
+        pending_before = shard.kv.reads_pending
+        result = shard.execute(("incr", "ctr", 1))
+        assert result.value == 6
+        assert shard.kv.reads_pending == pending_before + 1
+        assert shard.get("ctr") == 6
+        # The update is appended in the version the op executed in.
+        log = shard.kv.log
+        assert log.get(log.tail_address - 1).version == result.version
+        assert shard.execute(("rmw", "ctr", lambda v: v * 10)).value == 60
+        assert shard.get("ctr") == 60
+
     def test_restore_with_resume_hint(self, shard):
         shard.execute(("set", "k", 1))
         shard.commit()

@@ -112,7 +112,7 @@ class TestThreadManagement:
         first = machine.register_thread("t0")
         second = machine.register_thread("t0")
         assert first is second
-        assert machine.thread("t0") is first
+        assert machine._threads["t0"] is first
 
     def test_single_thread_walks_through(self):
         machine = EpochStateMachine()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.faster.checkpoint import materialize
 from repro.faster.statemachine import Phase
-from repro.faster.store import FasterKV, OpStatus
+from repro.faster.store import FasterKV, PendingMarker
 
 
 @pytest.fixture
@@ -14,39 +14,37 @@ def kv():
 
 class TestOperations:
     def test_upsert_read(self, kv):
-        kv.upsert("k", 1)
-        outcome = kv.read("k")
-        assert (outcome.status, outcome.value) == (OpStatus.OK, 1)
+        assert kv.upsert("k", 1) is None
+        assert kv.read("k") == 1
 
     def test_read_missing(self, kv):
-        assert kv.read("nope").status == OpStatus.NOT_FOUND
+        assert kv.read("nope") is None
 
     def test_delete_tombstones(self, kv):
         kv.upsert("k", 1)
-        assert kv.delete("k").status == OpStatus.OK
-        assert kv.read("k").status == OpStatus.NOT_FOUND
-        assert kv.delete("k").status == OpStatus.NOT_FOUND
+        assert kv.delete("k") is True
+        assert kv.read("k") is None
+        assert kv.delete("k") is False
 
     def test_rmw_creates_with_initial(self, kv):
-        outcome = kv.rmw("ctr", lambda v: v + 10, initial=0)
-        assert outcome.value == 10
+        assert kv.rmw("ctr", lambda v: v + 10, initial=0) == 10
 
     def test_rmw_updates_existing(self, kv):
         kv.upsert("ctr", 5)
-        assert kv.rmw("ctr", lambda v: v * 2).value == 10
+        assert kv.rmw("ctr", lambda v: v * 2) == 10
 
     def test_upsert_after_delete_revives(self, kv):
         kv.upsert("k", 1)
         kv.delete("k")
         kv.upsert("k", 2)
-        assert kv.read("k").value == 2
+        assert kv.read("k") == 2
 
     def test_hash_collisions_resolved_by_chain(self):
         kv = FasterKV(bucket_count=1)  # everything collides
         for i in range(10):
             kv.upsert(f"key{i}", i)
         for i in range(10):
-            assert kv.read(f"key{i}").value == i
+            assert kv.read(f"key{i}") == i
 
     def test_version_stamps(self, kv):
         kv.upsert("k", 1)
@@ -92,17 +90,17 @@ class TestPendingReads:
         return kv
 
     def test_cold_read_goes_pending(self, cold_kv):
-        outcome = cold_kv.read(0)
-        assert outcome.status == OpStatus.PENDING
-        assert outcome.pending_address >= 0
+        marker = cold_kv.read(0)
+        assert isinstance(marker, PendingMarker)
+        assert marker.key == 0
+        assert marker.address >= 0
 
     def test_resolve_pending_read(self, cold_kv):
-        outcome = cold_kv.read(0)
-        resolved = cold_kv.resolve_pending_read(0, outcome.pending_address)
-        assert resolved.value == 0
+        marker = cold_kv.read(0)
+        assert cold_kv.resolve_pending_read(0, marker.address) == 0
 
     def test_hot_read_stays_synchronous(self, cold_kv):
-        assert cold_kv.read(104).status == OpStatus.OK
+        assert cold_kv.read(104) == 4
 
 
 class TestCheckpoint:
@@ -137,9 +135,9 @@ class TestCheckpoint:
         kv.begin_checkpoint()
         # t0 refreshes into the checkpoint; t1 lags but still serves.
         kv.epoch.refresh("t0")
-        outcome = kv.upsert("b", 2, thread_id="t1")
-        assert outcome.status == OpStatus.OK
-        assert outcome.version == 1  # t1 still in the old version
+        assert kv.upsert("b", 2, thread_id="t1") is None
+        # t1 still in the old version: the appended record says so.
+        assert kv.log.get(kv.log.tail_address - 1).version == 1
 
 
 class TestRollback:
@@ -149,8 +147,8 @@ class TestRollback:
         kv.upsert("k", "v2")
         kv.upsert("extra", 1)
         kv.run_rollback_synchronously(1)
-        assert kv.read("k").value == "v1"
-        assert kv.read("extra").status == OpStatus.NOT_FOUND
+        assert kv.read("k") == "v1"
+        assert kv.read("extra") is None
 
     def test_rollback_moves_to_v_plus_one(self, kv):
         kv.upsert("k", 1)
@@ -171,7 +169,7 @@ class TestRollback:
         kv.run_checkpoint_synchronously()
         kv.run_rollback_synchronously(1)
         kv.upsert("k", "new")
-        assert kv.read("k").value == "new"
+        assert kv.read("k") == "new"
         assert kv.log.get(kv.log.tail_address - 1).version == 3
 
     def test_readers_skip_purged_before_invalidation(self, kv):
@@ -181,12 +179,12 @@ class TestRollback:
         kv.run_checkpoint_synchronously()
         kv.upsert("k", "lost")
         kv.begin_rollback(1)
-        assert kv.read("k").value == "durable"
+        assert kv.read("k") == "durable"
         kv.drive_to_phase(Phase.PURGE)
-        assert kv.read("k").value == "durable"
+        assert kv.read("k") == "durable"
         kv.purge_invalid()
         kv.complete_purge()
-        assert kv.read("k").value == "durable"
+        assert kv.read("k") == "durable"
 
     def test_double_rollback(self, kv):
         kv.upsert("a", 1)

@@ -12,7 +12,9 @@ bound).  The open-loop driver gets the same treatment: its count of
 Python calls (exact per seed) must track batches served, not sessions
 offered.  So does the libDPR server: its DPR bookkeeping runs once per
 batch whatever the batch's size, and a FASTER log record costs its
-slots, not a dict.
+slots, not a dict.  So do the stores under it: a hot FASTER op is one
+chain walk in one frame, and a Redis-clone BGSAVE costs the same calls
+whatever the keyspace's size.
 
 **Byte-identity anchors** pin sha256 digests of full trace streams
 captured *before* the array-core refactor landed.  The refactor's
@@ -51,7 +53,9 @@ from repro.core.state_object import InMemoryStateObject
 from repro.core.versioning import Token
 from repro.faster.hybrid_log import HybridLog
 from repro.faster.record import Record
+from repro.faster.state_object import FasterStateObject
 from repro.obs import Tracer
+from repro.redisclone.server import RedisServer
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.workloads import YCSB_A, attach_open_loop, slo_report
@@ -469,3 +473,50 @@ class TestLibDprBatchCost:
         assert after - before <= FASTER_RECORDS_BYTES_BUDGET, (
             f"10 000 records retain {after - before} B, budget is "
             f"{FASTER_RECORDS_BYTES_BUDGET} B")
+
+
+def _profiled(call) -> pstats.Stats:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    call()
+    profiler.disable()
+    return pstats.Stats(profiler)
+
+
+def _faster_frames(op) -> list:
+    """The ``repro.faster`` functions one hot ``apply(op)`` enters, one
+    entry per call (the key's record is in memory, mutable and stamped
+    with the current version)."""
+    shard = FasterStateObject("A", bucket_count=16)
+    for key in ("a", "b", "k"):
+        shard.apply(("upsert", key, 0))
+    stats = _profiled(lambda: shard.apply(op))
+    return sorted(name for (path, _line, name), (_cc, calls, *_rest)
+                  in stats.stats.items() if "/repro/faster/" in path
+                  for _ in range(calls))
+
+
+def _bgsave_calls(keys: int) -> int:
+    """Every call, builtins included, of one BGSAVE over ``keys`` keys,
+    half strings and half lists."""
+    server = RedisServer()
+    for index in range(keys):
+        server.execute(("SET", f"s{index}", "v") if index & 1
+                       else ("RPUSH", f"l{index}", "a", "b"))
+    stats = _profiled(server.bgsave)
+    return sum(calls for _cc, calls, *_rest in stats.stats.values())
+
+
+class TestStoreOpCost:
+    def test_a_hot_faster_op_is_one_chain_walk(self):
+        # apply -> the op -> _find, and nothing else of repro.faster:
+        # no result object, no thread-version lookup, no index or log
+        # accessor.  (Each entered twelve before.)
+        assert _faster_frames(("read", "k")) == ["_find", "apply", "read"]
+        assert _faster_frames(("upsert", "k", 1)) == [
+            "_find", "apply", "upsert"]
+
+    def test_bgsave_costs_the_same_for_any_keyspace(self):
+        # Values are immutable, so the image is one dict copy; a per-key
+        # copy made one more call per key.
+        assert _bgsave_calls(1_000) == _bgsave_calls(10_000)

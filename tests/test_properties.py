@@ -256,12 +256,7 @@ class TestFasterProperties:
                 kv.delete(key)
                 model.pop(key, None)
             elif kind == 2:
-                outcome = kv.read(key)
-                expected = model.get(key)
-                if expected is None:
-                    assert outcome.status != "ok" or outcome.value is None
-                else:
-                    assert outcome.value == expected
+                assert kv.read(key) == model.get(key)
             else:
                 info = kv.run_checkpoint_synchronously()
                 snapshots[info.version] = dict(model)
@@ -286,6 +281,6 @@ class TestFasterProperties:
             model[key] = value
             if index % 7 == 3:
                 kv.run_checkpoint_synchronously()
-            assert kv.read(key).value == value
+            assert kv.read(key) == value
         for key, value in model.items():
-            assert kv.read(key).value == value
+            assert kv.read(key) == value

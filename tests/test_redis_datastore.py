@@ -74,8 +74,8 @@ class TestSnapshotSupport:
         db.rpush("l", "a")
         image = db.dump()
         db.rpush("l", "b")
-        assert image["l"] == ["a"]
+        assert image["l"] == ("a",)
         other = DataStore()
         other.load(image)
         other.rpush("l", "c")
-        assert image["l"] == ["a"]
+        assert image["l"] == ("a",)
