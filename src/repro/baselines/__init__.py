@@ -2,7 +2,6 @@
 
 from repro.baselines.cassandra import (
     CassandraCluster,
-    CassandraConfig,
     CommitLogMode,
     CassandraNode,
 )
@@ -14,7 +13,6 @@ from repro.baselines.recoverability import (
 
 __all__ = [
     "CassandraCluster",
-    "CassandraConfig",
     "CassandraNode",
     "CommitLogMode",
     "RecoverabilityLevel",

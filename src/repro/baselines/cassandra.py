@@ -20,18 +20,16 @@ the commitlog behaviour that separates the two durability levels.
 from __future__ import annotations
 
 import enum
-import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.cluster.client import ClientMachine
 from repro.cluster.messages import BatchReply, BatchRequest
 from repro.cluster.stats import ClusterStats
-from repro.sim.kernel import Environment, Event
+from repro.sim.kernel import Environment
+from repro.sim.network import Network
 from repro.sim.queues import Queue
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.rand import make_rng, spawn
-from repro.workloads.ycsb import WorkloadSpec, YCSB_A
+from repro.workloads.ycsb import WorkloadSpec
 
 
 class CommitLogMode(enum.Enum):
@@ -39,45 +37,34 @@ class CommitLogMode(enum.Enum):
     GROUP = "group"        # synchronous recoverability
 
 
-@dataclass
-class CassandraConfig:
-    n_nodes: int = 8
-    threads_per_node: int = 16
-    workload: WorkloadSpec = field(default_factory=lambda: YCSB_A)
-    commitlog: CommitLogMode = CommitLogMode.PERIODIC
-    batch_size: int = 256
-    window: Optional[int] = None
-    n_client_machines: int = 8
-    client_threads: int = 2
-    #: Per-op service cost: memtable insert + commitlog append + the
-    #: coordination/driver overhead that dominates real deployments.
-    op_cost: float = 150e-6
-    #: Group-commit fsync window (commitlog_sync_group_window).
-    group_window: float = 10e-3
-    #: Extra per-op cost under group sync (commitlog contention).
-    group_op_penalty: float = 2.0
-    seed: int = 42
-
-
 class CassandraNode:
     """One Cassandra node: a thread pool over a work queue, plus the
     group-commit fsync cycle when the commitlog is in ``group`` mode."""
 
+    THREADS = 16
+    #: Per-op service cost: memtable insert + commitlog append + the
+    #: coordination/driver overhead that dominates real deployments.
+    OP_COST = 150e-6
+    #: Group-commit fsync window (commitlog_sync_group_window).
+    GROUP_WINDOW = 10e-3
+    #: Extra per-op cost under group sync (commitlog contention).
+    GROUP_OP_PENALTY = 2.0
+
     def __init__(self, env: Environment, net: Network, address: str,
-                 config: CassandraConfig):
+                 commitlog: CommitLogMode):
         self.env = env
         self.net = net
         self.address = address
-        self.config = config
+        self.commitlog = commitlog
         self.endpoint = net.register(address)
         self.work = Queue(env, name=f"cass-q:{address}")
         #: Batches waiting on the next group fsync: (reply, reply_to).
         self._awaiting_fsync: List = []
         self.ops_served = 0
         env.process(self._dispatch(), name=f"cass-rx:{address}")
-        for thread in range(config.threads_per_node):
+        for thread in range(self.THREADS):
             env.process(self._thread(), name=f"cass:{address}/{thread}")
-        if config.commitlog is CommitLogMode.GROUP:
+        if commitlog is CommitLogMode.GROUP:
             env.process(self._fsync_cycle(), name=f"cass-fsync:{address}")
 
     def _dispatch(self):
@@ -87,10 +74,10 @@ class CassandraNode:
 
     def _thread(self):
         env = self.env
-        config = self.config
-        per_op = config.op_cost
-        if config.commitlog is CommitLogMode.GROUP:
-            per_op *= config.group_op_penalty
+        group = self.commitlog is CommitLogMode.GROUP
+        per_op = self.OP_COST
+        if group:
+            per_op *= self.GROUP_OP_PENALTY
         while True:
             request: BatchRequest = yield self.work  # channel wait
             yield request.op_count * per_op
@@ -105,7 +92,7 @@ class CassandraNode:
                 op_count=request.op_count,
                 served_at=env.now,
             )
-            if config.commitlog is CommitLogMode.GROUP:
+            if group:
                 # Ack only after the commitlog group fsync.
                 self._awaiting_fsync.append((reply, request.reply_to))
             else:
@@ -113,9 +100,8 @@ class CassandraNode:
                               size_ops=request.op_count)
 
     def _fsync_cycle(self):
-        env = self.env
         while True:
-            yield self.config.group_window
+            yield self.GROUP_WINDOW
             pending, self._awaiting_fsync = self._awaiting_fsync, []
             for reply, reply_to in pending:
                 self.net.send(self.address, reply_to, reply,
@@ -125,32 +111,32 @@ class CassandraNode:
 class CassandraCluster:
     """An n-node Cassandra-like cluster fed by the standard clients."""
 
-    def __init__(self, config: Optional[CassandraConfig] = None, **overrides):
-        if config is None:
-            config = CassandraConfig(**overrides)
-        elif overrides:
-            config = replace(config, **overrides)
-        self.config = config
+    N_NODES = 8
+    N_CLIENT_MACHINES = 8
+    CLIENT_THREADS = 2
+    BATCH_SIZE = 256
+    SEED = 42
+
+    def __init__(self, commitlog: CommitLogMode, workload: WorkloadSpec):
+        self.commitlog = commitlog
         self.env = Environment()
-        self._rng = make_rng(config.seed)
-        self.net = Network(self.env, NetworkConfig(),
-                           rng=spawn(self._rng, "net"))
+        self._rng = make_rng(self.SEED)
+        self.net = Network(self.env, rng=spawn(self._rng, "net"))
         self.stats = ClusterStats()
-        addresses = [f"cassandra-{i}" for i in range(config.n_nodes)]
-        self.nodes = [CassandraNode(self.env, self.net, address, config)
+        addresses = [f"cassandra-{i}" for i in range(self.N_NODES)]
+        self.nodes = [CassandraNode(self.env, self.net, address, commitlog)
                       for address in addresses]
         self.clients = [
             ClientMachine(
                 self.env, self.net, f"client-{i}",
                 worker_addresses=addresses,
-                workload=config.workload,
+                workload=workload,
                 stats=self.stats,
-                batch_size=config.batch_size,
-                window=config.window,
-                n_threads=config.client_threads,
+                batch_size=self.BATCH_SIZE,
+                n_threads=self.CLIENT_THREADS,
                 rng=spawn(self._rng, f"client{i}"),
             )
-            for i in range(config.n_client_machines)
+            for i in range(self.N_CLIENT_MACHINES)
         ]
 
     def run(self, duration: float, warmup: float = 0.05) -> ClusterStats:

@@ -20,14 +20,10 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Optional
 
-from repro.baselines.cassandra import (
-    CassandraCluster,
-    CassandraConfig,
-    CommitLogMode,
-)
+from repro.baselines.cassandra import CassandraCluster, CommitLogMode
 from repro.cluster.dfaster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig, RedisMode
-from repro.workloads.ycsb import WorkloadSpec, YCSB_A
+from repro.workloads.ycsb import YCSB_A
 
 
 class RecoverabilityLevel(enum.Enum):
@@ -59,30 +55,27 @@ def supported_levels(system: str):
 
 
 def _run_cassandra(level: RecoverabilityLevel, duration: float,
-                   warmup: float, workload: WorkloadSpec) -> float:
+                   warmup: float) -> float:
     mode = (CommitLogMode.GROUP if level is RecoverabilityLevel.SYNC
             else CommitLogMode.PERIODIC)
-    cluster = CassandraCluster(CassandraConfig(commitlog=mode,
-                                               workload=workload))
+    cluster = CassandraCluster(mode, YCSB_A)
     stats = cluster.run(duration, warmup)
     return stats.throughput(start=warmup, end=duration,
                             duration=duration - warmup)
 
 
 def _run_dredis(level: RecoverabilityLevel, duration: float,
-                warmup: float, workload: WorkloadSpec) -> float:
+                warmup: float) -> float:
     # NONE: plain Redis.  EVENTUAL: AOF without fsync waiting.
     # DPR: the full D-Redis stack.  SYNC: appendfsync=always.
     if level is RecoverabilityLevel.NONE:
-        config = DRedisConfig(mode=RedisMode.PLAIN, workload=workload)
+        config = DRedisConfig(mode=RedisMode.PLAIN)
     elif level is RecoverabilityLevel.EVENTUAL:
-        config = DRedisConfig(mode=RedisMode.PLAIN, aof="everysec",
-                              workload=workload)
+        config = DRedisConfig(mode=RedisMode.PLAIN, aof="everysec")
     elif level is RecoverabilityLevel.DPR:
-        config = DRedisConfig(mode=RedisMode.DPR, workload=workload)
+        config = DRedisConfig(mode=RedisMode.DPR)
     else:
-        config = DRedisConfig(mode=RedisMode.PLAIN, aof="always",
-                              workload=workload)
+        config = DRedisConfig(mode=RedisMode.PLAIN, aof="always")
     cluster = DRedisCluster(config)
     stats = cluster.run(duration, warmup)
     return stats.throughput(start=warmup, end=duration,
@@ -90,17 +83,16 @@ def _run_dredis(level: RecoverabilityLevel, duration: float,
 
 
 def _run_dfaster(level: RecoverabilityLevel, duration: float,
-                 warmup: float, workload: WorkloadSpec) -> float:
+                 warmup: float) -> float:
     # NONE: no checkpoints.  EVENTUAL: checkpoints with DPR off
     # (§7.6: "emulate eventual recoverability by turning off DPR").
     # DPR: the full stack.  SYNC: unsupported.
     if level is RecoverabilityLevel.NONE:
-        config = DFasterConfig(checkpoints_enabled=False, dpr_enabled=False,
-                               workload=workload)
+        config = DFasterConfig(checkpoints_enabled=False, dpr_enabled=False)
     elif level is RecoverabilityLevel.EVENTUAL:
-        config = DFasterConfig(dpr_enabled=False, workload=workload)
+        config = DFasterConfig(dpr_enabled=False)
     else:
-        config = DFasterConfig(workload=workload)
+        config = DFasterConfig()
     cluster = DFasterCluster(config)
     stats = cluster.run(duration, warmup)
     return stats.throughput(start=warmup, end=duration,
@@ -114,23 +106,23 @@ _RUNNERS: Dict[str, Callable] = {
 }
 
 
+#: Figure 19's column order.
+_LEVELS = (RecoverabilityLevel.SYNC, RecoverabilityLevel.DPR,
+           RecoverabilityLevel.EVENTUAL, RecoverabilityLevel.NONE)
+
+
 def run_recoverability_matrix(
     duration: float = 0.4,
     warmup: float = 0.1,
-    workload: Optional[WorkloadSpec] = None,
-    systems=("cassandra", "d-redis", "d-faster"),
-    levels=(RecoverabilityLevel.SYNC, RecoverabilityLevel.DPR,
-            RecoverabilityLevel.EVENTUAL, RecoverabilityLevel.NONE),
 ) -> Dict[str, Dict[RecoverabilityLevel, Optional[float]]]:
     """Regenerate Figure 19: throughput per (system, level), None=N/A."""
-    workload = workload or YCSB_A
     results: Dict[str, Dict[RecoverabilityLevel, Optional[float]]] = {}
-    for system in systems:
+    for system, run in _RUNNERS.items():
         row: Dict[RecoverabilityLevel, Optional[float]] = {}
-        for level in levels:
+        for level in _LEVELS:
             if level not in supported_levels(system):
                 row[level] = None
                 continue
-            row[level] = _RUNNERS[system](level, duration, warmup, workload)
+            row[level] = run(level, duration, warmup)
         results[system] = row
     return results

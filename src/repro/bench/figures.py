@@ -23,6 +23,7 @@ from repro.bench.harness import (
 )
 from repro.cluster.client import ReplicaReadClient
 from repro.cluster.dredis import RedisMode
+from repro.cluster.stats import TimeSeries
 from repro.sim.storage import StorageKind
 from repro.workloads import (
     YCSB_A,
@@ -245,7 +246,9 @@ def elastic(scale: float = 1.0) -> Tuple[str, Rows]:
     duration = max(0.4, 1.2 * scale)
     warmup = 0.05
     grow_at = duration * 0.5
-    bucket = duration / 8
+    # Eight buckets per run, each a whole number of native buckets.
+    bucket = TimeSeries.BUCKET_WIDTH * max(
+        1, round(duration / 8 / TimeSeries.BUCKET_WIDTH))
 
     def grow_plan(cluster, add_node):
         coordinator = cluster.enable_elasticity(

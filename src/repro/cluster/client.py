@@ -28,7 +28,12 @@ from repro.cluster.messages import (
 )
 from repro.cluster.stats import ClusterStats
 from repro.core.cuts import DprCut
-from repro.core.session import Session, Span
+from repro.core.session import (
+    RECOVERY_PAUSE,
+    RETRY_DELAY,
+    Session,
+    Span,
+)
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.rand import make_rng, spawn
@@ -115,7 +120,7 @@ class BatchSession:
     # -- failure handling -------------------------------------------------------
 
     def handle_rollback(self, new_world_line: int, cut: Optional[DprCut],
-                        now: float, pause: float) -> None:
+                        now: float) -> None:
         """World-line bump: commit what the cut covers, abort the rest.
 
         Fleet clients have no application above them to surface the
@@ -132,7 +137,7 @@ class BatchSession:
             stats.committed.add(now, span.op_count)
         for span in error.aborted:
             stats.aborted.add(now, span.op_count)
-        session.paused_until = now + pause
+        session.paused_until = now + RECOVERY_PAUSE
 
 
 class ClientMachine:
@@ -154,9 +159,6 @@ class ClientMachine:
         window: Optional[int] = None,
         n_threads: int = 4,
         rng: Optional[random.Random] = None,
-        recovery_pause: float = 20e-3,
-        retry_delay: float = 2e-3,
-        retry_backoff_cap: float = 0.1,
     ):
         self.env = env
         self.net = net
@@ -167,10 +169,6 @@ class ClientMachine:
         self.stats = stats
         self.batch_size = batch_size
         self.window = window if window is not None else 16 * batch_size
-        self.recovery_pause = recovery_pause
-        self.retry_delay = retry_delay
-        #: Upper bound on the exponential RETRY backoff.
-        self.retry_backoff_cap = retry_backoff_cap
         self._rng = make_rng(rng)
         #: Optional ElasticCoordinator (§5.3): when set, batches route
         #: by partition through a locally cached owner map instead of
@@ -241,7 +239,7 @@ class ClientMachine:
                     target = router.metadata.owner_of(partition)
                     if target is None:
                         # Mid-transfer, owner-less window: retry.
-                        yield self.retry_delay
+                        yield RETRY_DELAY
                         continue
                     self._owner_cache[partition] = target
             write_count = write_count_of(batch_size, rng)
@@ -266,8 +264,7 @@ class ClientMachine:
             return
         dpr = session.session
         if reply.status == "rolled_back":
-            session.handle_rollback(reply.world_line, reply.cut, env.now,
-                                    self.recovery_pause)
+            session.handle_rollback(reply.world_line, reply.cut, env.now)
         elif reply.status == "not_owner":
             # Bounced off a stale owner mapping (§5.3): the ops
             # never ran, so forget the batch, invalidate the cached
@@ -277,11 +274,10 @@ class ClientMachine:
             if reply.partition is not None:
                 self._owner_cache.pop(reply.partition, None)
             dpr.paused_until = max(dpr.paused_until,
-                                   env.now + self.retry_delay)
+                                   env.now + RETRY_DELAY)
         elif reply.status == "retry":
             dpr.drop(reply.batch_id)
-            dpr.backoff(env.now, self.retry_delay, self.retry_backoff_cap,
-                        self._rng.random())
+            dpr.backoff(env.now, self._rng.random())
         else:
             session.complete(reply, env.now)
         self._wake(reply.session_id)
@@ -310,22 +306,25 @@ class ClientMachine:
         self.running = False
 
 
-class _ReadGiveUp:
-    """Self-addressed marker waking a read waiting on a lost reply.
+class GiveUp:
+    """Self-addressed marker waking a waiter whose reply is lost.
 
-    Routed through the :class:`~repro.sim.network.Network` back to the
-    read client's own endpoint — never injected into the inbox
-    directly — and re-sent on a timer until the waiter wakes, so a
-    dropped marker cannot wedge the read either.
+    A replica read (:class:`ReplicaReadClient`) or a partitioned batch
+    (:class:`~repro.cluster.elastic.PartitionedClient`) that goes
+    unanswered sends one to its own endpoint, carrying the request's
+    id.  It is routed through the :class:`~repro.sim.network.Network`
+    — never injected into the inbox directly — and re-sent on a timer
+    until the waiter wakes, so a dropped marker cannot wedge the waiter
+    either.
     """
 
-    __slots__ = ("read_id",)
+    __slots__ = ("request_id",)
 
-    def __init__(self, read_id: int):
-        self.read_id = read_id
+    def __init__(self, request_id: int):
+        self.request_id = request_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_ReadGiveUp(read_id={self.read_id})"
+        return f"GiveUp(request_id={self.request_id})"
 
 
 class ReplicaReadClient:
@@ -355,7 +354,6 @@ class ReplicaReadClient:
 
     def __init__(self, env: Environment, net: Network, address: str,
                  metadata, primaries: List[str],
-                 retry_delay: float = 2e-3,
                  rng: Optional[random.Random] = None):
         self.env = env
         self.net = net
@@ -365,7 +363,6 @@ class ReplicaReadClient:
         #: The shards' primary addresses (== their engine object ids;
         #: promotion preserves the id, so routing keys stay stable).
         self.primaries = list(primaries)
-        self.retry_delay = retry_delay
         self._rng = make_rng(rng)
         self._next_read = 0
         #: primary -> guaranteed-cut version, from the last refresh.
@@ -436,7 +433,7 @@ class ReplicaReadClient:
             if target is None:
                 self.behind_bounces += 1
                 self._last_refresh = -1.0
-                yield self.retry_delay
+                yield RETRY_DELAY
                 continue
             self._next_read += 1
             request = ReplicaReadRequest(
@@ -452,7 +449,7 @@ class ReplicaReadClient:
             if reply.status == "behind":
                 self.behind_bounces += 1
                 self._note_behind(primary, reply)
-                yield self.retry_delay
+                yield RETRY_DELAY
                 continue
             self.reads_completed += 1
             self.read_log.append((env.now, primary, reply.durable_version,
@@ -478,8 +475,8 @@ class ReplicaReadClient:
             while True:
                 message = yield self.endpoint.inbox  # channel wait
                 payload = message.payload
-                if isinstance(payload, _ReadGiveUp):
-                    if payload.read_id == read_id:
+                if isinstance(payload, GiveUp):
+                    if payload.request_id == read_id:
                         return None
                     self.mismatched_replies += 1
                     continue
@@ -496,7 +493,7 @@ class ReplicaReadClient:
             yield self.REQUEST_TIMEOUT
             if state["done"]:
                 return
-            self.net.send(self.address, self.address, _ReadGiveUp(read_id),
+            self.net.send(self.address, self.address, GiveUp(read_id),
                           size_ops=1)
 
     # -- closed-loop driver (benchmarks) ---------------------------------

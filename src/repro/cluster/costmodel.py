@@ -24,87 +24,85 @@ effects the paper measures emerge from the same causes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.sim.storage import StorageKind
 
 
-@dataclass
 class CostModel:
-    """All tunables, in seconds unless noted."""
+    """All tunables, in seconds unless noted.
+
+    The numbers are the calibration every figure runs with, so they are
+    class constants, not fields: a variant is a subclass.
+    """
 
     # -- per-operation CPU ------------------------------------------------
     #: In-memory read or in-place update on a server thread.
-    op_base: float = 0.9e-6
+    OP_BASE = 0.9e-6
     #: Extra cost of an RCU append (allocate + copy + index CAS).
-    rcu_extra: float = 1.1e-6
+    RCU_EXTRA = 1.1e-6
     #: Server-side per-message fixed cost (parse + syscalls).
-    message_fixed: float = 18e-6
-    #: Per-op cost of the remote execution path on top of op_base
+    MESSAGE_FIXED = 18e-6
+    #: Per-op cost of the remote execution path on top of OP_BASE
     #: (enqueue/dequeue, serialization).
-    remote_op_extra: float = 0.35e-6
+    REMOTE_OP_EXTRA = 0.35e-6
     #: Per-op cost on a co-located thread running against local memory
     #: (cheaper than the full server path, §5.2).
-    colocated_local_op: float = 0.55e-6
+    COLOCATED_LOCAL_OP = 0.55e-6
     #: Client-side per-op cost of the remote path on a co-located thread
     #: (serialize, window bookkeeping, reply handling) — work a
     #: dedicated client VM does for free from the servers' viewpoint;
     #: here it competes with serving (§7.3's first explanation).
-    colocated_remote_client_op: float = 0.9e-6
+    COLOCATED_REMOTE_CLIENT_OP = 0.9e-6
     #: DPR bookkeeping per batch (header checks, version logic) — tiny,
     #: which is why DPR ~= uncoordinated checkpoints in Figure 11.
-    dpr_batch_overhead: float = 1.5e-6
+    DPR_BATCH_OVERHEAD = 1.5e-6
 
     # -- checkpoint machinery ------------------------------------------------
     #: Transition window after a checkpoint begins: epoch refreshes and
     #: allocator churn slow everything down.
-    transition_window: float = 8e-3
+    TRANSITION_WINDOW = 8e-3
     #: Operation-cost multiplier during the transition window.
-    transition_slowdown: float = 2.2
+    TRANSITION_SLOWDOWN = 2.2
     #: Multiplier while a flush is outstanding, per backend.
-    flush_slowdown: dict = field(default_factory=lambda: {
+    FLUSH_SLOWDOWN = {
         StorageKind.NULL: 1.0,
         StorageKind.LOCAL_SSD: 1.12,
         StorageKind.CLOUD_SSD: 1.55,
-    })
+    }
     #: Extra multiplier when checkpoints are requested faster than the
     #: device drains them (the Figure 14 thrash regime).
-    thrash_slowdown: float = 2.0
+    THRASH_SLOWDOWN = 2.0
 
     # -- recovery ----------------------------------------------------------------
     #: Fixed rollback cost at a worker (THROW convergence; the PURGE
     #: scan runs in the background and does not block).
-    rollback_window: float = 60e-3
-    #: Client-side pause to compute the surviving prefix after a
-    #: world-line bump (§7.4: "clients paused operations").
-    client_recovery_pause: float = 20e-3
+    ROLLBACK_WINDOW = 60e-3
 
     # -- Redis path (single-threaded, §7.5) ------------------------------------
-    redis_op: float = 1.4e-6
-    redis_message_fixed: float = 14e-6
+    REDIS_OP = 1.4e-6
+    REDIS_MESSAGE_FIXED = 14e-6
     #: Proxy forwarding cost per message and per op — re-framing plus an
     #: extra pair of socket traversals on the shard VM; this is what
     #: makes D-Redis latency ~30% higher unsaturated (§7.5).
-    proxy_message_fixed: float = 40e-6
-    proxy_op: float = 0.25e-6
+    PROXY_MESSAGE_FIXED = 40e-6
+    PROXY_OP = 0.25e-6
     #: BGSAVE snapshot pause (fork + latch) per key-byte is negligible at
     #: our scale; charge a fixed latch window.
-    bgsave_pause: float = 4e-3
+    BGSAVE_PAUSE = 4e-3
     #: AOF fsync cost per operation when appendfsync=always (amortized
     #: NVMe fsync under pipelined load).
-    aof_fsync: float = 20e-6
+    AOF_FSYNC = 20e-6
     #: Eventual-durability background append per op (amortized).
-    aof_background: float = 0.15e-6
+    AOF_BACKGROUND = 0.15e-6
 
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         # Per-instance memo tables for the batch-cost lookups below.
         # Every entry is keyed on the *exact* argument tuple and holds
         # the float the plain computation would return, so memoization
-        # is bit-for-bit invisible; the tables are per-instance (and
-        # rebuilt by dataclasses.replace) so tuned copies never share.
-        # Size caps bound memory on workloads with non-discrete inputs;
-        # eviction is a deterministic function of the call sequence.
+        # is bit-for-bit invisible; the tables are per-instance (one
+        # per cluster) so runs never share them.  Size caps bound
+        # memory on workloads with non-discrete inputs; eviction is a
+        # deterministic function of the call sequence.
         self._batch_cache: dict = {}
         self._redis_cache: dict = {}
         self._proxy_cache: dict = {}
@@ -151,11 +149,11 @@ class CostModel:
         cache = self._batch_cache
         value = cache.get(key)
         if value is None:
-            per_op = self.op_base + self.remote_op_extra
-            per_op += product * self.rcu_extra
-            total = self.message_fixed + ops * per_op
+            per_op = self.OP_BASE + self.REMOTE_OP_EXTRA
+            per_op += product * self.RCU_EXTRA
+            total = self.MESSAGE_FIXED + ops * per_op
             if dpr:
-                total += self.dpr_batch_overhead
+                total += self.DPR_BATCH_OVERHEAD
             value = total * slowdown
             if len(cache) >= self._CACHE_LIMIT:
                 cache.clear()
@@ -166,8 +164,8 @@ class CostModel:
                              rcu_probability: float,
                              slowdown: float) -> float:
         """Service time of ``ops`` local operations on a co-located thread."""
-        per_op = self.colocated_local_op
-        per_op += write_fraction * rcu_probability * self.rcu_extra
+        per_op = self.COLOCATED_LOCAL_OP
+        per_op += write_fraction * rcu_probability * self.RCU_EXTRA
         return ops * per_op * slowdown
 
     def colocated_remote_send(self, ops: int) -> float:
@@ -178,7 +176,7 @@ class CostModel:
         cache = self._send_cache
         value = cache.get(ops)
         if value is None:
-            value = self.message_fixed + ops * self.colocated_remote_client_op
+            value = self.MESSAGE_FIXED + ops * self.COLOCATED_REMOTE_CLIENT_OP
             if len(cache) >= self._CACHE_LIMIT:
                 cache.clear()
             cache[ops] = value
@@ -195,12 +193,12 @@ class CostModel:
         cache = self._redis_cache
         value = cache.get(key)
         if value is None:
-            per_op = self.redis_op
+            per_op = self.REDIS_OP
             if aof_always:
-                per_op += self.aof_fsync
+                per_op += self.AOF_FSYNC
             elif aof_eventual:
-                per_op += self.aof_background
-            value = self.redis_message_fixed + ops * per_op
+                per_op += self.AOF_BACKGROUND
+            value = self.REDIS_MESSAGE_FIXED + ops * per_op
             if len(cache) >= self._CACHE_LIMIT:
                 cache.clear()
             cache[key] = value
@@ -212,9 +210,9 @@ class CostModel:
         cache = self._proxy_cache
         value = cache.get(key)
         if value is None:
-            value = self.proxy_message_fixed + ops * self.proxy_op
+            value = self.PROXY_MESSAGE_FIXED + ops * self.PROXY_OP
             if dpr:
-                value += self.dpr_batch_overhead
+                value += self.DPR_BATCH_OVERHEAD
             if len(cache) >= self._CACHE_LIMIT:
                 cache.clear()
             cache[key] = value

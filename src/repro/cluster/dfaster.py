@@ -29,6 +29,7 @@ from repro.core.finder import (
     ExactDprFinder,
     HybridDprFinder,
 )
+from repro.core.session import RETRY_DELAY
 from repro.faster.state_object import FasterStateObject
 from repro.sim.rand import spawn
 
@@ -95,7 +96,7 @@ class DFasterCluster(ClusterShell):
             self.env, self.net, address,
             engine=self._build_engine(address),
             device=self._device(f"dev{index}"),
-            cost=config.cost,
+            cost=self.cost,
             stats=self.stats,
             finder_address=FINDER_ADDRESS,
             manager_address=MANAGER_ADDRESS,
@@ -237,8 +238,7 @@ class _ColocatedDriver:
     def _absorb_reply(self, session: BatchSession, reply: BatchReply) -> None:
         now = self.cluster.env.now
         if reply.status == "rolled_back":
-            session.handle_rollback(reply.world_line, reply.cut, now,
-                                    self.cluster.config.cost.client_recovery_pause)
+            session.handle_rollback(reply.world_line, reply.cut, now)
         elif reply.status == "retry":
             session.session.drop(reply.batch_id)
         else:
@@ -263,7 +263,7 @@ class _ColocatedDriver:
     def _loop(self, session: BatchSession, rng: random.Random):
         cluster, worker = self.cluster, self.worker
         env = cluster.env
-        cost = cluster.config.cost
+        cost = cluster.cost
         chunk_p = self._chunk_probability()
         # The session is sequential: once the next chunk is drawn it
         # must issue before anything later — a remote chunk blocked on
@@ -302,7 +302,7 @@ class _ColocatedDriver:
         env = cluster.env
         chunk = self.LOCAL_CHUNK
         write_count = cluster.config.workload.batch_write_count(chunk, rng)
-        yield cluster.config.cost.colocated_local_time(
+        yield cluster.cost.colocated_local_time(
             chunk, write_count / chunk, worker._rcu_probability(),
             worker._slowdown(),
         )
@@ -312,7 +312,7 @@ class _ColocatedDriver:
         reply = worker._gated(request)
         self._absorb_reply(session, reply)
         if reply.status == "retry":
-            session.session.paused_until = env.now + 2e-3
+            session.session.paused_until = env.now + RETRY_DELAY
 
     def _issue_remote(self, session: BatchSession,
                       rng: random.Random) -> None:

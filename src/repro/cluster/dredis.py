@@ -72,13 +72,13 @@ class _RedisInstance:
 
     def _loop(self):
         env = self.env
-        cost = self.cluster.config.cost
+        cost = self.cluster.cost
         aof = self.cluster.config.aof
         while True:
             request, respond = yield self.queue  # channel wait
             if request == "BGSAVE":
                 # The exclusive-latch window (§6): command stream pauses.
-                yield cost.bgsave_pause
+                yield cost.BGSAVE_PAUSE
                 respond(None)
                 continue
             service = cost.redis_batch_time(
@@ -114,7 +114,7 @@ class _DRedisProxy(GateHost):
         config = cluster.config
         address = f"proxy-{shard_id}"
         super().__init__(env, cluster.net, address,
-                         cluster._build_engine(address), device, config.cost,
+                         cluster._build_engine(address), device, cluster.cost,
                          FINDER_ADDRESS, MANAGER_ADDRESS,
                          dpr_enabled=config.mode is RedisMode.DPR,
                          checkpoint_interval=config.checkpoint_interval)
@@ -238,7 +238,7 @@ class _DRedisProxy(GateHost):
     def _rollback_delay(self, applied: bool) -> float:
         """Restore() restarts the Redis instance (§6), which dwarfs
         THROW-style windows; a repeated command re-acks at once."""
-        return self.cost.rollback_window * 2 if applied else 0.0
+        return self.cost.ROLLBACK_WINDOW * 2 if applied else 0.0
 
 
 class DRedisCluster(ClusterShell):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.cluster.client import GiveUp
 from repro.cluster.messages import (
     BatchIds,
     BatchReply,
@@ -49,7 +50,7 @@ from repro.cluster.messages import (
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.ownership import HashPartitioner, OwnershipView
 from repro.core.cuts import DprCut
-from repro.core.session import RollbackError, Session
+from repro.core.session import RETRY_DELAY, RollbackError, Session
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 
@@ -247,24 +248,6 @@ class ElasticCoordinator:
         self.detach_worker(address)
 
 
-class _GiveUp:
-    """Self-addressed marker: a send attempt exhausted its resends.
-
-    Routed through :meth:`Network.send <repro.sim.network.Network.send>`
-    back to the client's own endpoint (never injected into the inbox
-    directly), so it obeys the same delivery model as everything else;
-    the retransmit loop keeps re-sending it until the waiter wakes.
-    """
-
-    __slots__ = ("batch_id",)
-
-    def __init__(self, batch_id: int):
-        self.batch_id = batch_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_GiveUp(batch_id={self.batch_id})"
-
-
 class PartitionedClient:
     """A DPR-aware client routing single batches by partition (§5.3).
 
@@ -288,15 +271,13 @@ class PartitionedClient:
     MAX_RESENDS = 8
 
     def __init__(self, env: Environment, net: Network, address: str,
-                 metadata: MetadataStore, coordinator: ElasticCoordinator,
-                 retry_delay: float = 2e-3):
+                 metadata: MetadataStore, coordinator: ElasticCoordinator):
         self.env = env
         self.net = net
         self.address = address
         self.endpoint = net.register(address)
         self.metadata = metadata
         self.coordinator = coordinator
-        self.retry_delay = retry_delay
         #: Attempts abandoned after MAX_RESENDS (owner unreachable).
         self.giveups = 0
         #: The DPR session: world-line, Vs, commit watermark.
@@ -354,7 +335,7 @@ class PartitionedClient:
             if owner is None:
                 # Mid-transfer: the partition is owner-less; retry.
                 self.retries += 1
-                yield self.retry_delay
+                yield RETRY_DELAY
                 refresh = True
                 continue
             if header is None:
@@ -377,7 +358,7 @@ class PartitionedClient:
                 # of re-applying the ops.
                 self.retries += 1
                 refresh = True
-                yield self.retry_delay
+                yield RETRY_DELAY
                 continue
             if reply.status == "not_owner":
                 # Stale cache: re-read the mapping and retry (§5.3).
@@ -385,13 +366,13 @@ class PartitionedClient:
                 self.retries += 1
                 refresh = True
                 request = None
-                yield self.retry_delay
+                yield RETRY_DELAY
                 continue
             if reply.status == "retry":
                 # Worker mid-recovery; back off and re-send fresh.
                 self.retries += 1
                 request = None
-                yield self.retry_delay
+                yield RETRY_DELAY
                 continue
             if reply.status == "rolled_back":
                 cut = reply.cut if reply.cut is not None else DprCut()
@@ -434,8 +415,8 @@ class PartitionedClient:
             while True:
                 message = yield self.endpoint.inbox  # channel wait
                 payload = message.payload
-                if isinstance(payload, _GiveUp):
-                    if payload.batch_id == request.batch_id:
+                if isinstance(payload, GiveUp):
+                    if payload.request_id == request.batch_id:
                         self.giveups += 1
                         return None
                     self.mismatched_replies += 1
@@ -458,7 +439,7 @@ class PartitionedClient:
                 # (the marker itself rides the lossy network) until the
                 # waiter flips state["done"].
                 self.net.send(self.address, self.address,
-                              _GiveUp(request.batch_id), size_ops=1)
+                              GiveUp(request.batch_id), size_ops=1)
                 continue
             state["attempts"] += 1
             self.resends += 1

@@ -35,13 +35,14 @@ from repro.sim.rand import make_rng
 class MetadataStore:
     """Azure-SQL stand-in: VersionTable + ownership + timed access."""
 
-    def __init__(self, env: Environment, rtt_mean: float = 1.2e-3,
-                 rtt_jitter: float = 0.2e-3,
+    #: Round trip to the store, in seconds: mean and jitter stddev.
+    RTT_MEAN = 1.2e-3
+    RTT_JITTER = 0.2e-3
+
+    def __init__(self, env: Environment,
                  rng: Optional[random.Random] = None,
                  faults: Optional[FaultPlan] = None):
         self.env = env
-        self.rtt_mean = rtt_mean
-        self.rtt_jitter = rtt_jitter
         self._rng = make_rng(rng)
         #: The durable ``dpr`` table + published cut + world-line.
         self.version_table = VersionTable()
@@ -65,9 +66,9 @@ class MetadataStore:
         must survive it).
         """
         self.queries += 1
-        delay = self.rtt_mean
-        if self.rtt_jitter > 0:
-            delay += abs(self._rng.gauss(0.0, self.rtt_jitter))
+        delay = self.RTT_MEAN
+        if self.RTT_JITTER > 0:
+            delay += abs(self._rng.gauss(0.0, self.RTT_JITTER))
         if self.faults is not None:
             delay += self.faults.metadata_delay(self.env.now)
         return delay

@@ -80,14 +80,15 @@ class ReplicationSource:
     endpoint goes down.
     """
 
+    #: The unacked log tail is re-shipped this often, in seconds.
+    ACK_INTERVAL = 10e-3
+
     def __init__(self, env: Environment, net: Network, host: GateHost,
-                 replicas: List["ReplicaNode"],
-                 ack_interval: float = 10e-3):
+                 replicas: List["ReplicaNode"]):
         self.env = env
         self.net = net
         self.host = host
         self.replicas = [node.address for node in replicas]
-        self.ack_interval = ack_interval
         #: Stream epoch; bumped on every primary restart.
         self.epoch = 1
         self._next_seq = 1
@@ -239,7 +240,7 @@ class ReplicationSource:
     def _retransmit_loop(self):
         """Re-ship the unacked tail until the chain retires."""
         while not self.retired:
-            yield self.ack_interval
+            yield self.ACK_INTERVAL
             if self.retired or not self.host.running:
                 return
             if self.host.crashed:
@@ -672,11 +673,10 @@ class ReplicationDirector:
         self.elastic = None
         self.promotions: List[Dict] = []
 
-    def attach_chain(self, host, replicas: List[ReplicaNode],
-                     ack_interval: float = 10e-3) -> ReplicationSource:
+    def attach_chain(self, host,
+                     replicas: List[ReplicaNode]) -> ReplicationSource:
         """Wire a primary to its replicas and start streaming."""
-        source = ReplicationSource(self.env, self.net, host, replicas,
-                                   ack_interval=ack_interval)
+        source = ReplicationSource(self.env, self.net, host, replicas)
         host.replication = source
         self.chains[host.address] = list(replicas)
         self.sources[host.address] = source

@@ -25,7 +25,7 @@ from repro.cluster.stats import ClusterStats
 from repro.core.finder import ApproximateDprFinder
 from repro.sim.faults import FaultPlan
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network
 from repro.sim.rand import make_rng, spawn
 from repro.sim.storage import StorageDevice, StorageKind
 from repro.workloads.ycsb import WorkloadSpec, YCSB_A
@@ -48,7 +48,6 @@ class ClusterConfig:
     checkpoints_enabled: bool = True
     storage: StorageKind = StorageKind.LOCAL_SSD
     seed: int = 42
-    cost: CostModel = field(default_factory=CostModel)
     #: Chaos testing: a seeded fault-injection plan applied to the
     #: network and the metadata store (None = fault-free).
     faults: Optional[FaultPlan] = None
@@ -78,12 +77,13 @@ class ClusterShell:
         elif overrides:
             config = replace(config, **overrides)
         self.config = config
+        #: One calibrated cost model (and its memo tables) per cluster.
+        self.cost = CostModel()
         self.env = Environment(tracer=config.tracer)
         self._rng = make_rng(config.seed)
         if config.faults is not None and config.tracer is not None:
             config.faults.bind_tracer(config.tracer)
-        self.net = Network(self.env, NetworkConfig(),
-                           rng=spawn(self._rng, "net"),
+        self.net = Network(self.env, rng=spawn(self._rng, "net"),
                            faults=config.faults)
         self.metadata = MetadataStore(self.env, rng=spawn(self._rng, "meta"),
                                       faults=config.faults)
@@ -145,7 +145,6 @@ class ClusterShell:
                 window=config.window,
                 n_threads=config.client_threads,
                 rng=spawn(self._rng, f"client{index}"),
-                recovery_pause=config.cost.client_recovery_pause,
             ))
 
     def _attach_replication(self, factor: int) -> None:
@@ -174,7 +173,7 @@ class ClusterShell:
                     f"replica:{host.address}:{copy}", host.address,
                     engine=self._build_engine(host.address),
                     device=self._device(f"rdev{index}.{copy}"),
-                    cost=config.cost,
+                    cost=self.cost,
                     stats=self.stats,
                     metadata=self.metadata,
                     vcpus=config.replica_vcpus,

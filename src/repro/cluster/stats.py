@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import insort
 from dataclasses import dataclass, field
@@ -101,40 +102,48 @@ class Reservoir:
 class TimeSeries:
     """Ops counted into fixed-width time buckets (Figure 16 timelines).
 
-    Keep measurement windows aligned to bucket boundaries — the default
-    50 ms buckets make 0.1/0.4/1.0-second windows exact.
+    Keep measurement windows aligned to bucket boundaries — the
+    :data:`BUCKET_WIDTH` of 50 ms makes 0.1/0.4/1.0-second windows exact.
     """
 
-    def __init__(self, bucket_width: float = 0.05):
-        self.bucket_width = bucket_width
+    BUCKET_WIDTH = 0.05
+
+    def __init__(self) -> None:
         self._buckets: Dict[int, float] = {}
 
     def add(self, time: float, count: float = 1.0) -> None:
-        bucket = int(time / self.bucket_width)
+        bucket = int(time / self.BUCKET_WIDTH)
         self._buckets[bucket] = self._buckets.get(bucket, 0.0) + count
 
     def series(self, width: Optional[float] = None) -> List[Tuple[float, float]]:
         """(bucket start time, ops/sec within bucket) pairs, sorted.
 
-        ``width`` resamples into coarser buckets (must be a multiple of
-        the native width) — e.g. the Figure 16 timeline uses 250 ms.
+        ``width`` resamples into coarser buckets — e.g. the Figure 16
+        timeline uses 250 ms.  It must be a whole multiple of
+        :data:`BUCKET_WIDTH`; any other width raises ``ValueError``
+        rather than silently answering in a different width.
         """
-        if width is None or width == self.bucket_width:
+        native = self.BUCKET_WIDTH
+        if width is None or width == native:
             return [
-                (bucket * self.bucket_width, count / self.bucket_width)
+                (bucket * native, count / native)
                 for bucket, count in sorted(self._buckets.items())
             ]
-        factor = max(1, round(width / self.bucket_width))
+        factor = round(width / native)
+        if factor < 1 or not math.isclose(factor * native, width):
+            raise ValueError(
+                f"bucket width {width!r} is not a whole multiple of the "
+                f"native {native!r} s")
         coarse: Dict[int, float] = {}
         for bucket, count in self._buckets.items():
             coarse[bucket // factor] = coarse.get(bucket // factor, 0.0) + count
-        actual = factor * self.bucket_width
+        actual = factor * native
         return [(b * actual, c / actual) for b, c in sorted(coarse.items())]
 
     def total(self, start: float = 0.0, end: Optional[float] = None) -> float:
         total = 0.0
         for bucket, count in self._buckets.items():
-            time = bucket * self.bucket_width
+            time = bucket * self.BUCKET_WIDTH
             if time < start:
                 continue
             if end is not None and time >= end:
@@ -147,13 +156,14 @@ class TimeSeries:
 class ClusterStats:
     """Everything the benchmark harness reads after a run."""
 
-    completed: TimeSeries = field(default_factory=TimeSeries)
-    committed: TimeSeries = field(default_factory=TimeSeries)
-    aborted: TimeSeries = field(default_factory=TimeSeries)
-    operation_latency: Reservoir = field(default_factory=Reservoir)
-    commit_latency: Reservoir = field(default_factory=Reservoir)
+    completed: TimeSeries = field(default_factory=TimeSeries, init=False)
+    committed: TimeSeries = field(default_factory=TimeSeries, init=False)
+    aborted: TimeSeries = field(default_factory=TimeSeries, init=False)
+    operation_latency: Reservoir = field(default_factory=Reservoir,
+                                         init=False)
+    commit_latency: Reservoir = field(default_factory=Reservoir, init=False)
     #: Warmup cutoff applied by throughput().
-    warmup: float = 0.0
+    warmup: float = field(default=0.0, init=False)
 
     def throughput(self, start: Optional[float] = None,
                    end: Optional[float] = None,
@@ -165,8 +175,8 @@ class ClusterStats:
             series = self.completed.series()
             if not series:
                 return 0.0
-            last = series[-1][0] + self.completed.bucket_width
-            duration = max(self.completed.bucket_width,
+            last = series[-1][0] + self.completed.BUCKET_WIDTH
+            duration = max(self.completed.BUCKET_WIDTH,
                            (last if end is None else end) - start)
         return total / duration
 
@@ -176,7 +186,7 @@ class ClusterStats:
         series = self.committed.series()
         if not series:
             return 0.0
-        last = series[-1][0] + self.committed.bucket_width
-        duration = max(self.committed.bucket_width,
+        last = series[-1][0] + self.committed.BUCKET_WIDTH
+        duration = max(self.committed.BUCKET_WIDTH,
                        (last if end is None else end) - start)
         return self.committed.total(start, end) / duration

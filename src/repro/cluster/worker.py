@@ -410,11 +410,11 @@ class DFasterWorker(GateHost):
     def _slowdown(self) -> float:
         factor = 1.0
         if self.env.now < self._slow_until:
-            factor *= self.cost.transition_slowdown
+            factor *= self.cost.TRANSITION_SLOWDOWN
         if self._flushing:
-            factor *= self.cost.flush_slowdown.get(self.device.kind, 1.0)
+            factor *= self.cost.FLUSH_SLOWDOWN.get(self.device.kind, 1.0)
         if self._missed_checkpoints > 0:
-            factor *= self.cost.thrash_slowdown
+            factor *= self.cost.THRASH_SLOWDOWN
         return factor
 
     def _rcu_probability(self) -> float:
@@ -487,10 +487,10 @@ class DFasterWorker(GateHost):
             self.cached_max_version if self.dpr_enabled else 0)
         self.checkpoints_taken += 1
         # Transition window: epoch refreshes + post-fold-over RCU churn.
-        self._slow_until = env.now + self.cost.transition_window
+        self._slow_until = env.now + self.cost.TRANSITION_WINDOW
         flushed = env.event(name=f"flush-done:{self.address}")
         self._flush_waiters[descriptor.token.version] = flushed
-        yield self.cost.transition_window
+        yield self.cost.TRANSITION_WINDOW
         yield flushed
         self._machine_busy = False
 
@@ -529,7 +529,7 @@ class DFasterWorker(GateHost):
 
     def _rollback_delay(self, applied: bool) -> float:
         """THROW convergence before the worker reports done."""
-        return self.cost.rollback_window
+        return self.cost.ROLLBACK_WINDOW
 
     # -- crash & restart -------------------------------------------------------------
 

@@ -36,6 +36,14 @@ from repro.core.cuts import DprCut
 from repro.core.versioning import Token
 from repro.core.worldline import WorldLine
 
+#: The client timings every driver of a :class:`Session` shares, in
+#: seconds: the base RETRY backoff and its cap (:meth:`Session.backoff`),
+#: and the pause after a world-line rollback before issuing again
+#: (§7.4: "clients paused operations").
+RETRY_DELAY = 2e-3
+RETRY_BACKOFF_CAP = 0.1
+RECOVERY_PAUSE = 20e-3
+
 
 class SessionStatus(enum.Enum):
     ACTIVE = "active"
@@ -282,15 +290,14 @@ class Session:
         self.reconciled_ops += span.op_count
         return span.op_count
 
-    def backoff(self, now: float, base: float, cap: float,
-                jitter: float) -> None:
-        """Pause after a refusal: exponential in consecutive refusals,
-        capped, scaled into [1/2, 1] by the driver's ``jitter`` draw so
-        a fleet of sessions does not hammer a recovering server in
-        lockstep."""
+    def backoff(self, now: float, jitter: float) -> None:
+        """Pause after a refusal: :data:`RETRY_DELAY` exponential in
+        consecutive refusals, capped at :data:`RETRY_BACKOFF_CAP`,
+        scaled into [1/2, 1] by the driver's ``jitter`` draw so a fleet
+        of sessions does not hammer a recovering server in lockstep."""
         exponent = min(self.retry_attempts, 6)
         self.retry_attempts += 1
-        delay = min(base * (2 ** exponent), cap)
+        delay = min(RETRY_DELAY * (2 ** exponent), RETRY_BACKOFF_CAP)
         delay *= 0.5 + 0.5 * jitter
         self.paused_until = max(self.paused_until, now + delay)
 

@@ -15,7 +15,7 @@ executes a request only when world-lines match:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class WorldLineDecision(enum.Enum):
@@ -39,7 +39,7 @@ def gate(object_world_line: int, request_world_line: int) -> WorldLineDecision:
 class WorldLine:
     """A mutable world-line counter held by sessions and StateObjects."""
 
-    current: int = 0
+    current: int = field(default=0, init=False)
 
     def advance_to(self, world_line: int) -> bool:
         """Move forward to ``world_line``; returns True if we moved.

@@ -27,7 +27,7 @@ class Record:
 
     def __init__(self, key: Any, value: Any, version: int,
                  previous_address: int = NULL_ADDRESS,
-                 tombstone: bool = False, invalid: bool = False):
+                 tombstone: bool = False):
         self.key = key
         self.value = value
         #: CPR version the writing operation executed in.
@@ -38,4 +38,4 @@ class Record:
         self.tombstone = tombstone
         #: Set during PURGE for records in a rolled-back version range;
         #: readers skip invalid records when traversing chains.
-        self.invalid = invalid
+        self.invalid = False

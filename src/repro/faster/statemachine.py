@@ -26,7 +26,7 @@ prevents a checkpoint racing a rollback (§5.5).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
 
@@ -53,9 +53,9 @@ class GlobalState:
     version: int = 1
     #: Version being captured (checkpoint) or the ceiling of the purge
     #: range (rollback); meaningful outside REST.
-    boundary_version: int = 0
+    boundary_version: int = field(default=0, init=False)
     #: Floor of the purge range during THROW/PURGE.
-    safe_version: int = 0
+    safe_version: int = field(default=0, init=False)
 
 
 @dataclass

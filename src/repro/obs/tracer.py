@@ -30,7 +30,7 @@ Three record families:
   and end live in different components, e.g. seal at the checkpoint
   loop, persist in the flusher.
 
-A bounded event stream (``max_events``, overflow counted in
+A bounded event stream (``MAX_EVENTS``, overflow counted in
 ``events_dropped``) keeps long benchmark runs from hoarding memory
 while aggregates stay exact.  It is stored by column — a time, a value
 and the code of one of a few dozen ``(kind, name, labels)`` shapes per
@@ -48,9 +48,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 #: Fixed seed for reservoir down-sampling.  Like the stats reservoirs,
 #: measurement machinery must itself be reproducible.
 _TRACER_SEED = 2021
-
-#: Default cap on stored events; aggregation is unaffected by overflow.
-_MAX_EVENTS = 200_000
 
 #: Default per-phase reservoir capacity.
 _SAMPLE_CAPACITY = 20_000
@@ -235,12 +232,13 @@ class EventView(Sequence):
 class Tracer:
     """Deterministic structured trace + metric sink for one experiment."""
 
-    def __init__(self, max_events: int = _MAX_EVENTS,
-                 sample_capacity: int = _SAMPLE_CAPACITY,
-                 seed: int = _TRACER_SEED):
+    #: Cap on stored events; aggregation is unaffected by overflow.
+    MAX_EVENTS = 200_000
+    #: Per-phase reservoir capacity.
+    SAMPLE_CAPACITY = _SAMPLE_CAPACITY
+
+    def __init__(self, seed: int = _TRACER_SEED):
         self._rng = random.Random(seed)
-        self.max_events = max_events
-        self.sample_capacity = sample_capacity
         # The bounded event stream by column: event i is row _codes[i]
         # of _shapes, the distinct (kind, name, sorted labels) triples,
         # at (_times[i], _values[i]) — or _as_written[i] when either is
@@ -296,7 +294,7 @@ class Tracer:
         """Record one completed phase span ending at sim-time ``t``."""
         phase = self._phases.get(name)
         if phase is None:
-            phase = self._phases[name] = PhaseStats(self.sample_capacity)
+            phase = self._phases[name] = PhaseStats(self.SAMPLE_CAPACITY)
         # ``phase.add(duration, self._rng)`` written out, then the
         # common case of ``_record``: one frame per span, not three.
         count = phase.count
@@ -321,7 +319,7 @@ class Tracer:
             if slot < phase.capacity:
                 samples[slot] = duration
         codes = self._codes
-        if (len(codes) < self.max_events
+        if (len(codes) < self.MAX_EVENTS
                 and type(t) is float and type(duration) is float):
             for label in labels.values():
                 if type(label) is not str and type(label) is not int:
@@ -429,7 +427,7 @@ class Tracer:
     def _record(self, t: float, kind: str, name: str, value: Any,
                 labels: Dict[str, Any]) -> None:
         codes = self._codes
-        if len(codes) >= self.max_events:
+        if len(codes) >= self.MAX_EVENTS:
             self.events_dropped += 1
             return
         # A shape row is shared only through ``str`` / ``int`` label

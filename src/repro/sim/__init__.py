@@ -15,7 +15,7 @@ from repro.sim.faults import (
     MetadataOutage,
     Partition,
 )
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network
 from repro.sim.storage import StorageDevice, StorageKind
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "MetadataOutage",
     "Partition",
     "Network",
-    "NetworkConfig",
     "StorageDevice",
     "StorageKind",
 ]

@@ -213,11 +213,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except BaseException as exc:  # noqa: BLE001 - propagate into joiners
-            if self.env.strict:
-                raise
-            self.fail(exc)
-            return
         cls = target.__class__
         if cls is float or cls is int:
             # Sleep fast path: one heap slot and one sequence number,
@@ -297,11 +292,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except BaseException as exc:  # noqa: BLE001 - propagate into joiners
-            if self.env.strict:
-                raise
-            self.fail(exc)
-            return
         self._wait(target)
 
     def _wait(self, target: Any) -> None:
@@ -358,7 +348,7 @@ class Environment:
     paths.  See ``docs/KERNEL.md``.
     """
 
-    def __init__(self, strict: bool = True, tracer: Optional[Any] = None):
+    def __init__(self, tracer: Optional[Any] = None):
         self._now: float = 0.0
         self._heap: List[tuple] = []
         self._sequence = 0
@@ -369,9 +359,6 @@ class Environment:
         self._ev_b: List[Any] = []
         self._ev_c: List[Any] = []
         self._free: List[int] = []
-        #: When True, exceptions escaping a process abort the simulation
-        #: instead of being stored as the process's failure value.
-        self.strict = strict
         #: Optional :class:`repro.obs.Tracer`.  The kernel never imports
         #: ``repro.obs``; any object with the hook methods works.  When
         #: None (the default) instrumented code pays one identity test

@@ -25,23 +25,6 @@ from repro.sim.queues import Queue
 from repro.sim.rand import make_rng
 
 
-@dataclass
-class NetworkConfig:
-    """Latency parameters, in seconds.
-
-    Defaults approximate an Azure availability-set with accelerated
-    networking: ~50 us one-way, ~25 ns/operation of serialization +
-    wire time for the small YCSB records the paper uses.
-    """
-
-    base_oneway: float = 50e-6
-    per_op: float = 25e-9
-    jitter_stddev: float = 5e-6
-    #: When co-located (client thread on the server), loopback messages
-    #: skip the NIC entirely.
-    loopback_latency: float = 0.0
-
-
 class Message:
     """A delivered network message.
 
@@ -72,29 +55,40 @@ class Endpoint:
 
     address: str
     inbox: Queue
-    up: bool = True
+    up: bool = field(default=True, init=False)
     #: Messages dropped while the endpoint was down (for assertions).
-    dropped: int = 0
+    dropped: int = field(default=0, init=False)
     #: Monotonic counters for observability.
-    sent: int = field(default=0)
-    received: int = field(default=0)
+    sent: int = field(default=0, init=False)
+    received: int = field(default=0, init=False)
     #: ``src -> "src>address"``: one trace label string per link, so a
     #: delivery neither builds nor hashes a new one.
-    link_labels: Dict[str, str] = field(default_factory=dict)
+    link_labels: Dict[str, str] = field(default_factory=dict, init=False)
 
 
 class Network:
-    """Connects endpoints and delivers messages with modelled latency."""
+    """Connects endpoints and delivers messages with modelled latency.
+
+    The latencies, in seconds, approximate an Azure availability-set
+    with accelerated networking: ~50 us one-way, ~25 ns/operation of
+    serialization + wire time for the small YCSB records the paper
+    uses, and a few microseconds of jitter.
+    """
+
+    BASE_ONEWAY = 50e-6
+    PER_OP = 25e-9
+    JITTER_STDDEV = 5e-6
+    #: When co-located (client thread on the server), loopback messages
+    #: skip the NIC entirely.
+    LOOPBACK_LATENCY = 0.0
 
     def __init__(
         self,
         env: Environment,
-        config: Optional[NetworkConfig] = None,
         rng: Optional[random.Random] = None,
         faults: Optional[FaultPlan] = None,
     ):
         self.env = env
-        self.config = config or NetworkConfig()
         self._rng = make_rng(rng)
         self._endpoints: Dict[str, Endpoint] = {}
         self.faults = faults
@@ -117,10 +111,10 @@ class Network:
     def latency(self, src: str, dst: str, size_ops: int) -> float:
         """One-way delivery latency for a message of ``size_ops`` ops."""
         if src == dst:
-            return self.config.loopback_latency
-        base = self.config.base_oneway + self.config.per_op * size_ops
-        if self.config.jitter_stddev > 0:
-            base += abs(self._rng.gauss(0.0, self.config.jitter_stddev))
+            return self.LOOPBACK_LATENCY
+        base = self.BASE_ONEWAY + self.PER_OP * size_ops
+        if self.JITTER_STDDEV > 0:
+            base += abs(self._rng.gauss(0.0, self.JITTER_STDDEV))
         return base
 
     def send(self, src: str, dst: str, payload: Any, size_ops: int = 1) -> None:
@@ -152,7 +146,6 @@ class Network:
         sender.sent += 1
         env = self.env
         now = env._now
-        config = self.config
         heap = env._heap
         deliver = self._deliver
         kinds = env._ev_kind
@@ -164,11 +157,11 @@ class Network:
             # entry point and the jitter draw order must be preserved
             # exactly, so the expression mirrors latency() line for line.
             if src == dst:
-                delay = config.loopback_latency
+                delay = self.LOOPBACK_LATENCY
             else:
-                delay = config.base_oneway + config.per_op * size_ops
-                if config.jitter_stddev > 0:
-                    delay += abs(self._rng.gauss(0.0, config.jitter_stddev))
+                delay = self.BASE_ONEWAY + self.PER_OP * size_ops
+                if self.JITTER_STDDEV > 0:
+                    delay += abs(self._rng.gauss(0.0, self.JITTER_STDDEV))
             delay += extra
             message = Message(src, dst, payload, size_ops, now, now + delay)
             # Fast path: one recycled _K_CALL handle per delivery, no

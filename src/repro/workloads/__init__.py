@@ -7,7 +7,6 @@ from repro.workloads.openloop import (
     OpenLoopDriver,
     ScenarioError,
     SessionTable,
-    TokenBucket,
     attach_open_loop,
     poisson_draw,
     slo_report,
@@ -31,7 +30,6 @@ __all__ = [
     "OpenLoopDriver",
     "ScenarioError",
     "SessionTable",
-    "TokenBucket",
     "WorkloadSpec",
     "attach_open_loop",
     "poisson_draw",

@@ -11,19 +11,17 @@ knee curve needs (docs/OPENLOOP.md).
 The pieces, front to back:
 
 - **Arrival process** — a generator samples how many sessions arrive
-  each tick from a Poisson process (or a log-normal doubly-stochastic
-  one for bursty fleets).
+  each tick from a Poisson process.
 - **Cohorts** — sessions drawn in one tick share a timestamp and
   nothing downstream can tell them apart, so a tick's arrivals are one
   ``(arrival_time, count)`` run and stay one until a batch boundary or
   the backlog bound splits it.  Arrivals, admission, dispatch and
   latency recording cost O(ticks + batches), never O(sessions).
 - **Admission stack** — runs land in a :class:`CohortBacklog` bounded
-  in sessions (shed-oldest or reject), pass an optional token bucket,
-  and dispatch is capped at ``max_inflight`` batches per target:
-  queue-based load leveling in front of the cluster, observable
-  through the backlog's depth gauge, watermark, and shed counters
-  (docs/OBSERVABILITY.md).
+  in sessions (shed-oldest), and dispatch is capped at
+  ``max_inflight`` batches per target: queue-based load leveling in
+  front of the cluster, observable through the backlog's depth gauge,
+  watermark, and shed counter (docs/OBSERVABILITY.md).
 - **DPR driver** — admitted sessions coalesce into
   :class:`~repro.cluster.messages.BatchRequest`\\ s issued on one
   :class:`repro.core.session.Session` spanning every target (the
@@ -33,9 +31,11 @@ The pieces, front to back:
   one the closed-loop clients drive — so commit latency here means the
   same thing it means there.
 
-Scenarios are declarative dicts validated up front
-(:func:`validate_scenario`): a typo'd key or out-of-range value fails
-before the run, not as a silent default forty minutes in.  Everything
+Scenarios are declarative dicts of the four values a knee curve
+varies, validated up front (:func:`validate_scenario`): a typo'd key
+or out-of-range value fails before the run, not as a silent default
+forty minutes in.  Everything else about a session is a constant of
+:class:`OpenLoopDriver` or of :mod:`repro.core.session`.  Everything
 is driven by one seeded RNG stream, so a scenario re-runs
 byte-identically across processes and ``PYTHONHASHSEED`` values.
 """
@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.messages import BatchIds, batch_request
 from repro.cluster.stats import ClusterStats
 from repro.core.cuts import DprCut
-from repro.core.session import Session, Span
+from repro.core.session import RECOVERY_PAUSE, Session, Span
 from repro.obs import interpolated_percentile
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -66,68 +66,33 @@ class ScenarioError(ValueError):
 
 #: The reference scenario.  Overrides deep-merge into this, so a
 #: scenario dict only states what it changes.
-DEFAULT_SCENARIO: Dict[str, Any] = {
-    "name": "openloop",
+DEFAULT_SCENARIO: Dict[str, Dict[str, Any]] = {
     "arrival": {
-        #: "poisson" or "lognormal" (doubly stochastic: each tick's
-        #: Poisson intensity is scaled by a unit-mean log-normal draw).
-        "process": "poisson",
-        #: Offered load, sessions per second.
+        #: Offered load, sessions per second (Poisson).
         "rate": 200_000.0,
-        #: Log-normal burstiness (sigma of the intensity multiplier).
-        "sigma": 0.6,
-        #: Generator wake interval; arrivals within a tick share a
-        #: timestamp, so this bounds arrival-time granularity.
-        "tick": 1e-3,
     },
     "session": {
-        #: Operations one session performs (a single batch's share).
-        "ops": 8,
-        #: Fraction of those ops that are blind updates.
-        "write_fraction": 0.5,
         #: Sessions coalesced into one BatchRequest.
         "coalesce": 64,
-        #: Pause after a world-line rollback before re-dispatching.
-        "recovery_pause": 20e-3,
-        #: Base RETRY backoff and its cap (exponential with jitter).
-        "retry_delay": 2e-3,
-        "retry_backoff_cap": 0.1,
     },
     "admission": {
         #: Backlog bound of the admission queue, in sessions.
         "queue_capacity": 200_000,
-        #: "shed-oldest" or "reject" (see CohortBacklog).
-        "policy": "shed-oldest",
-        #: Token-bucket throttle in ops/second; 0 disables it.
-        "token_rate": 0.0,
-        #: Bucket depth in ops; 0 with a rate means one batch's worth.
-        "token_burst": 0.0,
         #: Batches in flight per target.
         "max_inflight": 8,
     },
 }
 
-_RANGES = {
-    ("arrival", "process"): ("poisson", "lognormal"),
-    ("admission", "policy"): ("shed-oldest", "reject"),
-}
 #: Session counts: run-length arithmetic needs real ints.
 _INTEGERS = (
-    ("session", "ops"), ("session", "coalesce"),
-    ("admission", "queue_capacity"), ("admission", "max_inflight"),
+    ("session", "coalesce"), ("admission", "queue_capacity"),
+    ("admission", "max_inflight"),
 )
 #: Checked in declared order, so a scenario breaking several rules
 #: names the same one under every PYTHONHASHSEED.
 _POSITIVE = (
-    ("arrival", "rate"), ("arrival", "tick"), ("session", "ops"),
-    ("session", "coalesce"), ("session", "retry_delay"),
-    ("session", "retry_backoff_cap"), ("admission", "queue_capacity"),
-    ("admission", "max_inflight"),
-)
-_NON_NEGATIVE = (
-    ("arrival", "sigma"), ("session", "write_fraction"),
-    ("session", "recovery_pause"), ("admission", "token_rate"),
-    ("admission", "token_burst"),
+    ("arrival", "rate"), ("session", "coalesce"),
+    ("admission", "queue_capacity"), ("admission", "max_inflight"),
 )
 
 
@@ -139,20 +104,13 @@ def validate_scenario(overrides: Optional[Dict[str, Any]] = None
     naming the offending path, so scenario typos fail before the run
     instead of silently meaning the default.
     """
-    merged: Dict[str, Any] = {"name": DEFAULT_SCENARIO["name"]}
-    for section, defaults in DEFAULT_SCENARIO.items():
-        if section != "name":
-            merged[section] = dict(defaults)
+    merged = {section: dict(defaults)
+              for section, defaults in DEFAULT_SCENARIO.items()}
     for section, value in (overrides or {}).items():
-        if section == "name":
-            if not isinstance(value, str) or not value:
-                raise ScenarioError("scenario name must be a non-empty string")
-            merged["name"] = value
-            continue
         if section not in merged:
             raise ScenarioError(
                 f"unknown scenario section {section!r}; expected one of "
-                f"{sorted(k for k in DEFAULT_SCENARIO if k != 'name')}")
+                f"{sorted(DEFAULT_SCENARIO)}")
         if not isinstance(value, dict):
             raise ScenarioError(f"scenario section {section!r} must be a dict")
         for key, item in value.items():
@@ -161,11 +119,6 @@ def validate_scenario(overrides: Optional[Dict[str, Any]] = None
                     f"unknown scenario key {section}.{key}; expected one of "
                     f"{sorted(DEFAULT_SCENARIO[section])}")
             merged[section][key] = item
-    for (section, key), allowed in _RANGES.items():
-        if merged[section][key] not in allowed:
-            raise ScenarioError(
-                f"{section}.{key} must be one of {allowed}, "
-                f"got {merged[section][key]!r}")
     for section, key in _INTEGERS:
         value = merged[section][key]
         if isinstance(value, bool) or not isinstance(value, int):
@@ -175,12 +128,6 @@ def validate_scenario(overrides: Optional[Dict[str, Any]] = None
         if not merged[section][key] > 0:
             raise ScenarioError(
                 f"{section}.{key} must be > 0, got {merged[section][key]!r}")
-    for section, key in _NON_NEGATIVE:
-        if not merged[section][key] >= 0:
-            raise ScenarioError(
-                f"{section}.{key} must be >= 0, got {merged[section][key]!r}")
-    if merged["session"]["write_fraction"] > 1:
-        raise ScenarioError("session.write_fraction must be <= 1")
     return merged
 
 
@@ -204,30 +151,6 @@ def poisson_draw(rng: random.Random, lam: float) -> int:
         return count
     draw = round(rng.gauss(lam, math.sqrt(lam)))
     return draw if draw > 0 else 0
-
-
-class TokenBucket:
-    """Deterministic token-bucket throttle (ops-granular)."""
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, burst: float, now: float = 0.0):
-        self.rate = rate
-        self.burst = burst
-        self.tokens = burst
-        self.stamp = now
-
-    def refill(self, now: float) -> None:
-        if now > self.stamp:
-            self.tokens = min(self.burst,
-                              self.tokens + (now - self.stamp) * self.rate)
-            self.stamp = now
-
-    def take(self, amount: float) -> bool:
-        if self.tokens >= amount:
-            self.tokens -= amount
-            return True
-        return False
 
 
 class SessionTable:
@@ -263,23 +186,19 @@ class CohortBacklog:
     session would hold, stored as ``(arrival_time, count)`` runs (the
     property test in tests/test_openloop.py holds the two to the same
     depths, counters and FIFO order).  When an offer would push the
-    backlog past ``capacity``, ``"shed-oldest"`` trims the head — down
-    to the newcomers themselves when one offer exceeds the capacity —
-    and ``"reject"`` truncates the newcomers.  The tracer hears once
-    per operation: the post-operation depth under ``queue.<name>`` and
-    the victim count under ``queue.<name>.shed`` / ``.rejected``.
+    backlog past ``capacity``, the head is shed — down to the newcomers
+    themselves when one offer exceeds the capacity.  The tracer hears
+    once per operation: the post-operation depth under
+    ``queue.<name>`` and the victim count under ``queue.<name>.shed``.
     """
 
-    __slots__ = ("env", "capacity", "policy", "shed_items",
-                 "rejected_items", "_runs", "_depth", "_depth_key")
+    __slots__ = ("env", "capacity", "shed_items", "_runs", "_depth",
+                 "_depth_key")
 
-    def __init__(self, env: Environment, capacity: int, name: str,
-                 policy: str = "shed-oldest"):
+    def __init__(self, env: Environment, capacity: int, name: str):
         self.env = env
         self.capacity = capacity
-        self.policy = policy
         self.shed_items = 0
-        self.rejected_items = 0
         self._runs: deque = deque()
         self._depth = 0
         self._depth_key = "queue." + name
@@ -288,25 +207,19 @@ class CohortBacklog:
         return self._depth
 
     def offer(self, runs: Sequence[Run]) -> int:
-        """Queue ``runs`` in order; returns how many sessions the
-        overload policy turned away to fit them."""
+        """Queue ``runs`` in order; returns how many sessions were
+        shed off the head to fit them."""
         offered = sum(count for _arrival, count in runs)
         if not offered:
             return 0  # nothing to report: the tracer must hear nothing
         over = max(0, self._depth + offered - self.capacity)
         tracer = self.env.tracer
-        if over and self.policy == "reject":
-            self.rejected_items += over
+        self._runs.extend(runs)
+        if over:
+            self.shed_items += over
             if tracer is not None:
-                tracer.counter(self._depth_key + ".rejected", over)
-            self._runs.extend(_split(deque(runs), offered - over))
-        else:
-            self._runs.extend(runs)
-            if over:
-                self.shed_items += over
-                if tracer is not None:
-                    tracer.counter(self._depth_key + ".shed", over)
-                _split(self._runs, over)
+                tracer.counter(self._depth_key + ".shed", over)
+            _split(self._runs, over)
         if offered > over:  # the depth moved
             self._depth += offered - over
             if tracer is not None:
@@ -352,13 +265,21 @@ class OpenLoopDriver:
     :func:`attach_open_loop`.
     """
 
+    #: Generator wake interval; arrivals within a tick share a
+    #: timestamp, so this bounds arrival-time granularity.
+    TICK = 1e-3
+    #: Operations one session performs (a single batch's share).
+    OPS = 8
+    #: Fraction of those ops that are blind updates.
+    WRITE_FRACTION = 0.5
+
     def __init__(
         self,
         env: Environment,
         net: Network,
         address: str,
         targets: List[str],
-        scenario: Optional[Dict[str, Any]] = None,
+        scenario: Optional[Dict[str, Any]],
         stats: Optional[ClusterStats] = None,
         rng: Optional[random.Random] = None,
     ):
@@ -373,26 +294,14 @@ class OpenLoopDriver:
         self._rng = make_rng(rng)
         self.table = SessionTable()
 
-        session = self.scenario["session"]
         admission = self.scenario["admission"]
-        self._ops: int = session["ops"]
-        self._coalesce: int = session["coalesce"]
-        self._write_count = round(self._ops * session["write_fraction"])
-        self.recovery_pause: float = session["recovery_pause"]
-        self.retry_delay: float = session["retry_delay"]
-        self.retry_backoff_cap: float = session["retry_backoff_cap"]
+        self._coalesce: int = self.scenario["session"]["coalesce"]
+        self._write_count = round(self.OPS * self.WRITE_FRACTION)
         self._max_inflight: int = admission["max_inflight"]
 
         #: The admission backlog: runs of sessions awaiting dispatch.
         self.admit = CohortBacklog(
-            env, admission["queue_capacity"], name=f"admit:{address}",
-            policy=admission["policy"])
-        if admission["token_rate"] > 0:
-            burst = admission["token_burst"] or self._coalesce * self._ops
-            self.bucket: Optional[TokenBucket] = TokenBucket(
-                admission["token_rate"], burst, env.now)
-        else:
-            self.bucket = None
+            env, admission["queue_capacity"], name=f"admit:{address}")
 
         #: The DPR session: Vs, deps, world-line, commit window, backoff.
         self.session = Session(address)
@@ -427,18 +336,11 @@ class OpenLoopDriver:
     def _arrival_pump(self):
         """Sample arrivals each tick, admit them, and dispatch."""
         env = self.env
-        arrival = self.scenario["arrival"]
-        tick: float = arrival["tick"]
-        lam = arrival["rate"] * tick
-        lognormal = arrival["process"] == "lognormal"
-        sigma: float = arrival["sigma"]
-        mu = -0.5 * sigma * sigma  # unit-mean intensity multiplier
+        tick = self.TICK
+        lam = self.scenario["arrival"]["rate"] * tick
         rng = self._rng
         while self.running:
-            if lognormal:
-                count = poisson_draw(rng, lam * rng.lognormvariate(mu, sigma))
-            else:
-                count = poisson_draw(rng, lam)
+            count = poisson_draw(rng, lam)
             self.table.arrive(count,
                               self.admit.offer(((env.now, count),)))
             self._dispatch()
@@ -450,7 +352,7 @@ class OpenLoopDriver:
         """Drain the admission queue into per-target batches.
 
         Round-robin over targets with in-flight room, up to
-        ``coalesce`` sessions per batch, gated by the token bucket.
+        ``coalesce`` sessions per batch.
         """
         env = self.env
         now = env.now
@@ -459,10 +361,6 @@ class OpenLoopDriver:
         admit = self.admit
         if not len(admit):
             return
-        bucket = self.bucket
-        if bucket is not None:
-            bucket.refill(now)
-        ops = self._ops
         coalesce = self._coalesce
         max_inflight = self._max_inflight
         inflight = self._inflight
@@ -481,13 +379,6 @@ class OpenLoopDriver:
             if target_idx < 0:
                 return  # every target is at its cap; replies re-dispatch
             count = min(coalesce, len(admit))
-            if bucket is not None:
-                affordable = int(bucket.tokens // ops)
-                if affordable < count:
-                    count = affordable
-                if count <= 0:
-                    return  # throttled; the next tick refills
-                bucket.take(count * ops)
             self._rr = (target_idx + 1) % n_targets
             inflight[target_idx] += 1
             self._send_batch(target_idx, take(count), count, now, send,
@@ -496,7 +387,7 @@ class OpenLoopDriver:
     def _send_batch(self, target_idx: int, runs: Tuple[Run, ...],
                     count: int, now: float, send, address: str) -> None:
         target = self.targets[target_idx]
-        op_count = count * self._ops
+        op_count = count * self.OPS
         batch_id = self._batch_ids.allocate()
         span = self.session.issue(target, now, op_count, batch_id,
                                   (target_idx, runs))
@@ -528,8 +419,7 @@ class OpenLoopDriver:
             # they compete with fresh arrivals and may be shed, which
             # is exactly what an admission stack is for.
             self.session.drop(span.key)
-            self.session.backoff(now, self.retry_delay,
-                                 self.retry_backoff_cap, self._rng.random())
+            self.session.backoff(now, self._rng.random())
             self.table.release(self.admit.offer(runs))
         self._dispatch()
 
@@ -544,7 +434,7 @@ class OpenLoopDriver:
         op_latency = self.stats.operation_latency.add_run
         for arrival, count in runs:
             op_latency(now - arrival, count)
-        self.completed_sessions += span.op_count // self._ops
+        self.completed_sessions += span.op_count // self.OPS
         self.stats.completed.add(now, span.op_count)
         if retired:
             self._commit(retired, now)
@@ -563,7 +453,7 @@ class OpenLoopDriver:
                 lat_extend([latency] * count)
                 commit_lat(latency, count)
             committed.add(now, span.op_count)
-            sessions += span.op_count // self._ops
+            sessions += span.op_count // self.OPS
         self.table.release(sessions)
         self.committed_sessions += sessions
 
@@ -581,13 +471,13 @@ class OpenLoopDriver:
         sessions = 0
         for span in error.aborted:
             aborted.add(now, span.op_count)
-            sessions += span.op_count // self._ops
+            sessions += span.op_count // self.OPS
         self.table.release(sessions)
         self.aborted_sessions += sessions
         # In-flight batches died with the old world-line; their
         # straggling replies describe rolled-back effects.
         self._inflight = [0] * len(self.targets)
-        session.paused_until = now + self.recovery_pause
+        session.paused_until = now + RECOVERY_PAUSE
 
     # -- control ----------------------------------------------------------------
 
@@ -613,11 +503,10 @@ def slo_report(driver: OpenLoopDriver) -> Dict[str, Any]:
         }
     else:
         latency = {"count": 0, "p50": 0.0, "p99": 0.0, "p999": 0.0}
-    admit = driver.admit
     return {
-        "scenario": driver.scenario["name"],
+        "scenario": "openloop",
         "offered_sessions": driver.table.allocated,
-        "shed_sessions": admit.shed_items + admit.rejected_items,
+        "shed_sessions": driver.admit.shed_items,
         "completed_sessions": driver.completed_sessions,
         "committed_sessions": driver.committed_sessions,
         "aborted_sessions": driver.aborted_sessions,

@@ -9,6 +9,7 @@ from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.client import BatchSession, ClientMachine
 from repro.cluster.messages import BatchReply
 from repro.cluster.stats import ClusterStats
+from repro.core.session import RETRY_DELAY
 from repro.sim.faults import FaultPlan, Partition
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
@@ -186,7 +187,7 @@ class TestDeliveryHardening:
         request = session.new_batch("worker-0", 32, 16, now=0.0,
                                     reply_to="client-0")
         session.abandon(session.records[request.batch_id], now=0.5)
-        session.handle_rollback(1, None, now=0.6, pause=0.02)
+        session.handle_rollback(1, None, now=0.6)
         reply = BatchReply(batch_id=request.batch_id, session_id="s",
                            object_id="worker-0", status="ok",
                            world_line=0, version=1, op_count=32,
@@ -254,10 +255,10 @@ class TestDeliveryHardening:
                            object_id="worker-0", status="retry",
                            world_line=0)
         machine._on_reply(SimpleNamespace(payload=retry))
-        # Base-exponent backoff lands (jittered) within one retry_delay;
+        # Base-exponent backoff lands (jittered) within one RETRY_DELAY;
         # the inflated exponent would pause ~0.05s or more.
         assert session.session.retry_attempts == 1
-        assert session.session.paused_until - env.now <= machine.retry_delay
+        assert session.session.paused_until - env.now <= RETRY_DELAY
 
     def test_stop_quiesces_the_simulation(self):
         # stop() must also stop the timeout sweeper; before the fix it

@@ -10,7 +10,6 @@ import pytest
 
 from repro.baselines import (
     CassandraCluster,
-    CassandraConfig,
     CommitLogMode,
     RecoverabilityLevel,
     supported_levels,
@@ -19,7 +18,7 @@ from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig, RedisMode
 from repro.cluster.messages import BatchRequest
 from repro.core.audit import audit_deployment
-from repro.workloads import ycsb
+from repro.workloads import YCSB_A, ycsb
 
 SMALL = dict(n_workers=2, vcpus=2, n_client_machines=1, client_threads=2,
              batch_size=32, checkpoint_interval=0.05)
@@ -234,19 +233,22 @@ class TestDRedis:
             cluster.schedule_failure(0.1)
 
 
+class SmallCassandra(CassandraCluster):
+    N_NODES = 2
+    N_CLIENT_MACHINES = 1
+    CLIENT_THREADS = 1
+    BATCH_SIZE = 64
+
+
 class TestCassandra:
     def test_periodic_serves(self):
-        cluster = CassandraCluster(CassandraConfig(
-            n_nodes=2, n_client_machines=1, client_threads=1,
-            batch_size=64))
+        cluster = SmallCassandra(CommitLogMode.PERIODIC, YCSB_A)
         stats = cluster.run(0.3, warmup=0.1)
         assert stats.throughput(start=0.1, end=0.3, duration=0.2) > 0
 
     def test_group_sync_slower_and_higher_latency(self):
         def run(mode):
-            cluster = CassandraCluster(CassandraConfig(
-                n_nodes=2, n_client_machines=1, client_threads=1,
-                batch_size=64, commitlog=mode))
+            cluster = SmallCassandra(mode, YCSB_A)
             stats = cluster.run(0.4, warmup=0.1)
             return (stats.throughput(start=0.1, end=0.4, duration=0.3),
                     stats.operation_latency.percentile(50))

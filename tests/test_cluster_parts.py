@@ -18,9 +18,18 @@ from repro.cluster.stats import ClusterStats, Reservoir, TimeSeries
 from repro.sim.storage import StorageKind
 
 
+class FixedRttStore(MetadataStore):
+    RTT_MEAN = 2e-3
+    RTT_JITTER = 0.0
+
+
+class DecisecondSeries(TimeSeries):
+    BUCKET_WIDTH = 0.1
+
+
 class TestMetadataStore:
     def test_access_takes_time(self, env):
-        metadata = MetadataStore(env, rtt_mean=2e-3, rtt_jitter=0.0)
+        metadata = FixedRttStore(env)
         done = []
 
         def proc():
@@ -111,9 +120,9 @@ class TestCostModel:
 
     def test_flush_slowdown_ordering(self):
         cost = CostModel()
-        assert (cost.flush_slowdown[StorageKind.NULL]
-                < cost.flush_slowdown[StorageKind.LOCAL_SSD]
-                < cost.flush_slowdown[StorageKind.CLOUD_SSD])
+        assert (cost.FLUSH_SLOWDOWN[StorageKind.NULL]
+                < cost.FLUSH_SLOWDOWN[StorageKind.LOCAL_SSD]
+                < cost.FLUSH_SLOWDOWN[StorageKind.CLOUD_SSD])
 
     def test_aof_always_dominates_redis_cost(self):
         cost = CostModel()
@@ -196,20 +205,35 @@ class TestStats:
         assert reservoir.percentile(95) == pytest.approx(9.5)
 
     def test_timeseries_buckets(self):
-        series = TimeSeries(bucket_width=0.1)
+        series = DecisecondSeries()
         series.add(0.05, 10)
         series.add(0.15, 20)
         assert series.series() == [(0.0, 100.0), (pytest.approx(0.1), 200.0)]
 
     def test_timeseries_resample(self):
-        series = TimeSeries(bucket_width=0.05)
+        series = TimeSeries()
         series.add(0.01, 5)
         series.add(0.06, 5)
         coarse = series.series(0.1)
         assert coarse == [(0.0, 100.0)]
 
+    @pytest.mark.parametrize("width", [0.075, 0.1125, 0.02, 0.0])
+    def test_timeseries_refuses_a_width_it_cannot_give(self, width):
+        # 0.075 / 0.05 is 1.4999...: rounding the ratio would answer
+        # in 50 ms buckets without saying so.
+        series = TimeSeries()
+        series.add(0.01, 5)
+        with pytest.raises(ValueError, match="whole multiple"):
+            series.series(width)
+
+    def test_timeseries_accepts_float_noisy_multiples(self):
+        series = TimeSeries()
+        series.add(0.01, 3)
+        series.add(0.11, 3)
+        assert series.series(1.2 / 8) == [(0.0, pytest.approx(40.0))]
+
     def test_timeseries_total_window(self):
-        series = TimeSeries(bucket_width=0.1)
+        series = DecisecondSeries()
         for t in [0.05, 0.15, 0.25]:
             series.add(t, 1)
         assert series.total(0.1, 0.3) == 2

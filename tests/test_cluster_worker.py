@@ -16,14 +16,13 @@ from repro.cluster.stats import ClusterStats
 from repro.cluster.worker import DFasterWorker
 from repro.core.cuts import DprCut
 from repro.core.versioning import Token
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.storage import StorageDevice, StorageKind
+from tests.test_sim_network import QuietNetwork
 
 
 @pytest.fixture
 def rig(env):
-    net = Network(env, NetworkConfig(jitter_stddev=0.0),
-                  rng=random.Random(0))
+    net = QuietNetwork(env, rng=random.Random(0))
     client = net.register("client")
     worker = DFasterWorker(
         env, net, "w0",

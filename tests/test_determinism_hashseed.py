@@ -173,10 +173,8 @@ OPENLOOP_SCENARIO = textwrap.dedent(
         checkpoint_interval=0.05, tracer=tracer))
     cluster.schedule_crash(worker_index=1, at_time=0.2)
     driver = attach_open_loop(cluster, scenario={
-        "name": "hashseed-probe",
-        "arrival": {"process": "lognormal", "rate": 300000.0},
-        "admission": {"queue_capacity": 20000,
-                      "token_rate": 1500000.0},
+        "arrival": {"rate": 300000.0},
+        "admission": {"queue_capacity": 20000},
     })
     cluster.run(0.4, warmup=0.05)
     summary = slo_report(driver)
@@ -239,9 +237,9 @@ def test_elastic_run_identical_across_hash_seeds():
 
 def test_openloop_run_identical_across_hash_seeds():
     """The open-loop SLO report and the full trace fingerprint are
-    byte-identical across interpreter hash seeds: bursty (log-normal)
-    arrivals, token-bucket admission, shedding, and a mid-run crash
-    all flow from the config seed alone."""
+    byte-identical across interpreter hash seeds: Poisson arrivals,
+    shed-oldest admission, and a mid-run crash all flow from the config
+    seed alone."""
     first = run_with_hashseed(1, OPENLOOP_SCENARIO)
     second = run_with_hashseed(777, OPENLOOP_SCENARIO)
     assert first == second

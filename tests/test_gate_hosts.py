@@ -48,8 +48,8 @@ from repro.core.libdpr import DprServer
 from repro.core.libdpr.server import IN_SERVICE
 from repro.core.versioning import Token
 from repro.sim.kernel import Environment
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.storage import StorageDevice, StorageKind
+from tests.test_sim_network import QuietNetwork
 
 SHARD = "proxy-0"  # every host's engine carries this object id
 SETTLE = 0.05      # long enough for any host to serve, flush and report
@@ -192,8 +192,7 @@ class NetworkedHost:
 
 
 def quiet_network(env):
-    net = Network(env, NetworkConfig(jitter_stddev=0.0),
-                  rng=random.Random(0))
+    net = QuietNetwork(env, rng=random.Random(0))
     net.register("finder")
     net.register("manager")
     return net
@@ -214,7 +213,7 @@ def proxy_host():
     cluster = DRedisCluster(DRedisConfig(
         n_shards=1, mode=RedisMode.DPR, n_client_machines=0,
         checkpoints_enabled=False))
-    cluster.net.config.jitter_stddev = 0.0
+    cluster.net.JITTER_STDDEV = 0.0
     return NetworkedHost("_DRedisProxy", cluster.env, cluster.net,
                          cluster.proxies[0])
 

@@ -267,7 +267,10 @@ class TestTracer:
         assert tracer.phase_summary()["cut"]["count"] == 2
 
     def test_event_cap_counts_overflow(self):
-        tracer = Tracer(max_events=2)
+        class TwoEventTracer(Tracer):
+            MAX_EVENTS = 2
+
+        tracer = TwoEventTracer()
         for i in range(5):
             tracer.event(float(i), "tick")
         assert len(tracer.events) == 2
@@ -310,8 +313,8 @@ class TupleListTracer(Tracer):
     ``span`` through ``PhaseStats.add`` — kept as the reference the
     columnar log must match byte for byte."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self):
+        super().__init__()
         self.log = []
 
     events = property(lambda self: self.log)
@@ -319,12 +322,12 @@ class TupleListTracer(Tracer):
     def span(self, name, t, duration, **labels):
         phase = self._phases.get(name)
         if phase is None:
-            phase = self._phases[name] = PhaseStats(self.sample_capacity)
+            phase = self._phases[name] = PhaseStats(self.SAMPLE_CAPACITY)
         phase.add(duration, self._rng)
         self._record(t, "span", name, duration, labels)
 
     def _record(self, t, kind, name, value, labels):
-        if len(self.log) >= self.max_events:
+        if len(self.log) >= self.MAX_EVENTS:
             self.events_dropped += 1
             return
         self.log.append((t, kind, name, value, tuple(sorted(labels.items()))))
@@ -366,10 +369,13 @@ class TestColumnarEventLog:
     must be what one tuple per event reported."""
 
     @staticmethod
-    def drive(steps, **kwargs):
-        """Run ``steps`` through both tracers, comparing after each."""
+    def drive(steps, **limits):
+        """Run ``steps`` through both tracers, comparing after each;
+        ``limits`` overrides their class constants (``MAX_EVENTS``,
+        ``SAMPLE_CAPACITY``)."""
         tracers = columnar, reference = [
-            cls(**kwargs) for cls in (Tracer, TupleListTracer)]
+            type(cls.__name__, (cls,), limits)()
+            for cls in (Tracer, TupleListTracer)]
         for hook, *args in steps:
             for tracer in tracers:
                 if hook == "end_spans":
@@ -396,8 +402,8 @@ class TestColumnarEventLog:
            sample_capacity=st.integers(1, 4))
     def test_matches_the_tuple_list_reference(self, steps, max_events,
                                               sample_capacity):
-        events, log = self.drive(steps, max_events=max_events,
-                                 sample_capacity=sample_capacity)
+        events, log = self.drive(steps, MAX_EVENTS=max_events,
+                                 SAMPLE_CAPACITY=sample_capacity)
         for index in range(-len(log), len(log)):
             assert repr(events[index]) == repr(log[index])
         assert repr(events[1:-1]) == repr(log[1:-1])

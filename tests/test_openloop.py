@@ -21,7 +21,6 @@ from repro.workloads import (
     CohortBacklog,
     ScenarioError,
     SessionTable,
-    TokenBucket,
     attach_open_loop,
     poisson_draw,
     slo_report,
@@ -50,16 +49,18 @@ def run_dfaster(scenario, duration=0.4, **config_kwargs):
 class TestScenarioValidation:
     def test_defaults_round_trip(self):
         merged = validate_scenario(None)
-        assert merged["arrival"]["process"] == "poisson"
-        assert merged["session"]["ops"] == DEFAULT_SCENARIO["session"]["ops"]
+        assert merged == DEFAULT_SCENARIO
+        assert merged["session"] is not DEFAULT_SCENARIO["session"]
 
     def test_overrides_deep_merge(self):
         merged = validate_scenario(
-            {"name": "burst", "arrival": {"rate": 1e6}})
-        assert merged["name"] == "burst"
+            {"arrival": {"rate": 1e6}, "admission": {"max_inflight": 16}})
         assert merged["arrival"]["rate"] == 1e6
+        assert merged["admission"]["max_inflight"] == 16
         # Untouched keys keep their defaults.
-        assert merged["arrival"]["tick"] == DEFAULT_SCENARIO["arrival"]["tick"]
+        assert merged["admission"]["queue_capacity"] == \
+            DEFAULT_SCENARIO["admission"]["queue_capacity"]
+        assert merged["session"] == DEFAULT_SCENARIO["session"]
         # The shared default dict is not mutated.
         assert DEFAULT_SCENARIO["arrival"]["rate"] != 1e6
 
@@ -70,23 +71,29 @@ class TestScenarioValidation:
     def test_unknown_key_names_the_path(self):
         with pytest.raises(ScenarioError, match="arrival.rat"):
             validate_scenario({"arrival": {"rat": 1e6}})
+        # What the scenario no longer carries is unknown too.
+        with pytest.raises(ScenarioError, match="session.ops"):
+            validate_scenario({"session": {"ops": 8}})
+        with pytest.raises(ScenarioError, match="admission.policy"):
+            validate_scenario({"admission": {"policy": "reject"}})
 
     def test_out_of_range_values_rejected(self):
-        with pytest.raises(ScenarioError, match="arrival.process"):
-            validate_scenario({"arrival": {"process": "uniform"}})
         with pytest.raises(ScenarioError, match="arrival.rate"):
             validate_scenario({"arrival": {"rate": 0}})
-        with pytest.raises(ScenarioError, match="write_fraction"):
-            validate_scenario({"session": {"write_fraction": 1.5}})
-        with pytest.raises(ScenarioError, match="admission.policy"):
-            validate_scenario({"admission": {"policy": "drop-newest"}})
+        with pytest.raises(ScenarioError, match="arrival.rate"):
+            validate_scenario({"arrival": {"rate": -1.0}})
+        with pytest.raises(ScenarioError, match="session.coalesce"):
+            validate_scenario({"session": {"coalesce": 0}})
+        with pytest.raises(ScenarioError, match="admission.queue_capacity"):
+            validate_scenario({"admission": {"queue_capacity": -5}})
+        with pytest.raises(ScenarioError, match="admission.max_inflight"):
+            validate_scenario({"admission": {"max_inflight": 0}})
 
     @pytest.mark.parametrize("section,key,value", [
         # Each of these used to pass validation: the float died inside
         # the simulation (range(64.0)), the others ran by accident of
         # float/bool comparison.
         ("session", "coalesce", 64.0),
-        ("session", "ops", 8.5),
         ("admission", "queue_capacity", 2e4),
         ("admission", "max_inflight", True),
     ])
@@ -100,7 +107,8 @@ class TestScenarioValidation:
         probe = ("from repro.workloads import ScenarioError, "
                  "validate_scenario\n"
                  "try:\n"
-                 "    validate_scenario({'arrival': {'rate': 0, 'tick': 0}})\n"
+                 "    validate_scenario({'admission': {'max_inflight': 0},"
+                 " 'arrival': {'rate': 0}})\n"
                  "except ScenarioError as exc:\n"
                  "    print(exc)\n")
         messages = []
@@ -126,16 +134,6 @@ class TestPrimitives:
     def test_poisson_draw_zero_rate(self):
         assert poisson_draw(random.Random(1), 0.0) == 0
 
-    def test_token_bucket_refills_to_burst(self):
-        bucket = TokenBucket(rate=100.0, burst=50.0, now=0.0)
-        assert bucket.take(50.0)
-        assert not bucket.take(1.0)
-        bucket.refill(0.25)  # 25 tokens back
-        assert bucket.take(25.0)
-        bucket.refill(10.0)  # caps at burst, not rate * 10
-        assert bucket.take(50.0)
-        assert not bucket.take(1.0)
-
     def test_session_table_counts_cohorts(self):
         table = SessionTable()
         table.arrive(2, 0)
@@ -152,14 +150,14 @@ class TestPrimitives:
 
 
 class PerSessionModel:
-    """The reference the cohort backlog replaced: a ``BoundedQueue``
-    holding one item (its arrival stamp) per session."""
+    """The reference the cohort backlog replaced: a shed-oldest
+    ``BoundedQueue`` holding one item (its arrival stamp) per session."""
 
-    def __init__(self, capacity, policy):
+    def __init__(self, capacity):
         self.env = Environment(tracer=Tracer())
         self.victims = []
         self.queue = BoundedQueue(
-            self.env, capacity, name="admit", policy=policy,
+            self.env, capacity, name="admit", policy="shed-oldest",
             on_shed=self.victims.append)
 
     def offer(self, runs):
@@ -180,8 +178,7 @@ def stamps(runs):
 
 def observable(env, queue):
     tracer = env.tracer
-    return (len(queue), queue.shed_items, queue.rejected_items,
-            dict(tracer.queue_depths), dict(tracer.queue_high_watermarks),
+    return (len(queue), queue.shed_items, dict(tracer.queue_depths), dict(tracer.queue_high_watermarks),
             dict(tracer.counters))
 
 
@@ -194,13 +191,11 @@ class TestCohortBacklogMatchesPerSessionQueue:
         min_size=1, max_size=60)
 
     @settings(max_examples=300, deadline=None)
-    @given(capacity=st.integers(1, 20),
-           policy=st.sampled_from(BoundedQueue.POLICIES), steps=steps)
-    def test_same_depths_counters_and_fifo_order(self, capacity, policy,
-                                                 steps):
-        model = PerSessionModel(capacity, policy)
+    @given(capacity=st.integers(1, 20), steps=steps)
+    def test_same_depths_counters_and_fifo_order(self, capacity, steps):
+        model = PerSessionModel(capacity)
         env = Environment(tracer=Tracer())
-        backlog = CohortBacklog(env, capacity, name="admit", policy=policy)
+        backlog = CohortBacklog(env, capacity, name="admit")
         last_batch = ()
         for tick, (kind, size) in enumerate(steps):
             if kind == 1:
@@ -355,17 +350,6 @@ class TestOpenLoopDriver:
         assert tracer.counters[key + ".shed"] == report["shed_sessions"]
         # Post-run the depth gauge reflects the live backlog.
         assert tracer.queue_depths[key] == len(driver.admit)
-
-    def test_token_bucket_caps_admitted_throughput(self):
-        rate_limited = dict(SMALL_SCENARIO,
-                            admission={"queue_capacity": 100_000,
-                                       "token_rate": 40_000.0})
-        _, driver = run_dfaster(rate_limited)
-        report = slo_report(driver)
-        # 40k ops/s over 0.4s at 8 ops/session admits ~2k sessions.
-        dispatched = report["completed_sessions"] + report["aborted_sessions"]
-        ops = driver._ops
-        assert dispatched * ops <= 40_000.0 * 0.4 + driver.bucket.burst
 
     def test_crash_preserves_prefix_recoverability(self):
         # A mid-run crash rolls the world line forward: sessions beyond

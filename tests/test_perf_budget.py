@@ -109,45 +109,33 @@ REPLICATION_SCENARIO_SHA = \
 
 #: Open-loop byte-identity anchors, captured on the per-session data
 #: path (a handle per session through ``BoundedQueue``) immediately
-#: before the cohort-granular one replaced it.  BENCH_openloop and the
-#: ledger digest only reach Poisson + shed-oldest + no failures; these
-#: pin the rest: both overload policies, a backlog smaller than one
-#: tick's arrivals, bursty arrivals behind the token bucket, rollbacks
-#: (nested, and after a real crash), D-Redis, and refused batches
-#: re-entering admission.  Rows: sha256, cluster, scenario, run kwargs.
+#: before the cohort-granular one replaced it; nested-failures-shed-
+#: oldest was captured on the cohort path while the scenario still had
+#: its sixteen keys.  BENCH_openloop and the ledger digest only reach a
+#: backlog that never fills and no failures; these pin the rest: a
+#: backlog smaller than one tick's arrivals, rollbacks (nested, and
+#: after a real crash), D-Redis, and refused batches re-entering
+#: admission.  Rows: sha256, cluster, scenario, run kwargs.
 _D_FASTER = dict(n_workers=2, vcpus=4)
 _D_FASTER_CKPT = dict(_D_FASTER, checkpoint_interval=0.05)
 
 
-def _overload(rate, capacity, policy="shed-oldest"):
+def _overload(rate, capacity):
     return {"arrival": {"rate": rate}, "session": {"coalesce": 256},
-            "admission": {"queue_capacity": capacity, "policy": policy,
-                          "max_inflight": 16}}
+            "admission": {"queue_capacity": capacity, "max_inflight": 16}}
 
 
 OPENLOOP_ANCHORS = {
-    "reject": (
-        "dcf42dc75d4551dba58123e3ffc91121d428dc3a9e9772b617e4b854c6eda76a",
-        _D_FASTER, _overload(2e6, 50_000, "reject"), {}),
     "sub-tick-queue-shed-oldest": (
         "40e0d7a6a0801402455aa233d8fc8897436e3f6f24a9b850938b0c6d12b6e07d",
         _D_FASTER, _overload(2e6, 700), {}),
-    "sub-tick-queue-reject": (
-        "db5edd6f8c0ff2e22fa9303fc8da77dcd52219269274e302f388204e9a5fd2b2",
-        _D_FASTER, _overload(2e6, 700, "reject"), {}),
-    "lognormal-token-bucket": (
-        "4ae8c5226ea366c7e41324645e5e2201195b696952e3c9d5b55d5fb6cace7f6c",
-        _D_FASTER,
-        {"arrival": {"process": "lognormal", "rate": 500e3, "sigma": 0.6},
-         "session": {"coalesce": 256},
-         "admission": {"token_rate": 4e6, "max_inflight": 16}}, {}),
     "failures-shed-oldest": (
         "cac16d4fb0d66fed01054b819717601d6d5682d3a2ded36a3c62b9a3ca8e4ea0",
         _D_FASTER_CKPT, _overload(1.5e6, 20_000),
         dict(duration=0.6, failures=(0.2, 0.4))),
-    "nested-failures-reject": (
-        "883550527c6784a0b9bf73f0babd1a16d8e63c577ce390376749bd16a03b11ff",
-        _D_FASTER_CKPT, _overload(1.5e6, 20_000, "reject"),
+    "nested-failures-shed-oldest": (
+        "b3392e0326ffbd36cde2913928fcb649a53afbc10391108c26608c20fd0ed49b",
+        _D_FASTER_CKPT, _overload(1.5e6, 20_000),
         dict(duration=0.6, failures=(0.2, 0.21))),
     "crash-light-load": (
         "182af79780865bba9692df558bd83c7e22b9e5ef3bb9c0ff304277c9d06c8476",
@@ -162,10 +150,11 @@ OPENLOOP_ANCHORS = {
     "refused-batches-shed-oldest": (
         "2308664914faccd2351597f21b5c5f10be009a2a06ee2b50f933888248d52839",
         _D_FASTER, _overload(2e6, 700), dict(refuse_every=5)),
-    "refused-batches-reject": (
-        "4d751c72b7845d57f9d9166a3dc65b34e45791935352e0154c87dcad5e363414",
-        _D_FASTER, _overload(2e6, 50_000, "reject"), dict(refuse_every=5)),
 }
+
+
+class SmallSampleTracer(Tracer):
+    SAMPLE_CAPACITY = 64
 
 
 def _sha(text: str) -> str:
@@ -324,7 +313,7 @@ class TestTracerMemoryBudget:
         try:
             # Small reservoirs: this prices the event log, not the
             # phase samples (8 B + a float each, bounded per phase).
-            tracer = Tracer(sample_capacity=64)
+            tracer = SmallSampleTracer()
             before, _ = tracemalloc.get_traced_memory()
             for index in range(events):
                 tracer.span("phase%d" % (index % 4), index * 1e-6,

@@ -293,12 +293,12 @@ class TestAtLeastOnce:
         assert (session.aborted_ops, session.reconciled_ops) == (8, 0)
 
     def test_backoff_grows_resets_and_caps(self, session):
-        session.backoff(now=1.0, base=2e-3, cap=0.1, jitter=1.0)
+        session.backoff(now=1.0, jitter=1.0)
         assert session.paused_until == pytest.approx(1.0 + 2e-3)
-        session.backoff(now=1.0, base=2e-3, cap=0.1, jitter=0.0)
+        session.backoff(now=1.0, jitter=0.0)
         assert session.paused_until == pytest.approx(1.0 + 2e-3)  # 4ms / 2
         for _ in range(10):
-            session.backoff(now=1.0, base=2e-3, cap=0.1, jitter=1.0)
+            session.backoff(now=1.0, jitter=1.0)
         assert session.paused_until == pytest.approx(1.1)
         session.absorb(session.issue("A").seqno, 1)
         assert session.retry_attempts == 0

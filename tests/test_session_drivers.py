@@ -187,7 +187,7 @@ class OpenLoopRig:
     dispatched from hand-admitted sessions, replies injected at the
     inbox handler."""
 
-    SESSIONS = 4
+    SESSIONS = OPS // OpenLoopDriver.OPS
 
     def __init__(self):
         self.env = Environment()
@@ -195,8 +195,7 @@ class OpenLoopRig:
         net.register("worker-0")
         self.driver = OpenLoopDriver(
             self.env, net, "openloop-0", ["worker-0"],
-            scenario={"session": {"ops": OPS // self.SESSIONS,
-                                  "coalesce": self.SESSIONS}},
+            scenario={"session": {"coalesce": self.SESSIONS}},
             rng=1)
         self.driver.stop()
         self.core = self.driver.session

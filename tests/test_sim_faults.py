@@ -11,12 +11,11 @@ from repro.sim.faults import (
     MetadataSpike,
     Partition,
 )
-from repro.sim.network import Network, NetworkConfig
+from tests.test_sim_network import QuietNetwork
 
 
 def faulty_net(env, plan):
-    return Network(env, NetworkConfig(jitter_stddev=0.0),
-                   rng=random.Random(1), faults=plan)
+    return QuietNetwork(env, rng=random.Random(1), faults=plan)
 
 
 class TestLinkFault:

@@ -138,23 +138,6 @@ class TestProcess:
         env.run()
         assert process.value == ("got", "result", 2.0)
 
-    def test_exception_propagates_to_joiner_when_not_strict(self):
-        env = Environment(strict=False)
-
-        def child():
-            yield 1
-            raise RuntimeError("child died")
-
-        def parent():
-            try:
-                yield env.process(child())
-            except RuntimeError as error:
-                return str(error)
-
-        process = env.process(parent())
-        env.run()
-        assert process.value == "child died"
-
     def test_strict_mode_raises_out_of_run(self, env):
         def bad():
             yield 1

@@ -4,14 +4,19 @@ import random
 
 import pytest
 
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network
+
+
+class QuietNetwork(Network):
+    """The network without jitter: deterministic latency for exact
+    assertions."""
+
+    JITTER_STDDEV = 0.0
 
 
 @pytest.fixture
 def net(env):
-    # Deterministic latency (no jitter) for exact assertions.
-    return Network(env, NetworkConfig(jitter_stddev=0.0),
-                   rng=random.Random(1))
+    return QuietNetwork(env, rng=random.Random(1))
 
 
 class TestDelivery:

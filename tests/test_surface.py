@@ -1,6 +1,6 @@
 """The public surface is what the system uses, no more.
 
-Five tripwires over the ASTs of the non-test tree (``src/repro/``,
+Six tripwires over the ASTs of the non-test tree (``src/repro/``,
 ``examples/``, ``benchmarks/``):
 
 * **the simulator** — every name ``repro.sim`` exports and every public
@@ -26,6 +26,19 @@ Five tripwires over the ASTs of the non-test tree (``src/repro/``,
   issues as ``("NAME", ...)`` tuple literals.  Every command kept is one
   more that a protocol oracle has to model; the clone went from 34
   commands to five on that evidence;
+* **their settable values** — every dataclass field with a default
+  (``init=False`` state excluded) and every defaulted ``__init__``
+  parameter of a public class under ``src/repro/`` (outside
+  ``analysis/``) must be set by some non-test call: by keyword, or
+  positionally to that class (or a subclass that inherits its
+  constructor).  ``name=name`` handing on the caller's own parameter is
+  forwarding, not setting.  Every open-loop ``DEFAULT_SCENARIO`` key
+  must likewise be a dict-literal key in a non-test module other than
+  ``openloop.py``.  A value one caller sets to one number is a
+  calibration, and a constant says so; the 20 cost-model fields, the
+  network's four latencies, ten of the Cassandra baseline's twelve
+  knobs and twelve of sixteen scenario keys became constants (or
+  went) on that evidence;
 * **the figures** — a fig10–fig19 sweep is written once, in
   ``repro.bench.figures``: no wrapper under ``benchmarks/`` other than
   the four that have no catalog entry runs experiments itself, and
@@ -44,6 +57,7 @@ they were found by reading.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -53,6 +67,7 @@ from repro.bench.figures import FIGURES
 from repro.redisclone import COMMANDS
 from repro.sim.kernel import Environment, Process
 from repro.sim.queues import Queue
+from repro.workloads.openloop import DEFAULT_SCENARIO
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -105,6 +120,16 @@ ALLOWED = {
     "ReplicaNode.resume_apply":
         "chaos hook: the lagging-replica tests set apply_paused and "
         "drain the buffered backlog with it",
+    "DFasterConfig.engine":
+        "the functional cluster tests run real FasterKV shards through "
+        "the cluster protocol with engine='faster' (D-Redis gains the "
+        "same switch in ROADMAP item 4)",
+    "LinkFault.src":
+        "only the chaos tests aim a link fault at one sender; fault "
+        "plans are rebuilt by the schedule explorer (ROADMAP item 2)",
+    "LinkFault.dst":
+        "only the chaos tests aim a link fault at one receiver; fault "
+        "plans are rebuilt by the schedule explorer (ROADMAP item 2)",
 }
 
 
@@ -244,9 +269,141 @@ def test_clone_commands_are_the_ones_issued(trees):
     assert not unknown, f"commands issued that the clone lacks: {unknown}"
 
 
+def _is_dataclass(cls):
+    return any(getattr(getattr(decorator, "func", decorator), "id", None)
+               == "dataclass" for decorator in cls.decorator_list)
+
+
+def _init_false(value):
+    return (isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "field"
+            and any(keyword.arg == "init"
+                    and getattr(keyword.value, "value", None) is False
+                    for keyword in value.keywords))
+
+
+def _init_parameters(cls):
+    """``(name, positional index or None, has a default)`` for each
+    parameter of ``cls``'s constructor (its own fields or ``__init__``)."""
+    if _is_dataclass(cls):
+        fields = [node for node in cls.body
+                  if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)
+                  and "ClassVar" not in ast.dump(node.annotation)
+                  and not _init_false(node.value)]
+        return [(node.target.id, index, node.value is not None)
+                for index, node in enumerate(fields)]
+    init = next((node for node in cls.body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "__init__"), None)
+    if init is None:
+        return []
+    args = init.args
+    positional = (args.posonlyargs + args.args)[1:]
+    first_default = len(positional) - len(args.defaults)
+    return ([(arg.arg, index, index >= first_default)
+             for index, arg in enumerate(positional)]
+            + [(arg.arg, None, default is not None)
+               for arg, default in zip(args.kwonlyargs, args.kw_defaults)])
+
+
+def _constructors(trees):
+    """class name -> the names calling which runs its constructor: its
+    own, and those of subclasses that define no constructor of their
+    own (``DFasterCluster(config)`` runs ``ClusterShell.__init__``)."""
+    inherits = {}
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and not _init_parameters(cls):
+                for base in cls.bases:
+                    inherits.setdefault(getattr(base, "id", None),
+                                        []).append(cls.name)
+
+    def callers(name):
+        return {name}.union(*(callers(sub) for sub in inherits.get(name, ())))
+    return callers
+
+
+def _settable_surface(trees):
+    """label -> (constructor names, name, positional index) for every
+    dataclass field with a default and every defaulted ``__init__``
+    parameter of the public classes of ``src/repro/`` outside
+    ``analysis/``."""
+    callers = _constructors(trees)
+    surface = {}
+    for path, tree in trees.items():
+        if _top(path) in (None, "analysis"):
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for name, index, has_default in _init_parameters(cls):
+                    if has_default:
+                        surface[f"{cls.name}.{name}"] = (
+                            callers(cls.name), name, index)
+    return surface
+
+
+def _settings(trees):
+    """The keyword names non-test calls pass, and per callee name the
+    most positional arguments one call passes it.  ``name=name`` that
+    hands on the enclosing function's own parameter is forwarding, not
+    a setting."""
+    keywords, positional = set(), {}
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            params = {arg.arg for arg in
+                      args.posonlyargs + args.args + args.kwonlyargs}
+        elif isinstance(node, ast.Call):
+            for keyword in node.keywords:
+                forwarded = (isinstance(keyword.value, ast.Name)
+                             and keyword.value.id == keyword.arg
+                             and keyword.arg in params)
+                if keyword.arg is not None and not forwarded:
+                    keywords.add(keyword.arg)
+            callee = getattr(node.func, "id",
+                             getattr(node.func, "attr", None))
+            count = sum(1 for _ in itertools.takewhile(
+                lambda arg: not isinstance(arg, ast.Starred), node.args))
+            positional[callee] = max(positional.get(callee, 0), count)
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    for tree in trees.values():
+        visit(tree, set())
+    return keywords, positional
+
+
+def test_settable_values_have_a_non_test_setter(trees):
+    # A value only tests set is a constant wearing a knob: the run the
+    # paper evaluates (and every figure) uses one number for it.
+    keywords, positional = _settings(trees)
+    unset = sorted(
+        label for label, (callers, name, index)
+        in _settable_surface(trees).items()
+        if name not in keywords
+        and (index is None
+             or max(positional.get(cls, 0) for cls in callers) <= index)
+        and label not in ALLOWED)
+    dict_keys = {key.value
+                 for path, tree in trees.items()
+                 if path.name != "openloop.py"
+                 for node in ast.walk(tree) if isinstance(node, ast.Dict)
+                 for key in node.keys if isinstance(key, ast.Constant)}
+    unset += sorted(f"DEFAULT_SCENARIO.{section}.{key}"
+                    for section, defaults in DEFAULT_SCENARIO.items()
+                    if isinstance(defaults, dict)
+                    for key in defaults if key not in dict_keys)
+    assert not unset, (
+        f"settable values only tests set (or nothing): {unset} — make "
+        "each a constant, or add it to ALLOWED with the reason it stays")
+
+
 def test_allowed_names_still_exist(trees):
     surface = {**_sim_surface(), **_definition_surface(trees),
-               **_member_surface(trees)}
+               **_member_surface(trees), **_settable_surface(trees)}
     stale = sorted(set(ALLOWED) - set(surface))
     assert not stale, f"ALLOWED names that no longer exist: {stale}"
 

@@ -24,16 +24,19 @@ class TestWorldLine:
         assert line.current == 3
 
     def test_advance_backwards_ignored(self):
-        line = WorldLine(current=5)
+        line = WorldLine()
+        line.advance_to(5)
         assert not line.advance_to(3)
         assert line.current == 5
 
     def test_advance_same_is_noop(self):
-        line = WorldLine(current=2)
+        line = WorldLine()
+        line.advance_to(2)
         assert not line.advance_to(2)
 
     def test_gate_through_instance(self):
-        line = WorldLine(current=1)
+        line = WorldLine()
+        line.advance_to(1)
         assert line.gate(1) is WorldLineDecision.EXECUTE
         assert line.gate(0) is WorldLineDecision.REJECT
         assert line.gate(2) is WorldLineDecision.DELAY
