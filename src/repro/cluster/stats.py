@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-import random
-from bisect import insort
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -25,7 +24,8 @@ class Reservoir:
     def __init__(self, capacity: int = 20000, rng=None):
         self.capacity = capacity
         self._rng = make_rng(_RESERVOIR_SEED if rng is None else rng)
-        self._samples: List[float] = []
+        #: Sampled latencies as C doubles (8 B each, no float objects).
+        self._samples = array("d")
         self.count = 0
 
     def add(self, value: float) -> None:
@@ -53,11 +53,16 @@ class Reservoir:
         (one bounded draw per observation past the fill boundary is
         what pins the reservoir's bytes).  The draw's bit width only
         changes when ``count`` crosses a power of two, so it is hoisted
-        per such segment."""
+        per such segment.  A negative ``n`` raises ``ValueError``."""
+        if n < 0:
+            raise ValueError(f"a run of {n} observations")
         samples = self._samples
         capacity = self.capacity
-        fill = max(0, min(n, capacity - len(samples)))
-        samples.extend([value] * fill)
+        fill = min(n, capacity - len(samples))
+        # One C-level repeat of a one-element array: extending by
+        # ``[value] * fill`` would convert every element back to a
+        # double.
+        samples += array("d", (value,)) * fill
         getrandbits = self._rng.getrandbits
         start = self.count + fill + 1
         end = self.count + n + 1

@@ -13,6 +13,7 @@ from repro.obs.tracer import (
     Tracer,
     interpolated_percentile,
     merge_phase_stats,
+    run_percentile,
     weighted_sample_merge,
 )
 
@@ -21,5 +22,6 @@ __all__ = [
     "Tracer",
     "interpolated_percentile",
     "merge_phase_stats",
+    "run_percentile",
     "weighted_sample_merge",
 ]

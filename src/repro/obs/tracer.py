@@ -42,7 +42,9 @@ from __future__ import annotations
 import json
 import random
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import accumulate
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Fixed seed for reservoir down-sampling.  Like the stats reservoirs,
@@ -52,23 +54,49 @@ _TRACER_SEED = 2021
 #: Default per-phase reservoir capacity.
 _SAMPLE_CAPACITY = 20_000
 
+#: Elements per block of a stratum in :func:`weighted_sample_merge`.  A
+#: pick pops from one block, so its memmove is bounded by this rather
+#: than by the reservoir's capacity, and a walk over the blocks to find
+#: the rank stays a handful of steps.
+_MERGE_BLOCK = 4096
 
-def interpolated_percentile(ordered: List[float], q: float) -> float:
+
+def _interpolate(at: Callable[[int], float], n: int, q: float) -> float:
+    """The percentile arithmetic of :func:`interpolated_percentile` over
+    ``n`` ordered values that ``at(index)`` reads."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile {q!r} is outside [0, 100]")
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return at(0)
+    rank = (q / 100.0) * (n - 1)
+    lower = int(rank)
+    upper = min(lower + 1, n - 1)
+    fraction = rank - lower
+    low = at(lower)
+    return low + (at(upper) - low) * fraction
+
+
+def interpolated_percentile(ordered: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile of an already-sorted list.
 
     Exact at boundary ranks: ``q=0`` is the minimum, ``q=100`` the
     maximum, and any ``q`` landing on an integral rank returns that
-    sample unchanged.
+    sample unchanged.  A ``q`` outside [0, 100] raises ``ValueError``.
     """
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lower = int(rank)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = rank - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+    return _interpolate(ordered.__getitem__, len(ordered), q)
+
+
+def run_percentile(ordered_runs: Sequence[Tuple[float, int]],
+                   q: float) -> float:
+    """:func:`interpolated_percentile` of the sorted list that repeats
+    each ``(value, count)`` run ``count`` times, read by cumulative
+    rank instead of expanded."""
+    ends = list(accumulate(count for _, count in ordered_runs))
+    return _interpolate(
+        lambda index: ordered_runs[bisect_right(ends, index)][0],
+        ends[-1] if ends else 0, q)
 
 
 class PhaseStats:
@@ -83,7 +111,8 @@ class PhaseStats:
         self.minimum = 0.0
         self.maximum = 0.0
         self.capacity = capacity
-        self.samples: List[float] = []
+        #: Sampled durations as C doubles (8 B each, no float objects).
+        self.samples = array("d")
 
     def add(self, value: float, rng: random.Random) -> None:
         if self.count == 0:
@@ -144,19 +173,25 @@ class PhaseStats:
             self.minimum = min(self.minimum, other.minimum)
             self.maximum = max(self.maximum, other.maximum)
         merged_count = self.count + other.count
-        mine, theirs = list(self.samples), list(other.samples)
-        if len(mine) + len(theirs) <= self.capacity:
-            self.samples = mine + theirs
+        if len(self.samples) + len(other.samples) <= self.capacity:
+            self.samples += other.samples
         else:
-            self.samples = weighted_sample_merge(
-                mine, self.count, theirs, other.count, self.capacity, rng)
+            self.samples = array("d", weighted_sample_merge(
+                self.samples, self.count, other.samples, other.count,
+                self.capacity, rng))
         self.count = merged_count
         self.total += other.total
 
 
-def weighted_sample_merge(mine: List[float], mine_count: int,
-                           theirs: List[float], theirs_count: int,
-                           capacity: int, rng: random.Random) -> List[float]:
+def _blocks(samples: Sequence[float]) -> List[List[float]]:
+    """A stratum copied into lists of at most :data:`_MERGE_BLOCK`."""
+    return [list(samples[start:start + _MERGE_BLOCK])
+            for start in range(0, len(samples), _MERGE_BLOCK)]
+
+
+def weighted_sample_merge(mine: Sequence[float], mine_count: int,
+                          theirs: Sequence[float], theirs_count: int,
+                          capacity: int, rng: random.Random) -> List[float]:
     """Draw ``capacity`` samples from two reservoirs without replacement,
     each stratum weighted by the number of observations it represents.
 
@@ -167,28 +202,31 @@ def weighted_sample_merge(mine: List[float], mine_count: int,
     or batching them would change merged percentiles byte-for-byte.  The
     rank within the chosen stratum is the stdlib's bounded draw spelled
     out — reject ``getrandbits(n.bit_length())`` until it lands below
-    ``n`` — which consumes the same words without its two frames.
+    ``n`` — which consumes the same words without its two frames.  The
+    rank-th remaining sample is popped from a copy of its stratum held
+    in :data:`_MERGE_BLOCK`-sized blocks, so the arguments are left as
+    they were and no pick moves more than one block's tail.
     """
-    weight_mine = mine_count / len(mine) if mine else 0.0
-    weight_theirs = theirs_count / len(theirs) if theirs else 0.0
     n_mine = len(mine)
     n_theirs = len(theirs)
+    weight_mine = mine_count / n_mine if n_mine else 0.0
+    weight_theirs = theirs_count / n_theirs if n_theirs else 0.0
+    blocks_mine = _blocks(mine)
+    blocks_theirs = _blocks(theirs)
     picked: List[float] = []
     append = picked.append
     rand = rng.random
     getrandbits = rng.getrandbits
-    pop_mine = mine.pop
-    pop_theirs = theirs.pop
     for _ in range(capacity):
         total_mine = n_mine * weight_mine
         remaining = total_mine + n_theirs * weight_theirs
         if remaining <= 0.0:
             break
         if rand() * remaining < total_mine:
-            pop, n = pop_mine, n_mine
+            blocks, n = blocks_mine, n_mine
             n_mine -= 1
         else:
-            pop, n = pop_theirs, n_theirs
+            blocks, n = blocks_theirs, n_theirs
             n_theirs -= 1
         bits = n.bit_length()
         rank = getrandbits(bits)
@@ -198,7 +236,12 @@ def weighted_sample_merge(mine: List[float], mine_count: int,
                 # without this the loop spins on getrandbits(0) == 0.
                 raise ValueError("weighted merge chose an empty stratum")
             rank = getrandbits(bits)
-        append(pop(rank))
+        for block in blocks:
+            size = len(block)
+            if rank < size:
+                append(block.pop(rank))
+                break
+            rank -= size
     return picked
 
 

@@ -51,7 +51,7 @@ from repro.cluster.messages import BatchIds, batch_request
 from repro.cluster.stats import ClusterStats
 from repro.core.cuts import DprCut
 from repro.core.session import RECOVERY_PAUSE, Session, Span
-from repro.obs import interpolated_percentile
+from repro.obs import run_percentile
 from repro.sim.kernel import Environment
 from repro.sim.network import Network
 from repro.sim.rand import make_rng, spawn
@@ -319,9 +319,11 @@ class OpenLoopDriver:
         self._ack_rank: Dict[str, int] = {}
         self._acks = 0
 
-        #: Exact per-session commit latencies (the SLO report computes
-        #: exact percentiles; the shared stats reservoir still samples).
-        self.commit_latencies: List[float] = []
+        #: Exact per-session commit latencies as ``(latency, count)``
+        #: runs, one per cohort committed (the SLO report computes exact
+        #: percentiles from them; the shared stats reservoir still
+        #: samples).
+        self.commit_latencies: List[Tuple[float, int]] = []
         self.completed_sessions = 0
         self.committed_sessions = 0
         self.aborted_sessions = 0
@@ -443,14 +445,14 @@ class OpenLoopDriver:
         """Release the sessions of committed batches; their commit
         latency is arrival-to-cut, the open-loop number a knee curve
         plots."""
-        lat_extend = self.commit_latencies.extend
+        lat_append = self.commit_latencies.append
         commit_lat = self.stats.commit_latency.add_run
         committed = self.stats.committed
         sessions = 0
         for span in sorted(retired, key=_ack_order):
             for arrival, count in span.tag[1]:
                 latency = now - arrival
-                lat_extend([latency] * count)
+                lat_append((latency, count))
                 commit_lat(latency, count)
             committed.add(now, span.op_count)
             sessions += span.op_count // self.OPS
@@ -491,18 +493,16 @@ def slo_report(driver: OpenLoopDriver) -> Dict[str, Any]:
     Percentiles are exact (computed over *every* commit latency, not a
     reservoir sample): an open-loop p999 from 1k sampled points is
     noise, and exactness is what makes the report byte-identical
-    across reruns.
+    across reruns.  They are read by cumulative rank over the sorted
+    runs, never from the expanded list.
     """
-    ordered = sorted(driver.commit_latencies)
-    if ordered:
-        latency = {
-            "count": len(ordered),
-            "p50": interpolated_percentile(ordered, 50),
-            "p99": interpolated_percentile(ordered, 99),
-            "p999": interpolated_percentile(ordered, 99.9),
-        }
-    else:
-        latency = {"count": 0, "p50": 0.0, "p99": 0.0, "p999": 0.0}
+    runs = sorted(driver.commit_latencies)
+    latency = {
+        "count": sum(count for _, count in runs),
+        "p50": run_percentile(runs, 50),
+        "p99": run_percentile(runs, 99),
+        "p999": run_percentile(runs, 99.9),
+    }
     return {
         "scenario": "openloop",
         "offered_sessions": driver.table.allocated,

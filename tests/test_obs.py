@@ -12,6 +12,7 @@ does not perturb the protocol (same stats with the tracer on or off).
 
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,10 @@ from repro.obs import (
     Tracer,
     interpolated_percentile,
     merge_phase_stats,
+    run_percentile,
     weighted_sample_merge,
 )
+from repro.obs.tracer import _MERGE_BLOCK
 
 from tests.test_determinism_hashseed import run_with_hashseed
 from tests.test_openloop import RandrangeReservoir
@@ -53,6 +56,16 @@ class TestInterpolatedPercentile:
         ordered = [float(v) for v in range(101)]
         for q in (0, 1, 25, 50, 75, 99, 100):
             assert interpolated_percentile(ordered, q) == float(q)
+
+    @pytest.mark.parametrize("q", [-50, -1e-9, 100.5, 150, float("nan")])
+    @pytest.mark.parametrize("ordered", [[], [7.0], [1.0, 2.0, 3.0]])
+    def test_q_outside_0_100_raises(self, ordered, q):
+        # q = -50 used to read ``ordered[-1]`` (the maximum) and q = 150
+        # to raise a bare IndexError.
+        with pytest.raises(ValueError):
+            interpolated_percentile(ordered, q)
+        with pytest.raises(ValueError):
+            run_percentile([(value, 2) for value in ordered], q)
 
 
 class TestPhaseStats:
@@ -185,7 +198,7 @@ class TestSamplersDrawTheRandrangeStream:
         for value in values:
             stats.add(value, rng)
             model.add(value)
-            assert stats.samples == model.samples
+            assert list(stats.samples) == model.samples
             assert stats.count == model.count
             assert rng.getstate() == model.rng.getstate()
 
@@ -204,6 +217,31 @@ class TestSamplersDrawTheRandrangeStream:
             list(mine[0]), mine[1], list(theirs[0]), theirs[1],
             capacity, model_rng)
         assert rng.getstate() == model_rng.getstate()
+
+    #: Stratum sizes around the merge's block boundary.
+    block_sizes = [0, 1, _MERGE_BLOCK - 1, _MERGE_BLOCK, _MERGE_BLOCK + 1,
+                   3 * _MERGE_BLOCK + 7]
+
+    @pytest.mark.parametrize("n_theirs", block_sizes)
+    @pytest.mark.parametrize("n_mine", block_sizes)
+    def test_weighted_sample_merge_across_blocks(self, n_mine, n_theirs):
+        # Draining both strata pops from every block until it is empty;
+        # the hypothesis test above never holds more than one block.
+        values = random.Random(n_mine * 7919 + n_theirs)
+        mine = [values.random() for _ in range(n_mine)]
+        theirs = [values.random() + 1.0 for _ in range(n_theirs)]
+        arguments = (array("d", mine), 3 * n_mine + 1,
+                     array("d", theirs), 2 * n_theirs + 5)
+        for capacity in (n_mine + n_theirs, (n_mine + n_theirs) // 3 + 1):
+            rng = random.Random(capacity)
+            model_rng = random.Random(capacity)
+            merged = weighted_sample_merge(*arguments, capacity, rng)
+            assert merged == randrange_sample_merge(
+                list(mine), arguments[1], list(theirs), arguments[3],
+                capacity, model_rng)
+            assert rng.getstate() == model_rng.getstate()
+        # The strata are read, not consumed.
+        assert list(arguments[0]) == mine and list(arguments[2]) == theirs
 
 
 class TestTracer:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig
 from repro.cluster.stats import Reservoir
-from repro.obs import Tracer
+from repro.obs import Tracer, interpolated_percentile
 from repro.sim.kernel import Environment
 from repro.sim.queues import BoundedQueue
 from repro.workloads import (
@@ -231,6 +232,13 @@ class TestReservoirAddRun:
         assert by_run._rng.getstate() == one_by_one._rng.getstate()
         assert by_run.summary() == one_by_one.summary()
 
+    def test_negative_run_raises(self):
+        reservoir = Reservoir(8, rng=5)
+        reservoir.add_run(1.0, 3)
+        with pytest.raises(ValueError):
+            reservoir.add_run(1.0, -1)
+        assert reservoir.count == 3 and list(reservoir._samples) == [1.0] * 3
+
 
 class RandrangeReservoir:
     """Algorithm R as the stdlib spells it -- one ``rng.randrange`` per
@@ -289,7 +297,7 @@ class TestReservoirDrawsTheRandrangeStream:
                 reservoir.add_run(value, n)
             for _ in range(n):
                 model.add(value)
-            assert reservoir._samples == model.samples
+            assert list(reservoir._samples) == model.samples
             assert reservoir.count == model.count
             assert reservoir._rng.getstate() == model.rng.getstate()
 
@@ -304,6 +312,60 @@ OVERLOAD_SCENARIO = {
     "session": {"coalesce": 256},
     "admission": {"queue_capacity": 50_000, "max_inflight": 16},
 }
+
+
+def _report_of_runs(runs):
+    """``slo_report`` of a finished driver that committed ``runs``."""
+    idle = SimpleNamespace(allocated=0, live=0, peak_live=0)
+    return slo_report(SimpleNamespace(
+        table=idle, admit=SimpleNamespace(shed_items=0),
+        completed_sessions=0, committed_sessions=0, aborted_sessions=0,
+        commit_latencies=runs))["commit_latency"]
+
+
+class TestRunPercentiles:
+    """``slo_report`` reads its exact percentiles from ``(latency,
+    count)`` runs by cumulative rank; they must be the bytes
+    ``interpolated_percentile`` gives over the expanded sorted list."""
+
+    # Few distinct latencies, so runs tie often.
+    latency = st.sampled_from([0.0, 1e-4, 0.0125, 0.05, 0.0625, 0.25]) | \
+        st.floats(0.0, 1.0)
+    runs = st.lists(st.tuples(latency, st.integers(1, 40)), max_size=40)
+
+    @staticmethod
+    def expanded(runs):
+        return sorted(latency for latency, count in runs
+                      for _ in range(count))
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=runs)
+    def test_report_matches_the_expanded_list(self, runs):
+        ordered = self.expanded(runs)
+        assert _report_of_runs(runs) == {
+            "count": len(ordered),
+            "p50": interpolated_percentile(ordered, 50),
+            "p99": interpolated_percentile(ordered, 99),
+            "p999": interpolated_percentile(ordered, 99.9),
+        }
+
+    @pytest.mark.parametrize("runs", [
+        [(0.125, 1)],                                    # n = 1
+        [(0.5, 1), (0.25, 1)],
+        [(0.25, 3), (0.125, 2), (0.25, 4), (0.125, 1)],  # ties
+        [(0.001 * index, 1 + index % 7) for index in range(400)],
+        [(0.25, 999), (1.0, 1)],                         # p999 interpolates
+    ])
+    def test_boundary_cases(self, runs):
+        ordered = self.expanded(runs)
+        report = _report_of_runs(runs)
+        assert report["count"] == len(ordered)
+        for key, q in (("p50", 50), ("p99", 99), ("p999", 99.9)):
+            assert report[key] == interpolated_percentile(ordered, q)
+
+    def test_no_runs(self):
+        assert _report_of_runs([]) == {
+            "count": 0, "p50": 0.0, "p99": 0.0, "p999": 0.0}
 
 
 class TestOpenLoopDriver:

@@ -97,6 +97,13 @@ SMOKE_TRACE_SHA = \
 #: GC-tracked tuples, two boxed floats and a label string).
 TRACER_BYTES_PER_EVENT_BUDGET = 32
 
+#: What one retained latency sample may cost a finished experiment, by
+#: ``tracemalloc``: the stats reservoirs and the tracer's phase
+#: reservoirs store C doubles, 8 B plus the arrays' growth slack
+#: (measured: 8.4 B over the smoke cell's 6,932 samples).  A list of
+#: boxed floats spent 32 B (an 8 B slot and a 24 B float object).
+SAMPLE_BYTES_BUDGET = 12
+
 #: Pre-refactor digests of the full chaos and replication scenario
 #: fingerprints from tests/test_determinism_hashseed.py — protocol
 #: outcomes (commits, aborts, injected faults, world-lines, cuts) plus
@@ -213,11 +220,15 @@ def _openloop_fingerprint(cluster_kwargs, scenario, duration=0.4,
 
         driver.endpoint.inbox.set_handler(refusing)
     stats = cluster.run(duration, warmup=0.1)
+    # The driver keeps its exact latencies as (latency, count) runs; the
+    # anchors hash them expanded, one float per committed session.
+    commit_latencies = [latency for latency, count in driver.commit_latencies
+                        for _ in range(count)]
     return _sha(json.dumps([
         slo_report(driver),
         stats.operation_latency.summary(), stats.commit_latency.summary(),
         stats.completed.series(), stats.committed.series(),
-        stats.aborted.series(), driver.commit_latencies,
+        stats.aborted.series(), commit_latencies,
         tracer.serialize(), sorted(tracer.counters.items()),
         sorted(tracer.queue_high_watermarks.items()),
         sorted(tracer.queue_depths.items()),
@@ -312,7 +323,7 @@ class TestTracerMemoryBudget:
         tracemalloc.start()
         try:
             # Small reservoirs: this prices the event log, not the
-            # phase samples (8 B + a float each, bounded per phase).
+            # phase samples (8 B each, bounded per phase).
             tracer = SmallSampleTracer()
             before, _ = tracemalloc.get_traced_memory()
             for index in range(events):
@@ -328,6 +339,37 @@ class TestTracerMemoryBudget:
         assert per_event <= TRACER_BYTES_PER_EVENT_BUDGET, (
             f"the tracer retains {per_event:.0f} B per recorded event, "
             f"budget is {TRACER_BYTES_PER_EVENT_BUDGET} B")
+
+    def test_bytes_retained_per_sample(self):
+        """A sweep keeps every experiment's result until its artifact
+        is built, so what a latency sample costs is paid once per sample
+        per cell (docs/OBSERVABILITY.md, "Storage layout")."""
+        tracemalloc.start()
+        try:
+            result = run_dfaster_experiment(
+                "fig10 smoke", duration=0.1, warmup=0.05,
+                n_workers=2, n_client_machines=2, workload=YCSB_A,
+                tracer=Tracer())
+            reservoirs = (result.stats.operation_latency,
+                          result.stats.commit_latency)
+            phases = list(result.tracer.phases().values())
+            samples = (sum(len(reservoir._samples) for reservoir in reservoirs)
+                       + sum(len(phase.samples) for phase in phases))
+            # What dropping every sample container frees is what the
+            # samples keep alive.
+            before, _ = tracemalloc.get_traced_memory()
+            for reservoir in reservoirs:
+                reservoir._samples = None
+            for phase in phases:
+                phase.samples = None
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples > 5_000  # the cell still records its latencies
+        per_sample = (before - after) / samples
+        assert per_sample <= SAMPLE_BYTES_BUDGET, (
+            f"a finished experiment retains {per_sample:.1f} B per latency "
+            f"sample, budget is {SAMPLE_BYTES_BUDGET} B")
 
     def test_one_label_string_per_link(self):
         """``Network._deliver`` labels a delivery with its link; the
