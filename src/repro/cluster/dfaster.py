@@ -153,28 +153,6 @@ class DFasterCluster(ClusterShell):
         self._join(worker)
         return worker
 
-    def remove_worker(self, worker_index: int) -> None:
-        """Shrink the cluster: an (empty) worker leaves by dropping its
-        row from the DPR table (§5.3); clients stop routing to it."""
-        worker = self.workers[worker_index]
-        worker.stop()
-        self.net.set_up(worker.address, False)
-        self.finder.remove_object(worker.address)
-        # Full decommission: membership, monitoring, restart registry,
-        # and any in-flight recovery waiting on the departed address.
-        self.manager.decommission(worker.address)
-        self.finder_service.workers.remove(worker.address)
-        for client in self.clients:
-            if worker.address in client.workers:
-                client.workers.remove(worker.address)
-            # Cached partition mappings pointing at the departed worker
-            # would bounce forever; drop them so routing re-resolves.
-            stale = [partition for partition, owner
-                     in client._owner_cache.items()
-                     if owner == worker.address]
-            for partition in stale:
-                del client._owner_cache[partition]
-
 
 class _ColocatedDriver:
     """Client threads pinned to a worker's vCPUs (§7.3).

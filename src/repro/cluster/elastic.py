@@ -49,6 +49,7 @@ from repro.cluster.messages import (
 )
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.ownership import HashPartitioner, OwnershipView
+from repro.core.audit import audit_rollback
 from repro.core.cuts import DprCut
 from repro.core.session import RETRY_DELAY, RollbackError, Session
 from repro.sim.kernel import Environment
@@ -253,10 +254,12 @@ class PartitionedClient:
 
     Drives one :class:`~repro.core.session.Session` a single batch at
     a time; see the module docstring for the guarantees this carries
-    through migrations.  Nothing outside ``tests/`` reaches it (no
-    figure, example or ledger workload): it is the instrument the
-    migration, replication and chaos tests assert prefix
-    recoverability with.  The high-throughput fleet clients
+    through migrations.  Every :class:`RollbackError` it raises has
+    passed :func:`~repro.core.audit.audit_rollback` against the ops it
+    saw execute since its previous rollback.  Nothing outside
+    ``tests/`` reaches it (no figure, example or ledger workload): it
+    is the instrument the migration, replication and chaos tests drive
+    prefix recoverability through.  The high-throughput fleet clients
     (:class:`repro.cluster.client.ClientMachine` with a ``router``)
     drive the same session class through
     :class:`~repro.cluster.client.BatchSession`.
@@ -293,13 +296,12 @@ class PartitionedClient:
         #: (stale duplicates under reorder/duplicate fault plans).
         self.mismatched_replies = 0
         self.rollbacks: List[RollbackError] = []
-        #: Cut carried by the last rolled_back reply (the frozen
-        #: recovery cut) — what tests check survived versions against.
-        self.last_rollback_cut: Optional[DprCut] = None
         #: One entry per served batch: batch_id, seqnos, object served
-        #: by, executed version, partition — the ledger prefix-
-        #: recoverability tests audit.
+        #: by, executed version, partition — the ledger each rollback
+        #: is audited against.
         self.history: List[Dict] = []
+        #: Where in ``history`` the previous rollback left off.
+        self._audited_upto = 0
 
     def _owner(self, partition: int, refresh: bool):
         if refresh or partition not in self._cached_owners:
@@ -376,8 +378,8 @@ class PartitionedClient:
                 continue
             if reply.status == "rolled_back":
                 cut = reply.cut if reply.cut is not None else DprCut()
-                self.last_rollback_cut = cut
                 error = session.observe_failure(reply.world_line, cut)
+                self._audit(error, cut)
                 self.rollbacks.append(error)
                 raise error
             session.absorb(header.seqno, reply.version, env.now,
@@ -391,6 +393,17 @@ class PartitionedClient:
                 "partition": partition,
             })
             return reply
+
+    def _audit(self, error: RollbackError, cut: DprCut) -> None:
+        """Check ``error`` against the ops served since the previous
+        rollback (Definition 3.2, :func:`repro.core.audit.audit_rollback`)."""
+        executed = [
+            (seqno, entry["object_id"], entry["version"])
+            for entry in self.history[self._audited_upto:]
+            for seqno in range(entry["first_seqno"], entry["last_seqno"] + 1)]
+        floor = self.rollbacks[-1].survived_seqno if self.rollbacks else 0
+        audit_rollback(error, cut, executed, floor)
+        self._audited_upto = len(self.history)
 
     def _send_and_await(self, owner: str, request: BatchRequest):
         """Send one attempt; wait for *its* reply, retransmitting.

@@ -299,10 +299,10 @@ class ClusterManager:
                 if worker in self._handling_crash:
                     continue  # its restart path reports completion
                 if worker not in self.workers:
-                    # Decommissioned (scale-in) or replaced by a
-                    # promotion while this recovery was in flight: the
-                    # address will never ack, and a stale command must
-                    # not chase whoever inherited its duties.
+                    # Replaced by a promotion while this recovery was in
+                    # flight: the address will never ack, and a stale
+                    # command must not chase whoever inherited its
+                    # duties.
                     continue
                 self.net.send(self.address, worker, command, size_ops=1)
                 self.retransmissions += 1
@@ -372,20 +372,7 @@ class ClusterManager:
             # restart was in flight (§7.4): restart the worker onto
             # the newest world-line and cut, not the stale plan's.
             plan = self._latest_plan
-        worker = self.worker_registry.get(worker_id)
-        if worker is None:
-            # The worker was decommissioned while this recovery was in
-            # flight (scale-in raced the crash): there is nothing to
-            # restart.  Forget the address entirely — re-seeding its
-            # heartbeat clock here would make the monitor re-detect the
-            # ghost every HEARTBEAT_TIMEOUT forever.
-            if worker_id in self.workers:
-                self.workers.remove(worker_id)
-            self._last_heartbeat.pop(worker_id, None)
-            self._handling_crash.discard(worker_id)
-            self._absorb_rollback_done(
-                RollbackDone(worker_id, plan.world_line))
-            return
+        worker = self.worker_registry[worker_id]
         resume = self.controller.finder.table.max_version() + 1
         worker.restart(plan.cut, plan.world_line, resume_version=resume)
         record["restarted_at"] = env.now
@@ -467,31 +454,13 @@ class ClusterManager:
                                  worker=worker_id, promoted=node.address)
         return True
 
-    def decommission(self, worker_id: str) -> None:
-        """Forget a scaled-in worker completely.
-
-        Removes it from membership, monitoring, and the restart
-        registry, and absorbs a synthetic ``RollbackDone`` for every
-        recovery still waiting on it — a removed worker will never ack,
-        and recovery must not wedge on (or keep retransmitting to) an
-        address that no longer exists.
-        """
-        if worker_id in self.workers:
-            self.workers.remove(worker_id)
-        self.worker_registry.pop(worker_id, None)
-        self._last_heartbeat.pop(worker_id, None)
-        self._handling_crash.discard(worker_id)
-        for world_line in sorted(self._pending):
-            self._absorb_rollback_done(RollbackDone(worker_id, world_line))
-
     def _on_message(self, message):
         """Inbox sink handler: absorb one heartbeat or rollback ack."""
         payload = message.payload
         if isinstance(payload, Heartbeat):
-            # A straggler heartbeat from a decommissioned (or
-            # promoted-away) address must not resurrect its clock
-            # entry — membership is the workers list, not whoever
-            # still has packets in flight.
+            # A straggler heartbeat from a promoted-away address must
+            # not resurrect its clock entry — membership is the workers
+            # list, not whoever still has packets in flight.
             if payload.worker_id in self.workers:
                 self._last_heartbeat[payload.worker_id] = self.env.now
         elif isinstance(payload, RollbackDone):

@@ -22,6 +22,7 @@ from repro.cluster.costmodel import CostModel
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.services import ClusterManager, FinderService
 from repro.cluster.stats import ClusterStats
+from repro.core.audit import audit_deployment, audit_sessions
 from repro.core.finder import ApproximateDprFinder
 from repro.sim.faults import FaultPlan
 from repro.sim.kernel import Environment
@@ -94,6 +95,8 @@ class ClusterShell:
         #: Addresses clients send batches to, one per shard.
         self.client_targets: List[str] = []
         self.clients: List[ClientMachine] = []
+        #: Set by :meth:`_build_services`; None: no DPR, nothing to audit.
+        self.manager: Optional[ClusterManager] = None
         #: Set by :meth:`enable_elasticity`.
         self.elastic = None
         #: Set by :meth:`_attach_replication` (replication_factor > 0).
@@ -201,10 +204,27 @@ class ClusterShell:
     # -- running -------------------------------------------------------------
 
     def run(self, duration: float, warmup: float = 0.05) -> ClusterStats:
-        """Run the experiment; returns stats with the warmup applied."""
+        """Run the experiment, then :meth:`audit` it; returns stats
+        with the warmup applied."""
         self.stats.warmup = warmup
         self.env.run(until=duration)
+        self.audit()
         return self.stats
+
+    def audit(self) -> None:
+        """Check DPR's promise over the cluster as it stands: the §4.3
+        server invariants over the finder and every live engine, and
+        every fleet session's ledger (:mod:`repro.core.audit`; raises
+        :class:`~repro.core.audit.InvariantViolation`).  The engines are
+        the manager's restart registry, which follows promotions, or
+        the hosts when nothing is registered (D-Redis proxies)."""
+        if self.manager is None:
+            return
+        hosts = list(self.manager.worker_registry.values()) or self.hosts
+        audit_deployment(self.finder, {host.engine.object_id: host.engine
+                                       for host in hosts})
+        audit_sessions(batch.session for client in self.clients
+                       for batch in client.sessions.values())
 
     def schedule_failure(self, at_time: float) -> None:
         """The paper's §7.4 method: a world-line bump without a real

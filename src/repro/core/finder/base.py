@@ -70,15 +70,6 @@ class VersionTable:
                 self._min_cache = None
             self.revision += 1
 
-    def delete(self, object_id: str) -> None:
-        removed = self._rows.pop(object_id, None)
-        if removed is not None:
-            if removed == self._min_cache:
-                self._min_cache = None
-            if removed == self._max_cache:
-                self._max_cache = None
-            self.revision += 1
-
     def rows(self) -> Dict[str, int]:
         return dict(self._rows)
 
@@ -134,10 +125,6 @@ class DprFinder(abc.ABC):
     def register_object(self, object_id: str) -> None:
         """Add a shard; it joins the cut once it has committed."""
         self.table.upsert(object_id, NEVER_COMMITTED)
-
-    def remove_object(self, object_id: str) -> None:
-        """Drop an (empty, migrated-away) shard from the DPR table."""
-        self.table.delete(object_id)
 
     # -- report stream -----------------------------------------------------
 

@@ -1,16 +1,11 @@
 """Chaos fault-injection tests: DESIGN §6 invariants under adversity.
 
-Each scenario runs a whole cluster under a seeded :class:`FaultPlan`
-and then checks the invariants that must survive *any* delivery
-behaviour the fault model can produce:
-
-- **cut closure / monotonicity / durability order** — via
-  ``audit_deployment`` (the runtime §4.3 audit);
-- **prefix recoverability (accounting identity)** — every issued op is
-  committed, aborted, or still tracked; never double counted;
-- **world-line isolation** — no shard runs ahead of the durably
-  published world-line once recovery has finished;
-- **progress** — commits keep flowing after every fault window.
+Each scenario runs a whole cluster under a seeded :class:`FaultPlan`.
+``cluster.run`` ends with the run-end audit (``repro.core.audit``:
+monotonicity, cut durability and closure, durability order, world-line
+agreement, every session's ledger), so what is asserted here is
+**progress** — every session committed something and commits keep
+flowing after every fault window.
 
 Coverage is asserted through ``plan.injected``: a scenario that claims
 to test drops must actually have dropped something.
@@ -21,15 +16,14 @@ the pre-hardening protocol stack — the partition eats the manager's
 only ``RollbackCommand`` to worker-1, recovery never completes, the
 finder stays halted, and no commits flow after the failure.  With
 command retransmission it passes.  (The duplication scenario likewise
-fails pre-hardening with a violated accounting identity: duplicated
-requests were re-executed and double-replied.)
+fails pre-hardening with a violated ledger: duplicated requests were
+re-executed and double-replied.)
 """
 
 import pytest
 
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig, RedisMode
-from repro.core.audit import audit_deployment
 from repro.sim.faults import (
     FaultPlan,
     LinkFault,
@@ -42,37 +36,10 @@ SMALL = dict(n_workers=3, vcpus=2, n_client_machines=1, client_threads=2,
              batch_size=32, checkpoint_interval=0.05)
 
 
-def assert_audit_clean(cluster):
-    shards = getattr(cluster, "workers", None) or cluster.proxies
-    passed = audit_deployment(
-        cluster.finder, {shard.address: shard.engine for shard in shards})
-    assert passed == ["monotonicity", "durability-order", "cut",
-                      "world-lines"]
-
-
-def assert_accounting(cluster, require_commits=True):
-    """Prefix recoverability, client view: ops are never double counted
-    and (reconciliation aside) never invented."""
+def assert_every_session_commits(cluster):
     for client in cluster.clients:
         for batch_session in client.sessions.values():
-            session = batch_session.session  # the core DPR session
-            issued = session.last_issued_seqno
-            tracked = session.committed_ops + session.aborted_ops
-            in_flight = sum(r.op_count for r in session.window.values())
-            assert tracked + in_flight <= issued
-            assert session.committed_ops >= 0
-            assert session.aborted_ops >= 0
-            if require_commits:
-                assert session.committed_ops > 0
-
-
-def assert_world_line_agreement(cluster):
-    if cluster.finder.halted:
-        return  # a recovery was still in flight at end of run
-    published = cluster.finder.table.read_world_line()
-    shards = getattr(cluster, "workers", None) or cluster.proxies
-    for shard in shards:
-        assert shard.engine.world_line.current <= published
+            assert batch_session.session.committed_ops > 0
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +54,7 @@ class TestDFasterChaos:
         cluster.schedule_failure(0.3)
         stats = cluster.run(1.0, warmup=0.05)
         assert plan.injected["dropped"] > 0
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
-        assert_world_line_agreement(cluster)
+        assert_every_session_commits(cluster)
         # Progress: commits flow again after the failure + drop noise.
         assert stats.committed.total(0.5, 1.0) > 0
 
@@ -100,9 +65,7 @@ class TestDFasterChaos:
         stats = cluster.run(1.0, warmup=0.05)
         assert plan.injected["duplicated"] > 0
         assert sum(w.duplicate_batches for w in cluster.workers) > 0
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
-        assert_world_line_agreement(cluster)
+        assert_every_session_commits(cluster)
         assert stats.committed.total(0.5, 1.0) > 0
 
     def test_seed_303_message_reorder(self):
@@ -113,9 +76,7 @@ class TestDFasterChaos:
         cluster.schedule_failure(0.3)
         stats = cluster.run(1.0, warmup=0.05)
         assert plan.injected["reordered"] > 0
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
-        assert_world_line_agreement(cluster)
+        assert_every_session_commits(cluster)
         assert stats.committed.total(0.5, 1.0) > 0
 
     def test_seed_404_partition_over_recovery(self):
@@ -135,9 +96,7 @@ class TestDFasterChaos:
         assert not cluster.finder.halted
         [recovery] = cluster.manager.recoveries
         assert recovery["finished_at"] is not None
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
-        assert_world_line_agreement(cluster)
+        assert_every_session_commits(cluster)
         assert stats.committed.total(0.5, 1.0) > 0
 
     def test_seed_505_metadata_outage_forces_approximate_fallback(self):
@@ -153,8 +112,7 @@ class TestDFasterChaos:
         assert plan.injected["metadata_spikes"] > 0
         assert cluster.finder_service.coordinator_failovers >= 1
         assert cluster.finder.coordinator_crashes >= 1
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
+        assert_every_session_commits(cluster)
         assert stats.committed.total(0.5, 1.0) > 0
 
     def test_seed_606_kitchen_sink(self):
@@ -177,9 +135,7 @@ class TestDFasterChaos:
         for shape in ("dropped", "duplicated", "reordered", "partitioned",
                       "metadata_outages"):
             assert plan.injected[shape] > 0, shape
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
-        assert_world_line_agreement(cluster)
+        assert_every_session_commits(cluster)
         # Progress after the last disturbance.
         assert stats.committed.total(1.2, 1.6) > 0
         # Recovery completed for every world-line bump that finished.
@@ -205,9 +161,7 @@ class TestDRedisChaos:
         assert plan.injected["dropped"] > 0
         assert plan.injected["duplicated"] > 0
         assert sum(p.duplicate_batches for p in cluster.proxies) > 0
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
-        assert_world_line_agreement(cluster)
+        assert_every_session_commits(cluster)
         assert stats.committed.total(0.5, 1.0) > 0
 
     def test_partition_over_recovery(self):
@@ -221,8 +175,7 @@ class TestDRedisChaos:
         assert plan.injected["partitioned"] > 0
         assert cluster.manager.retransmissions > 0
         assert not cluster.finder.halted
-        assert_audit_clean(cluster)
-        assert_accounting(cluster)
+        assert_every_session_commits(cluster)
         assert stats.committed.total(0.5, 1.0) > 0
 
 

@@ -2,6 +2,8 @@
 
 These run real protocol traffic end to end — clients, network, workers,
 finder service, cluster manager — at small scale so they stay fast.
+``cluster.run`` ends with the run-end audit (``repro.core.audit``), so
+every scenario here is also checked against DPR's invariants.
 The ``engine="faster"`` runs use real FasterKV shards, exercising the
 full data path (hash chains, HybridLog, CPR) across the network.
 """
@@ -17,7 +19,6 @@ from repro.baselines import (
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig, RedisMode
 from repro.cluster.messages import BatchRequest
-from repro.core.audit import audit_deployment
 from repro.workloads import YCSB_A, ycsb
 
 SMALL = dict(n_workers=2, vcpus=2, n_client_machines=1, client_threads=2,
@@ -30,19 +31,6 @@ def _session_total(cluster, counter):
                for s in c.sessions.values())
 
 
-def assert_audit_clean(cluster):
-    """End-of-scenario DPR invariant audit over every live engine.
-
-    Uses the public ``sealed_descriptors()`` read surface; the runtime
-    counterpart of the static dprlint checks (docs/ANALYSIS.md).
-    """
-    shards = getattr(cluster, "workers", None) or cluster.proxies
-    passed = audit_deployment(
-        cluster.finder, {shard.address: shard.engine for shard in shards})
-    assert passed == ["monotonicity", "durability-order", "cut",
-                      "world-lines"]
-
-
 class TestDFasterModeled:
     def test_ops_complete_and_commit(self):
         cluster = DFasterCluster(DFasterConfig(**SMALL))
@@ -50,7 +38,6 @@ class TestDFasterModeled:
         assert stats.throughput(start=0.1, end=0.4, duration=0.3) > 0
         committed = _session_total(cluster, "committed_ops")
         assert committed > 0
-        assert_audit_clean(cluster)
 
     def test_no_commits_without_checkpoints(self):
         cluster = DFasterCluster(DFasterConfig(
@@ -79,7 +66,6 @@ class TestDFasterModeled:
         # Post-recovery the cluster keeps completing operations.
         series = dict(stats.completed.series(0.1))
         assert series.get(0.4, 0) > 0
-        assert_audit_clean(cluster)
 
     def test_recovery_records_bounded_duration(self):
         cluster = DFasterCluster(DFasterConfig(**SMALL))
@@ -100,14 +86,12 @@ class TestDFasterModeled:
                    for r in cluster.manager.recoveries)
         # DPR progress resumed after the nested recovery.
         assert not cluster.finder.halted
-        assert_audit_clean(cluster)
 
     @pytest.mark.parametrize("finder", ["exact", "approximate", "hybrid"])
     def test_all_finders_drive_commits(self, finder):
         cluster = DFasterCluster(DFasterConfig(finder=finder, **SMALL))
         cluster.run(0.4, warmup=0.1)
         assert _session_total(cluster, "committed_ops") > 0
-        assert_audit_clean(cluster)
 
     def test_colocated_mode_runs(self):
         cluster = DFasterCluster(DFasterConfig(
@@ -193,7 +177,7 @@ class TestDFasterFunctional:
         engine = cluster.workers[0].engine
         assert engine.get("a") == "durable"
         assert engine.world_line.current == 1
-        assert_audit_clean(cluster)
+        cluster.audit()
 
 
 class TestDRedis:
@@ -212,7 +196,6 @@ class TestDRedis:
         cluster.run(0.4, warmup=0.05)
         committed = _session_total(cluster, "committed_ops")
         assert committed > 0
-        assert_audit_clean(cluster)
 
     def test_dpr_failure_recovery(self):
         cluster = DRedisCluster(DRedisConfig(
@@ -225,7 +208,6 @@ class TestDRedis:
         assert aborted >= 0  # rollback happened without deadlock
         assert cluster.manager.controller.world_line == 1
         assert not cluster.finder.halted
-        assert_audit_clean(cluster)
 
     def test_failure_requires_dpr_mode(self):
         cluster = DRedisCluster(DRedisConfig(mode=RedisMode.PLAIN))

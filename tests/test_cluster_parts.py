@@ -53,8 +53,6 @@ class TestMetadataStore:
         metadata.version_table.upsert("w0", 0)
         metadata.version_table.upsert("w1", 0)
         assert set(metadata.members()) == {"w0", "w1"}
-        metadata.version_table.delete("w0")
-        assert set(metadata.members()) == {"w1"}
 
 
 class TestPartitioners:

@@ -43,13 +43,6 @@ class TestVersionTable:
         assert table.min_version() == 0
         assert table.max_version() == 0
 
-    def test_delete(self):
-        table = VersionTable()
-        table.upsert("A", 1)
-        table.upsert("B", 9)
-        table.delete("A")
-        assert table.min_version() == 9
-
     def test_world_line_monotonic(self):
         table = VersionTable()
         table.publish_world_line(2)

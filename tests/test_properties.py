@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import InMemoryStateObject
+from repro.core.audit import audit_cut, audit_deployment, audit_monotonicity
 from repro.core.finder import (
     ApproximateDprFinder,
     ExactDprFinder,
@@ -121,11 +122,7 @@ class TestProtocolProperties:
         harness = Harness(finder_cls())
         for step in trace:
             harness.step(*step)
-        # Every sealed descriptor on every object satisfies the rule.
-        for obj in harness.objects.values():
-            for version, descriptor in obj._sealed.items():
-                for dep in descriptor.deps:
-                    assert dep.version <= version
+        audit_monotonicity(harness.objects)
 
     @SETTINGS
     @given(trace=trace_strategy)
@@ -133,22 +130,8 @@ class TestProtocolProperties:
         harness = Harness(finder_cls())
         for step in trace:
             harness.step(*step)
-        cut = harness.finder.tick()
-        for name, obj in harness.objects.items():
-            position = cut.version_of(name)
-            if position == 0:
-                continue
-            # Durability: the position resolves to a durable checkpoint
-            # covering it under the dirty-seal invariant.
-            for version, descriptor in obj._sealed.items():
-                if version > position:
-                    continue
-                # Closure: all deps of covered versions are covered.
-                for dep in descriptor.deps:
-                    assert cut.version_of(dep.object_id) >= dep.version, (
-                        f"cut {cut} not closed: {name}-{version} "
-                        f"depends on {dep}"
-                    )
+        harness.finder.tick()
+        audit_cut(harness.finder, harness.objects)
 
     @SETTINGS
     @given(trace=trace_strategy)
@@ -202,7 +185,6 @@ class TestProtocolProperties:
     @SETTINGS
     @given(trace=trace_strategy)
     def test_runtime_audit_holds_throughout(self, finder_cls, trace):
-        from repro.core.audit import audit_deployment
         harness = Harness(finder_cls())
         for index, step in enumerate(trace):
             harness.step(*step)

@@ -79,7 +79,7 @@ def _drive(cluster, client, reader, crash_at=0.5, until=2.0):
     env.process(writer(), name="writer")
     env.process(reads(), name="reads")
     cluster.schedule_crash(0, at_time=crash_at)
-    env.run(until=until)
+    cluster.run(until)
     return {"acked": acked, "lost": lost}
 
 
@@ -150,7 +150,7 @@ class TestPromotionInsteadOfRollback:
         promoted = promotion["promoted"]
         worker = cluster.manager.worker_registry[promoted]
         worker.crash()
-        cluster.env.run(until=3.0)
+        cluster.run(3.0)
         # The promoted node has no chain of its own: §4.1 this time.
         assert cluster.manager.promotion_fallbacks == 1
         assert cluster.manager.controller.world_line == 1
@@ -323,7 +323,7 @@ class TestDRedisChains:
             cluster.env, cluster.net, "rclient-0", cluster.metadata,
             [p.address for p in cluster.proxies], rng=5)
         cluster.env.process(reader.run_closed_loop(), name="rclient")
-        cluster.env.run(until=1.0)
+        cluster.run(1.0)
         for proxy in cluster.proxies:
             source = proxy.replication
             assert source.replies_held > 0
@@ -339,7 +339,7 @@ class TestDRedisChains:
     def test_proxy_rollback_mirrored_to_replicas(self):
         cluster = self._cluster()
         cluster.schedule_failure(0.4)
-        cluster.env.run(until=1.2)
+        cluster.run(1.2)
         assert cluster.manager.controller.world_line == 1
         for chain in cluster.replication.chains.values():
             for node in chain:
@@ -356,67 +356,9 @@ class TestDRedisChains:
             self._cluster(mode=RedisMode.PROXY)
 
 
-class TestZombieWorkerRegression:
-    """Satellite bugfix: a worker decommissioned while its crash
-    recovery is in flight must be forgotten, not restarted — the old
-    code re-seeded its heartbeat clock, so the monitor re-detected the
-    ghost every timeout forever (a crash loop on a dead address)."""
-
-    def test_decommission_during_recovery_forgets_the_ghost(self):
-        cluster = DFasterCluster(DFasterConfig(
-            n_workers=3, vcpus=2, n_client_machines=1,
-            checkpoint_interval=0.05))
-        manager = cluster.manager
-        worker = cluster.workers[1]
-        worker.crash()
-        handler = manager._handle_crash("worker-1")
-        manager._handling_crash.add("worker-1")
-        next(handler)        # metadata access for the recovery plan
-        handler.send(None)   # plan sealed and broadcast; restart pending
-        # Scale-in races the recovery: the registry entry disappears
-        # while the bounded restart is pending.
-        del manager.worker_registry["worker-1"]
-        try:
-            handler.send(None)   # the bounded restart window elapses
-        except StopIteration:
-            pass
-        # Red before the fix: worker-1 stayed in the membership list
-        # with a fresh heartbeat stamp, so the monitor re-detected it
-        # forever.  Green: every trace of the address is gone.
-        assert "worker-1" not in manager.workers
-        assert "worker-1" not in manager._last_heartbeat
-        assert "worker-1" not in manager._handling_crash
-        assert "worker-1" not in manager.worker_registry
-
-    def test_remove_worker_mid_recovery_completes_without_restart(self):
-        cluster = DFasterCluster(DFasterConfig(
-            n_workers=3, vcpus=2, n_client_machines=1,
-            checkpoint_interval=0.05))
-        cluster.schedule_crash(1, at_time=0.3)
-
-        def scale_in():
-            # Between detection (~0.38) and the bounded restart
-            # (+50ms), the operator removes the crashed worker.
-            yield 0.40
-            cluster.remove_worker(1)
-
-        cluster.env.process(scale_in(), name="scale-in")
-        cluster.env.run(until=1.5)
-        manager = cluster.manager
-        [crash] = manager.detected_crashes
-        assert crash["restarted_at"] is None
-        assert "worker-1" not in manager.workers
-        assert "worker-1" not in manager._last_heartbeat
-        # The recovery still finished: the departed worker's pending
-        # RollbackDone was absorbed, not waited on forever.
-        assert manager.recoveries[-1]["finished_at"] is not None
-        # And the monitor never re-detected the ghost.
-        assert len(manager.detected_crashes) == 1
-
-
 class TestElasticMembership:
-    """Satellite bugfix: remove_worker used to leave the manager's
-    registry/heartbeat/pending state pointing at the departed address."""
+    """A worker that joined mid-run is monitored and restarted like the
+    original ones."""
 
     def test_scale_out_then_crash_new_worker_recovers(self):
         cluster = DFasterCluster(DFasterConfig(
@@ -432,30 +374,10 @@ class TestElasticMembership:
             worker.crash()
 
         cluster.env.process(grow_then_crash(), name="grow-crash")
-        cluster.env.run(until=1.2)
+        cluster.run(1.2)
         manager = cluster.manager
         [crash] = manager.detected_crashes
         assert crash["worker_id"] == "worker-2"
         assert crash["restarted_at"] is not None
         assert not joined[0].crashed
         assert manager.recoveries[-1]["finished_at"] is not None
-
-    def test_remove_worker_leaves_no_ghost_state(self):
-        cluster = DFasterCluster(DFasterConfig(
-            n_workers=3, vcpus=2, n_client_machines=1,
-            checkpoint_interval=0.05))
-
-        def shrink():
-            yield 0.2
-            cluster.remove_worker(2)
-
-        cluster.env.process(shrink(), name="shrink")
-        cluster.env.run(until=1.0)
-        manager = cluster.manager
-        assert "worker-2" not in manager.workers
-        assert "worker-2" not in manager.worker_registry
-        assert "worker-2" not in manager._last_heartbeat
-        # No phantom crash detection for the departed address...
-        assert manager.detected_crashes == []
-        # ...and the remaining pair keeps the cut advancing.
-        assert cluster.finder.current_cut().version_of("worker-0") > 0

@@ -5,7 +5,9 @@ Two checks that the protocol is stated once:
 - a property test holding :class:`repro.core.session.Session`'s
   committed prefix — watermark plus §5.4 exception list — against the
   reference spec :func:`repro.core.cuts.guarantee_from_cut` over random
-  issue / complete / drop / cut / rollback histories;
+  issue / complete / drop / cut / rollback histories, with the oracle's
+  ledger check (:func:`repro.core.audit.audit_sessions`) after every
+  step;
 - a conformance test pushing one scripted reply sequence (ok, duplicate
   ok, retry, not_owner, straggler after abandon, rolled_back with a
   cut) through the closed-loop client, the open-loop driver and the
@@ -22,6 +24,7 @@ from repro.cluster.client import ClientMachine
 from repro.cluster.elastic import PartitionedClient
 from repro.cluster.messages import BatchReply
 from repro.cluster.stats import ClusterStats
+from repro.core.audit import audit_sessions
 from repro.core.cuts import DprCut, guarantee_from_cut
 from repro.core.libdpr import BatchStatus, DprBatchResponse, DprClientSession
 from repro.core.session import RollbackError, Session
@@ -138,6 +141,7 @@ class TestPrefixMatchesReferenceSpec:
                 assert error.survived_seqno == watermark
             # The per-span view of the same scan: what the figures count.
             assert session.committed_ops == model.committed_ops()
+            audit_sessions([session])
             # Bounded: only what no cut covers yet is still tracked.
             assert sorted(session.window) == sorted(
                 seqno for seqno, span in model.spans.items()

@@ -85,38 +85,29 @@ ALLOWED = {
         "(also read by the ledger)",
     "PartitionedClient":
         "the only client that carries real ops and surfaces "
-        "RollbackError with the surviving prefix: the instrument the "
-        "migration, replication and chaos suites assert DPR's promise "
-        "with (replacing it is the oracle item's job, ROADMAP item 1)",
-    "guarantee_from_cut":
-        "reference model: the session property tests compare "
-        "Session's commit watermark against it",
+        "RollbackError with the surviving prefix, each one checked by "
+        "repro.core.audit.audit_rollback: the instrument the migration, "
+        "replication and chaos suites drive DPR's promise through "
+        "(an explored-schedule driver replaces it, ROADMAP item 2)",
     "materialize":
         "reference model: the FASTER property and recovery tests compare "
         "a store's surviving state against the image it folds from the log",
     "DprCut.of":
         "the paper's token notation: the cut, session and finder tests "
         "write their cuts as DprCut.of(Token('A', 1), ...)",
-    "DprCut.covers":
-        "oracle predicate: the cut tests state Definition 3.1's coverage "
-        "with it",
     "DprCut.dominates":
         "oracle predicate: the finder and recovery tests check that "
         "published cuts never regress with it",
-    "DprGuarantee.survives":
-        "oracle predicate: the cut tests state Definition 3.2 with it",
     "Tracer.serialize":
         "byte-identity diagnostics: the obs and determinism tests diff "
         "two runs' event streams through it",
     "FaultPlan.replay":
         "reproducer diagnostics: rewinds a plan's RNG so a failing fault "
         "schedule replays",
-    "DFasterCluster.remove_worker":
-        "the shrink half of §5.3 membership (with decommission), the "
-        "other half of an operation the elastic figure performs",
     "ElasticCoordinator.scale_in":
-        "the shrink half of §5.3 membership, the other half of the "
-        "elastic figure's scale_out",
+        "the shrink half of §5.3 membership, which drains by migration "
+        "and passes the run-end audit; the elastic figure runs only "
+        "its scale_out half (ROADMAP item 10)",
     "ReplicaNode.resume_apply":
         "chaos hook: the lagging-replica tests set apply_paused and "
         "drain the buffered backlog with it",
