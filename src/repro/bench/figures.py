@@ -311,7 +311,6 @@ def replication(scale: float = 1.0) -> Tuple[str, Rows]:
             reader = ReplicaReadClient(
                 cluster.env, cluster.net, f"bench-reader-{index}",
                 cluster.metadata, primaries, rng=seed_base + index)
-            cluster.replication.register_client(reader)
             readers.append(reader)
             cluster.env.process(reader.run_closed_loop(),
                                 name=f"bench-reader-{index}")

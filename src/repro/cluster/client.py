@@ -164,7 +164,8 @@ class ClientMachine:
         self.net = net
         self.address = address
         self.endpoint = net.register(address)
-        self.workers = list(worker_addresses)
+        #: The cluster's membership list (the shell's, not a copy).
+        self.workers = worker_addresses
         self.workload = workload
         self.stats = stats
         self.batch_size = batch_size
@@ -196,8 +197,9 @@ class ClientMachine:
 
     def _issue_loop(self, session: BatchSession, rng: random.Random):
         env = self.env
-        # Hoists for the per-batch turn.  ``self.workers`` stays a live
-        # attribute read: elastic runs grow it mid-flight.
+        # Hoists for the per-batch turn.  ``self.workers`` is the
+        # shell's membership list: joins and promotions change it
+        # mid-flight, in place.
         randrange = rng.randrange
         batch_size = self.batch_size
         window = self.window
@@ -309,13 +311,11 @@ class ClientMachine:
 class GiveUp:
     """Self-addressed marker waking a waiter whose reply is lost.
 
-    A replica read (:class:`ReplicaReadClient`) or a partitioned batch
-    (:class:`~repro.cluster.elastic.PartitionedClient`) that goes
-    unanswered sends one to its own endpoint, carrying the request's
-    id.  It is routed through the :class:`~repro.sim.network.Network`
-    — never injected into the inbox directly — and re-sent on a timer
-    until the waiter wakes, so a dropped marker cannot wedge the waiter
-    either.
+    A request awaited through :func:`await_reply` that goes unanswered
+    sends one to its own endpoint, carrying the request's id.  It is
+    routed through the :class:`~repro.sim.network.Network` — never
+    injected into the inbox directly — and re-sent on a timer until the
+    waiter wakes, so a dropped marker cannot wedge the waiter either.
     """
 
     __slots__ = ("request_id",)
@@ -325,6 +325,52 @@ class GiveUp:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GiveUp(request_id={self.request_id})"
+
+
+def await_reply(client, request_id: int, is_reply, resend=None,
+                max_resends: int = 0):
+    """A generator: wait on ``client``'s inbox for *its* reply.
+
+    Returns the first payload ``is_reply`` accepts, or None once the
+    request is given up on.  Every ``client.REQUEST_TIMEOUT`` without
+    it, a timer calls ``resend`` — at most ``max_resends`` times — and
+    after that sends a :class:`GiveUp` for ``request_id`` to the
+    client's own endpoint, until the wait ends.  Anything else in the
+    inbox (a stale reply to an earlier attempt, a duplicate under
+    reorder/duplicate fault plans) is counted in
+    ``client.mismatched_replies`` and dropped, never misattributed.
+    """
+    state = {"done": False}
+    client.env.process(
+        _reply_timer(client, request_id, resend, max_resends, state),
+        name=f"reply-timer:{client.address}/{request_id}")
+    try:
+        while True:
+            message = yield client.endpoint.inbox  # channel wait
+            payload = message.payload
+            if isinstance(payload, GiveUp):
+                if payload.request_id == request_id:
+                    return None
+            elif is_reply(payload):
+                return payload
+            client.mismatched_replies += 1
+    finally:
+        state["done"] = True
+
+
+def _reply_timer(client, request_id: int, resend, max_resends: int,
+                 state: Dict):
+    resends = 0
+    while not state["done"]:
+        yield client.REQUEST_TIMEOUT
+        if state["done"]:
+            return
+        if resends < max_resends:
+            resends += 1
+            resend()
+        else:
+            client.net.send(client.address, client.address,
+                            GiveUp(request_id), size_ops=1)
 
 
 class ReplicaReadClient:
@@ -381,7 +427,6 @@ class ReplicaReadClient:
         #: watermark — the prefix-recoverability tests check no value
         #: here was ever rolled back.
         self.history: List[Dict] = []
-        self.running = True
 
     # -- routing ---------------------------------------------------------
 
@@ -441,7 +486,11 @@ class ReplicaReadClient:
                 self._cut_versions.get(primary, 0), created_at=env.now)
             self.net.send(self.address, target, request,
                           size_ops=max(1, len(keys)))
-            reply = yield from self._await_reply(request.read_id)
+            read_id = request.read_id
+            reply = yield from await_reply(
+                self, read_id, lambda payload: (
+                    isinstance(payload, ReplicaReadReply)
+                    and payload.read_id == read_id))
             if reply is None:
                 # Lost in transit or the replica is down: re-route.
                 self._last_refresh = -1.0
@@ -467,35 +516,6 @@ class ReplicaReadClient:
         self.reads_failed += 1
         return None
 
-    def _await_reply(self, read_id: int):
-        state = {"done": False}
-        self.env.process(self._read_watchdog(read_id, state),
-                         name=f"read-watchdog:{self.address}/{read_id}")
-        try:
-            while True:
-                message = yield self.endpoint.inbox  # channel wait
-                payload = message.payload
-                if isinstance(payload, GiveUp):
-                    if payload.request_id == read_id:
-                        return None
-                    self.mismatched_replies += 1
-                    continue
-                if (not isinstance(payload, ReplicaReadReply)
-                        or payload.read_id != read_id):
-                    self.mismatched_replies += 1
-                    continue
-                return payload
-        finally:
-            state["done"] = True
-
-    def _read_watchdog(self, read_id: int, state: Dict):
-        while not state["done"]:
-            yield self.REQUEST_TIMEOUT
-            if state["done"]:
-                return
-            self.net.send(self.address, self.address, GiveUp(read_id),
-                          size_ops=1)
-
     # -- closed-loop driver (benchmarks) ---------------------------------
 
     def run_closed_loop(self, batch_keys: int = 8, keyspace: int = 1024):
@@ -507,13 +527,10 @@ class ReplicaReadClient:
         """
         env = self.env
         index = 0
-        while self.running:
+        while True:
             primary = self.primaries[index % len(self.primaries)]
             index += 1
             base = self._rng.randrange(keyspace)
             keys = tuple((base + offset) % keyspace
                          for offset in range(batch_keys))
             yield from self.read(primary, keys)
-
-    def stop(self) -> None:
-        self.running = False

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.client import GiveUp
+from repro.cluster.client import await_reply
 from repro.cluster.messages import (
     BatchIds,
     BatchReply,
@@ -49,6 +49,7 @@ from repro.cluster.messages import (
 )
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.ownership import HashPartitioner, OwnershipView
+from repro.cluster.worker import GateHost
 from repro.core.audit import audit_rollback
 from repro.core.cuts import DprCut
 from repro.core.session import RETRY_DELAY, RollbackError, Session
@@ -60,7 +61,7 @@ class ElasticCoordinator:
     """Assigns virtual partitions to workers and migrates them."""
 
     def __init__(self, env: Environment, metadata: MetadataStore,
-                 workers: Sequence[object], partition_count: int = 64,
+                 workers: Sequence[GateHost], partition_count: int = 64,
                  lease_duration: float = 10.0):
         self.env = env
         self.metadata = metadata
@@ -68,7 +69,7 @@ class ElasticCoordinator:
         self.lease_duration = lease_duration
         self.partitioner = HashPartitioner(partition_count)
         self.views: Dict[str, OwnershipView] = {}
-        self.workers: Dict[str, object] = {}
+        self.workers: Dict[str, GateHost] = {}
         for worker in workers:
             self.attach_worker(worker)
         # Initial round-robin placement.
@@ -86,25 +87,21 @@ class ElasticCoordinator:
 
     # -- membership --------------------------------------------------------
 
-    def attach_worker(self, worker) -> OwnershipView:
+    def attach_worker(self, worker: GateHost) -> OwnershipView:
         """Register a worker: build its lease view and start renewal.
 
-        Workers exposing ``attach_ownership`` get the metadata store
-        too, which activates their metadata-validated lease-renewal
-        loop; anything else just gets ``.ownership`` set.  Renewal only
-        runs in elastic deployments (this method is the only entry), so
-        non-elastic runs never pay — or perturb — its metadata traffic.
+        The worker (a :class:`~repro.cluster.worker.GateHost`) gets the
+        metadata store too, which activates its metadata-validated
+        lease-renewal loop.  Renewal only runs in elastic deployments
+        (this method is the only entry), so non-elastic runs never pay
+        — or perturb — its metadata traffic.
         """
         address = worker.address
         if address in self.views:
             return self.views[address]
         view = OwnershipView(address, lease_duration=self.lease_duration,
                              clock=lambda: self.env.now)
-        attach = getattr(worker, "attach_ownership", None)
-        if attach is not None:
-            attach(view, self.metadata)
-        else:
-            worker.ownership = view
+        worker.attach_ownership(view, self.metadata)
         self.workers[address] = worker
         self.views[address] = view
         return view
@@ -171,11 +168,10 @@ class ElasticCoordinator:
         its versions.
         """
         worker = self.workers.get(old_owner)
-        if (worker is None or getattr(worker, "crashed", False)
-                or not getattr(worker, "running", True)):
+        if worker is None or worker.crashed or not worker.running:
             self.approximate_transfers += 1
             return
-        interval = getattr(worker, "checkpoint_interval", self.lease_duration)
+        interval = worker.checkpoint_interval
         boundary = worker.engine.version
         poll = interval / 4
         deadline = self.env.now + 2 * interval
@@ -185,8 +181,7 @@ class ElasticCoordinator:
                 if forced:
                     self.approximate_transfers += 1
                     return
-                request = getattr(worker, "request_checkpoint", None)
-                if request is not None and request():
+                if worker.request_checkpoint():
                     self.forced_checkpoints += 1
                 forced = True
                 deadline = self.env.now + 2 * interval
@@ -287,7 +282,7 @@ class PartitionedClient:
         self.session = Session(address)
         #: Locally cached partition -> owner mapping (§5.3: clients
         #: cache and only consult the store on changes).
-        self._cached_owners: Dict[int, str] = {}
+        self._owner_cache: Dict[int, str] = {}
         self._batch_ids = BatchIds()
         self.metadata_refreshes = 0
         self.retries = 0
@@ -304,16 +299,16 @@ class PartitionedClient:
         self._audited_upto = 0
 
     def _owner(self, partition: int, refresh: bool):
-        if refresh or partition not in self._cached_owners:
+        if refresh or partition not in self._owner_cache:
             yield self.metadata.access()
             self.metadata_refreshes += 1
             owner = self.metadata.owner_of(partition)
             if owner is not None:
-                self._cached_owners[partition] = owner
+                self._owner_cache[partition] = owner
             else:
-                self._cached_owners.pop(partition, None)
+                self._owner_cache.pop(partition, None)
             return owner
-        return self._cached_owners[partition]
+        return self._owner_cache[partition]
 
     def request(self, key, ops, write_count: int = 0):
         """A generator process: route, send, retry until served.
@@ -350,8 +345,17 @@ class PartitionedClient:
                 request = batch_request(
                     self.address, header, self._batch_ids.allocate(),
                     self.address, write_count, ops, partition)
-            reply = yield from self._send_and_await(owner, request)
+            self.net.send(self.address, owner, request,
+                          size_ops=request.op_count)
+            batch_id = request.batch_id
+            reply = yield from await_reply(
+                self, batch_id,
+                lambda payload: (isinstance(payload, BatchReply)
+                                 and payload.batch_id == batch_id),
+                resend=lambda: self._resend(owner, request),
+                max_resends=self.MAX_RESENDS)
             if reply is None:
+                self.giveups += 1
                 # The addressee never answered (crashed; possibly
                 # replaced by a promoted replica).  Re-resolve the
                 # owner and re-send the SAME batch id: if the original
@@ -405,56 +409,7 @@ class PartitionedClient:
         audit_rollback(error, cut, executed, floor)
         self._audited_upto = len(self.history)
 
-    def _send_and_await(self, owner: str, request: BatchRequest):
-        """Send one attempt; wait for *its* reply, retransmitting.
-
-        Only a reply matching ``request.batch_id`` counts — under
-        duplicate/reorder fault plans the inbox may hold stale replies
-        to earlier attempts, and taking "whatever arrives" would
-        misattribute them.  Mismatches are counted and dropped.
-
-        Returns None when the attempt exhausts ``MAX_RESENDS`` without
-        an answer — an unreachable owner must not wedge the client
-        forever (its address may never come back: a crash handled by
-        promotion re-homes the partition to a different address).
-        """
-        env = self.env
+    def _resend(self, owner: str, request: BatchRequest) -> None:
+        self.resends += 1
         self.net.send(self.address, owner, request,
                       size_ops=request.op_count)
-        state = {"done": False, "attempts": 0}
-        env.process(self._retransmit(owner, request, state),
-                    name=f"pclient-retx:{self.address}")
-        try:
-            while True:
-                message = yield self.endpoint.inbox  # channel wait
-                payload = message.payload
-                if isinstance(payload, GiveUp):
-                    if payload.request_id == request.batch_id:
-                        self.giveups += 1
-                        return None
-                    self.mismatched_replies += 1
-                    continue
-                if (not isinstance(payload, BatchReply)
-                        or payload.batch_id != request.batch_id):
-                    self.mismatched_replies += 1
-                    continue
-                return payload
-        finally:
-            state["done"] = True
-
-    def _retransmit(self, owner: str, request: BatchRequest, state: Dict):
-        while not state["done"]:
-            yield self.REQUEST_TIMEOUT
-            if state["done"]:
-                return
-            if state["attempts"] >= self.MAX_RESENDS:
-                # Tell the waiter to abandon this attempt; keep nudging
-                # (the marker itself rides the lossy network) until the
-                # waiter flips state["done"].
-                self.net.send(self.address, self.address,
-                              GiveUp(request.batch_id), size_ops=1)
-                continue
-            state["attempts"] += 1
-            self.resends += 1
-            self.net.send(self.address, owner, request,
-                          size_ops=request.op_count)

@@ -27,8 +27,8 @@ top of the existing machinery:
   the mechanics of a promotion decided by
   :meth:`~repro.cluster.services.ClusterManager._try_promotion`:
   flipping the elected replica to primary duty, re-homing the dead
-  owner's partitions in metadata, and patching membership lists so
-  clients and the finder service reach the new address.
+  owner's partitions in metadata, and swapping the new address into
+  the cluster's one membership list so clients and services reach it.
 
 The stream is at-least-once: entries carry ``(epoch, seq)``, replicas
 deduplicate with a per-epoch floor and reorder-buffer out-of-order
@@ -649,29 +649,31 @@ class ReplicationDirector:
     The director owns no protocol decisions — the cluster manager's
     election (metadata CAS, seeded tie-break) picks the winner; the
     director performs the re-homing: flip the node, move ownership
-    rows, retire the old source, and patch every membership list that
-    still names the dead address.
+    rows, retire the old source, swap the dead address for the new one
+    in the cluster's membership list, and drop client owner caches
+    that still name it.
     """
 
     def __init__(self, env: Environment, net: Network, metadata,
-                 finder_service, finder_address: str,
+                 members: List[str], finder_address: str,
                  manager_address: str):
         self.env = env
         self.net = net
         self.metadata = metadata
-        self.finder_service = finder_service
+        #: The cluster's membership list, shared with the finder
+        #: service, the manager and the fleet clients.
+        self.members = members
         self.finder_address = finder_address
         self.manager_address = manager_address
         #: primary address -> its chain's ReplicaNodes.
         self.chains: Dict[str, List[ReplicaNode]] = {}
         #: primary address -> its ReplicationSource.
         self.sources: Dict[str, ReplicationSource] = {}
-        #: Clients whose worker lists / owner caches need patching.
+        #: Clients whose partition owner caches need invalidating.
         self.clients: List = []
         #: Set by the cluster when elasticity is enabled, so promotion
         #: can transfer the dead owner's leases to the elected node.
         self.elastic = None
-        self.promotions: List[Dict] = []
 
     def attach_chain(self, host,
                      replicas: List[ReplicaNode]) -> ReplicationSource:
@@ -685,11 +687,10 @@ class ReplicationDirector:
         return source
 
     def register_client(self, client) -> None:
+        """Drop ``client``'s cached owners (its ``_owner_cache``) of
+        every promoted-away address."""
         if client not in self.clients:
             self.clients.append(client)
-
-    def replicas_of(self, primary_address: str) -> List[ReplicaNode]:
-        return list(self.chains.get(primary_address, []))
 
     def promote(self, primary_address: str,
                 replica_address: str) -> Optional[ReplicaNode]:
@@ -719,30 +720,17 @@ class ReplicationDirector:
             view = self.elastic.attach_worker(node)
             for partition in moved:
                 view.grant(partition)
-        _swap_address(self.finder_service.workers, primary_address,
-                      node.address)
+        # Index-preserving, so recovery fan-outs keep their order.
+        _swap_address(self.members, primary_address, node.address)
+        # A ReplicaReadClient routes by the shard's object id (== the
+        # original primary address), which promotion preserves, so
+        # only owner caches need dropping.
         for client in self.clients:
-            self._patch_client(client, primary_address, node.address)
-        self.promotions.append({"time": self.env.now,
-                                "primary": primary_address,
-                                "promoted": node.address})
-        return node
-
-    def _patch_client(self, client, old: str, new: str) -> None:
-        # Note: ReplicaReadClient.primaries is deliberately NOT patched
-        # — its routing key is the shard's object id (== the original
-        # primary address), which promotion preserves; the promoted
-        # node keeps publishing its replica record under that key.
-        workers = getattr(client, "workers", None)
-        if workers is not None:
-            _swap_address(workers, old, new)
-        for cache_name in ("_owner_cache", "_cached_owners"):
-            cache = getattr(client, cache_name, None)
-            if cache is None:
-                continue
+            cache = client._owner_cache
             for partition in [p for p, owner in cache.items()
-                              if owner == old]:
+                              if owner == primary_address]:
                 del cache[partition]
+        return node
 
 
 def _swap_address(addresses: List[str], old: str, new: str) -> None:

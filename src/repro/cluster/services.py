@@ -80,7 +80,8 @@ class FinderService:
         self.endpoint = net.register(address)
         self.finder = finder
         self.metadata = metadata
-        self.workers = list(worker_addresses)
+        #: The cluster's membership list (the shell's, not a copy).
+        self.workers = worker_addresses
         self.ticks = 0
         self.broadcasts = 0
         self.coordinator_failovers = 0
@@ -207,7 +208,8 @@ class ClusterManager:
         self.address = address
         self.endpoint = net.register(address)
         self.metadata = metadata
-        self.workers = list(worker_addresses)
+        #: The cluster's membership list (the shell's, not a copy).
+        self.workers = worker_addresses
         self.controller = RecoveryController(finder)
         #: (world_line, started_at, finished_at) per recovery.
         self.recoveries: List[Dict] = []
@@ -245,7 +247,7 @@ class ClusterManager:
         """Simulate a failure the way §7.4 does: every worker must roll
         back to the latest DPR cut on a fresh world-line.  Returns the
         new world-line id."""
-        self.env.process(self._recover(), name="manager-recover")
+        self.env.process(self._begin_recovery(), name="manager-recover")
         return self.controller.world_line + 1
 
     def schedule_failure(self, at_time: float) -> None:
@@ -257,7 +259,14 @@ class ClusterManager:
 
     # -- recovery protocol ------------------------------------------------------
 
-    def _recover(self):
+    def _begin_recovery(self, crashed: Optional[str] = None):
+        """Start a §4.1 recovery; a generator returning its plan.
+
+        Every recovery starts here: a §7.4 injected bump (``crashed``
+        None) commands every worker, a detected crash every survivor
+        (its restart path reports the crashed worker restored).
+        """
+        env = self.env
         # Persist the new world-line + frozen cut in the metadata store
         # before telling anyone (so the guarantee can never renege).
         yield self.metadata.access()
@@ -266,17 +275,18 @@ class ClusterManager:
         self._pending[plan.world_line] = set(self.workers)
         self.recoveries.append({
             "world_line": plan.world_line,
-            "started_at": self.env.now,
+            "started_at": env.now,
             "finished_at": None,
         })
-        if self.env.tracer is not None:
-            self.env.tracer.begin_span("recovery", plan.world_line,
-                                       self.env.now)
+        if env.tracer is not None:
+            env.tracer.begin_span("recovery", plan.world_line, env.now)
         command = RollbackCommand(world_line=plan.world_line, cut=plan.cut)
         for worker in self.workers:
-            self.net.send(self.address, worker, command, size_ops=1)
-        self.env.process(self._retransmit_loop(plan.world_line, command),
-                         name=f"manager-retx:{plan.world_line}")
+            if worker != crashed:
+                self.net.send(self.address, worker, command, size_ops=1)
+        env.process(self._retransmit_loop(plan.world_line, command),
+                    name=f"manager-retx:{plan.world_line}")
+        return plan
 
     def _retransmit_loop(self, world_line: int, command: RollbackCommand):
         """Re-send the rollback command until every addressee acked.
@@ -347,24 +357,7 @@ class ClusterManager:
             if promoted:
                 return
             self.promotion_fallbacks += 1
-        # Freeze the guarantee and assign the new world-line first.
-        yield self.metadata.access()
-        plan = self.controller.plan_recovery(self.workers)
-        self._latest_plan = plan
-        self._pending[plan.world_line] = set(self.workers)
-        self.recoveries.append({
-            "world_line": plan.world_line,
-            "started_at": env.now,
-            "finished_at": None,
-        })
-        if env.tracer is not None:
-            env.tracer.begin_span("recovery", plan.world_line, env.now)
-        command = RollbackCommand(world_line=plan.world_line, cut=plan.cut)
-        for survivor in self.workers:
-            if survivor != worker_id:
-                self.net.send(self.address, survivor, command, size_ops=1)
-        env.process(self._retransmit_loop(plan.world_line, command),
-                    name=f"manager-retx:{plan.world_line}")
+        plan = yield from self._begin_recovery(worker_id)
         # Bounded-time restart of the failed worker from durable state.
         yield self.RESTART_DELAY
         if self.controller.world_line != plan.world_line:
@@ -431,11 +424,7 @@ class ClusterManager:
         node = self.replication.promote(worker_id, winner)
         if node is None:
             return False
-        # Swap the dead address for the promoted one in every manager
-        # structure, index-preserving so recovery fan-outs stay stable.
-        for index, address in enumerate(self.workers):
-            if address == worker_id:
-                self.workers[index] = node.address
+        # The director swapped the address in the membership list.
         self.worker_registry.pop(worker_id, None)
         self.worker_registry[node.address] = node
         self._last_heartbeat.pop(worker_id, None)

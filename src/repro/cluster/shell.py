@@ -92,7 +92,11 @@ class ClusterShell:
         self.finder = self._finder_class()(table=self.metadata.version_table)
         #: The gate hosts (D-FASTER workers / D-Redis proxies).
         self.hosts: List = []
-        #: Addresses clients send batches to, one per shard.
+        #: Addresses clients send batches to, one per shard: the
+        #: cluster's one membership list (§5.3).  The finder service,
+        #: the manager and every fleet client keep this list object;
+        #: after assembly only :meth:`_join` (append) and a promotion
+        #: (index-preserving swap) write it.
         self.client_targets: List[str] = []
         self.clients: List[ClientMachine] = []
         #: Set by :meth:`_build_services`; None: no DPR, nothing to audit.
@@ -166,7 +170,7 @@ class ClusterShell:
         from repro.cluster.replication import ReplicaNode, ReplicationDirector
         config = self.config
         director = ReplicationDirector(
-            self.env, self.net, self.metadata, self.finder_service,
+            self.env, self.net, self.metadata, self.client_targets,
             FINDER_ADDRESS, MANAGER_ADDRESS)
         for index, host in enumerate(self.hosts):
             replicas = []
@@ -196,10 +200,6 @@ class ClusterShell:
         self.hosts.append(host)
         self.client_targets.append(address)
         self.finder.register_object(address)
-        self.finder_service.workers.append(address)
-        self.manager.workers.append(address)
-        for client in self.clients:
-            client.workers.append(address)
 
     # -- running -------------------------------------------------------------
 

@@ -15,7 +15,7 @@ versions rather than the paper's ``BuildDependencySet`` BFS per vertex.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.cuts import DprCut
 from repro.core.versioning import NEVER_COMMITTED, CommitDescriptor, Token, merge_dependencies
@@ -141,9 +141,6 @@ class PrecedenceGraph:
 
     def descriptor(self, token: Token) -> CommitDescriptor:
         return self._descriptors[token]
-
-    def objects(self) -> Iterable[str]:
-        return self._versions.keys()
 
     def max_persisted_version(self, object_id: str) -> int:
         """Largest durable version of an object (cumulative restore point).

@@ -101,21 +101,9 @@ class Network:
         self._endpoints[address] = endpoint
         return endpoint
 
-    def endpoint(self, address: str) -> Endpoint:
-        return self._endpoints[address]
-
     def set_up(self, address: str, up: bool) -> None:
         """Mark an endpoint as up/down (down endpoints drop messages)."""
         self._endpoints[address].up = up
-
-    def latency(self, src: str, dst: str, size_ops: int) -> float:
-        """One-way delivery latency for a message of ``size_ops`` ops."""
-        if src == dst:
-            return self.LOOPBACK_LATENCY
-        base = self.BASE_ONEWAY + self.PER_OP * size_ops
-        if self.JITTER_STDDEV > 0:
-            base += abs(self._rng.gauss(0.0, self.JITTER_STDDEV))
-        return base
 
     def send(self, src: str, dst: str, payload: Any, size_ops: int = 1) -> None:
         """Asynchronously deliver ``payload`` from ``src`` to ``dst``.
@@ -153,9 +141,9 @@ class Network:
         arg_b = env._ev_b
         free = env._free
         for extra in extra_delays:
-            # Inlined self.latency(...): send() is the hottest cluster
-            # entry point and the jitter draw order must be preserved
-            # exactly, so the expression mirrors latency() line for line.
+            # One-way delivery latency, computed inline: send() is the
+            # hottest cluster entry point, and the jitter draw order is
+            # part of the output bytes.
             if src == dst:
                 delay = self.LOOPBACK_LATENCY
             else:

@@ -144,47 +144,35 @@ class Queue(Channel):
 
 
 class BoundedQueue(Queue):
-    """A :class:`Queue` with a finite backlog and an overload policy.
+    """A :class:`Queue` with a finite backlog that sheds its oldest item.
 
     The admission-control primitive between an open-loop generator and
     the cluster (docs/OPENLOOP.md).  When a put would push the backlog
-    past ``capacity``:
-
-    - ``"shed-oldest"`` evicts the head (the oldest queued item) to
-      make room — bounding *queueing delay* at the cost of dropping
-      stale work;
-    - ``"reject"`` refuses the newcomer — bounding *accepted work* and
-      preserving everything already queued.
-
-    Either way the victim is counted (``shed_items``/``rejected_items``
-    plus a ``queue.<name>.shed``/``.rejected`` tracer counter) and
-    handed to ``on_shed`` so the owner can release per-item state.  The
-    cap applies to the backlog only: items handed straight to a waiter
-    or an idle sink handler never queue, so they are never shed.
+    past ``capacity``, the head (the oldest queued item) is evicted to
+    make room — bounding *queueing delay* at the cost of dropping stale
+    work.  The victim is counted (``shed_items`` plus a
+    ``queue.<name>.shed`` tracer counter) and handed to ``on_shed`` so
+    the owner can release per-item state.  The cap applies to the
+    backlog only: items handed straight to a waiter or an idle sink
+    handler never queue, so they are never shed.  ``policy`` accepts
+    ``"shed-oldest"`` only.
     """
 
-    __slots__ = ("capacity", "policy", "on_shed", "shed_items",
-                 "rejected_items", "_shed_key", "_reject_key")
-
-    POLICIES = ("shed-oldest", "reject")
+    __slots__ = ("capacity", "on_shed", "shed_items", "_shed_key")
 
     def __init__(self, env: Environment, capacity: int, name: str = "",
                  policy: str = "shed-oldest",
                  on_shed: Optional[Callable[[Any], None]] = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in self.POLICIES:
+        if policy != "shed-oldest":
             raise ValueError(
-                f"unknown policy {policy!r}; expected one of {self.POLICIES}")
+                f"unknown policy {policy!r}; expected 'shed-oldest'")
         super().__init__(env, name=name)
         self.capacity = capacity
-        self.policy = policy
         self.on_shed = on_shed
         self.shed_items = 0
-        self.rejected_items = 0
-        base = self._depth_key or "queue"
-        self._shed_key = base + ".shed"
-        self._reject_key = base + ".rejected"
+        self._shed_key = (self._depth_key or "queue") + ".shed"
 
     def put(self, item: Any) -> None:
         # The capacity check only matters when the item would join the
@@ -192,16 +180,9 @@ class BoundedQueue(Queue):
         # without queueing it.
         if (len(self._items) >= self.capacity and not self._waiters
                 and (self._handler is None or self._pumping)):
-            tracer = self.env.tracer
-            if self.policy == "reject":
-                self.rejected_items += 1
-                if tracer is not None:
-                    tracer.counter(self._reject_key)
-                if self.on_shed is not None:
-                    self.on_shed(item)
-                return
             victim = self._items.popleft()
             self.shed_items += 1
+            tracer = self.env.tracer
             if tracer is not None:
                 tracer.counter(self._shed_key)
             if self.on_shed is not None:

@@ -81,10 +81,6 @@ class StorageDevice:
         self.bytes_written = 0
         self.writes_completed = 0
 
-    @property
-    def failed(self) -> bool:
-        return self._failed
-
     def fail(self) -> None:
         """Crash the device; in-flight and future writes fail."""
         self._failed = True

@@ -65,7 +65,7 @@ class TestValidation:
         owner = coordinator.owner_of(partition)
         wrong = "worker-1" if owner == "worker-0" else "worker-0"
         # Poison the client cache so it routes to the wrong worker.
-        client._cached_owners[partition] = wrong
+        client._owner_cache[partition] = wrong
         reply = run_request(cluster, client, "k", [("set", "k", 1)],
                             writes=1)
         # The client recovered via a metadata refresh and a retry.

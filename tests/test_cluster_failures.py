@@ -12,8 +12,9 @@ from repro.cluster.messages import BatchReply
 from repro.cluster.stats import ClusterStats
 from repro.core.session import RETRY_DELAY
 from repro.sim.faults import FaultPlan, Partition
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Process
 from repro.sim.network import Network
+from repro.sim.storage import StorageKind
 from repro.workloads import YCSB_A
 
 SMALL = dict(n_workers=3, vcpus=2, n_client_machines=1, client_threads=2,
@@ -35,6 +36,43 @@ class TestCrashRestart:
         worker = cluster.workers[1]
         assert not worker.crashed
         assert worker.endpoint.up
+
+    def test_crash_with_a_flush_in_flight(self, monkeypatch):
+        """A crash while the flusher waits on a storage write: the
+        write fails into the flusher (its ``except IOError`` branch,
+        re-armed by the kernel's ``Process._wait``), the in-flight
+        version never persists, and the restarted worker persists
+        later versions."""
+        waits = []
+        wait = Process._wait
+
+        def counted_wait(process, target):
+            waits.append(process._name)
+            wait(process, target)
+
+        monkeypatch.setattr(Process, "_wait", counted_wait)
+        cluster = DFasterCluster(DFasterConfig(
+            n_workers=2, n_client_machines=2, vcpus=4,
+            storage=StorageKind.CLOUD_SSD, seed=7))
+        worker = cluster.workers[1]
+        now = 0.0
+        while not worker._flushing:
+            now += 1e-3
+            cluster.env.run(until=now)
+        [in_flight] = worker.engine.sealed_descriptors()
+        worker.crash()
+        while worker._flushing:  # the failed write reaches the flusher
+            now += 1e-3
+            cluster.env.run(until=now)
+        assert worker.crashed
+        assert worker.engine.persisted_versions() == []
+        cluster.run(1.0)  # ends with the run-end audit
+        [crash] = cluster.manager.detected_crashes
+        assert crash["restarted_at"] is not None
+        persisted = worker.engine.persisted_versions()
+        assert in_flight not in persisted
+        assert persisted and min(persisted) > in_flight
+        assert f"flusher:{worker.address}" in waits
 
     def test_crash_triggers_worldline_recovery(self):
         cluster = DFasterCluster(DFasterConfig(**SMALL))
@@ -381,7 +419,7 @@ class TestNestedFailureRestart:
         next(handler)        # metadata access for the first plan
         handler.send(None)   # plan sealed (world-line 1); restart pending
         # A second failure lands while the restart is in flight.
-        recovery = manager._recover()
+        recovery = manager._begin_recovery()
         next(recovery)       # metadata access for the nested plan
         try:
             recovery.send(None)  # world-line 2 planned and broadcast

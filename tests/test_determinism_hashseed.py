@@ -130,7 +130,6 @@ REPLICATION_SCENARIO = textwrap.dedent(
     reader = ReplicaReadClient(
         cluster.env, cluster.net, "rclient", cluster.metadata,
         [w.address for w in cluster.workers], rng=7)
-    cluster.replication.register_client(reader)
     cluster.env.process(reader.run_closed_loop(batch_keys=4),
                         name="reader")
     cluster.schedule_crash(0, at_time=0.15)

@@ -1,11 +1,10 @@
 """Docs-consistency: the README documentation index covers docs/, and
 the source paths the documents name exist.
 
-CI's ``docs-consistency`` job enforces the same invariants; this test
-keeps them visible in local runs.  A document that ships without a row
-in the README index table is invisible to readers, and a row pointing
-at a deleted file is worse — as is a module map naming a deleted
-``repro/...py`` file.
+Tier-1 runs this on every push (CI's ``test`` job).  A document that
+ships without a row in the README index table is invisible to readers,
+and a row pointing at a deleted file is worse — as is a module map
+naming a deleted ``repro/...py`` file.
 """
 
 import re

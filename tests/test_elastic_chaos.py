@@ -162,7 +162,6 @@ class TestPromotionUnderChaos:
                                    [w.address for w in cluster.workers],
                                    rng=31)
         cluster.replication.register_client(client)
-        cluster.replication.register_client(reader)
         return cluster, client, reader
 
     def _writer(self, cluster, client, log):

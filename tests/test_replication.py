@@ -38,7 +38,6 @@ def _rig(replication_factor, seed=2024):
                                rng=23)
     if cluster.replication is not None:
         cluster.replication.register_client(client)
-        cluster.replication.register_client(reader)
     return cluster, client, reader
 
 

@@ -158,19 +158,6 @@ class TestBoundedQueue:
         assert queue.drain() == [7, 8, 9]
         assert shed == [0, 1, 2, 3, 4, 5, 6]
         assert queue.shed_items == 7
-        assert queue.rejected_items == 0
-
-    def test_reject_refuses_newcomers(self, env):
-        rejected = []
-        queue = BoundedQueue(env, capacity=2, policy="reject",
-                             on_shed=rejected.append)
-        queue.put("a")
-        queue.put("b")
-        queue.put("c")
-        assert queue.drain() == ["a", "b"]
-        assert rejected == ["c"]
-        assert queue.rejected_items == 1
-        assert queue.shed_items == 0
 
     def test_sheds_are_counted_in_tracer(self):
         env, tracer = traced_env()
