@@ -597,8 +597,12 @@ class ReplicaNode(DFasterWorker):
         if (self.stale or self.applied_version < cut_version
                 or durable < cut_version):
             self.reads_refused += 1
+            # A stale replica can serve no prefix at all: it reports 0,
+            # as its published record does, so the reader's re-route
+            # (``ReplicaReadClient._note_behind``) stops choosing it.
             return ReplicaReadReply(request.read_id, self.address, "behind",
-                                    durable_version=durable,
+                                    durable_version=0 if self.stale
+                                    else durable,
                                     served_at=self.env.now)
         best = max((v for v in self._durable_snapshots if v <= cut_version),
                    default=0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -17,13 +18,87 @@ from repro.sim.rand import make_rng
 #: stream itself is deterministic.
 _RESERVOIR_SEED = 2021
 
+#: Observations an :meth:`Reservoir.add` past the drawn end of its
+#: stream draws ahead, so one stream extension serves many adds.
+_DRAW_AHEAD = 1024
+
+
+class SlotStream:
+    """Algorithm R's slot draws for one ``(seed, capacity)``.
+
+    Observation ``k > capacity`` draws ``randrange(k)`` from
+    ``Random(seed)`` -- written out as its rejection loop over
+    ``getrandbits(k.bit_length())`` (docs/PERFORMANCE.md rule 3) -- and
+    lands on that slot if it is below ``capacity``.  The draws depend
+    on nothing but ``k``, so every reservoir on the key reads one
+    stream, drawn once per process as far as any of them has counted.
+    Only the landings are kept, about ``capacity * ln(drawn /
+    capacity)`` of them: ``observations[i]`` overwrites ``slots[i]``,
+    in increasing observation order.  Both are C unsigned ints (8 B a
+    landing); an observation number past ``2**32 - 1`` overflows them.
+    """
+
+    def __init__(self, seed: int, capacity: int):
+        self.capacity = capacity
+        self.rng = make_rng(seed)
+        #: The last observation number whose slot has been drawn (the
+        #: first to draw is ``capacity + 1``, and never below 1).
+        self.drawn = max(capacity, 0)
+        self.observations = array("I")
+        self.slots = array("I")
+
+    def draw(self, through: int) -> None:
+        """Draw the slots of observations ``drawn + 1 ... through``.
+        The bit width only changes when the observation number crosses
+        a power of two, so it is hoisted per such segment."""
+        getrandbits = self.rng.getrandbits
+        capacity = self.capacity
+        land = self.observations.append
+        land_slot = self.slots.append
+        start = self.drawn + 1
+        end = through + 1
+        while start < end:
+            bits = start.bit_length()
+            stop = min(end, 1 << bits)
+            for count in range(start, stop):
+                slot = getrandbits(bits)
+                while slot >= count:
+                    slot = getrandbits(bits)
+                if slot < capacity:
+                    land(count)
+                    land_slot(slot)
+            start = stop
+        self.drawn = max(self.drawn, through)
+
+
+#: Every slot stream this process has drawn, by ``(seed, capacity)``.
+_STREAMS: Dict[Tuple[int, int], SlotStream] = {}
+
 
 class Reservoir:
-    """Fixed-size uniform reservoir sample of latency observations."""
+    """Fixed-size uniform reservoir sample of latency observations.
 
-    def __init__(self, capacity: int = 20000, rng=None):
+    ``rng`` is an int seed (default :data:`_RESERVOIR_SEED`): the
+    reservoir reads the process's one :class:`SlotStream` of its seed
+    and capacity, so its samples are those of Algorithm R over a private
+    ``Random(seed)`` drawing one ``randrange(count)`` per observation
+    past the fill boundary.
+    """
+
+    def __init__(self, capacity: int = 20000, rng: Optional[int] = None):
+        seed = _RESERVOIR_SEED if rng is None else rng
+        if not isinstance(seed, int):
+            raise TypeError(
+                f"a reservoir is seeded by an int, not {type(seed).__name__}")
         self.capacity = capacity
-        self._rng = make_rng(_RESERVOIR_SEED if rng is None else rng)
+        key = (seed, capacity)
+        stream = _STREAMS.get(key)
+        if stream is None:
+            stream = _STREAMS[key] = SlotStream(seed, capacity)
+        self._stream = stream
+        #: Index of the next landing in the stream: every one before it
+        #: belongs to an observation already counted.
+        self._cursor = 0
         #: Sampled latencies as C doubles (8 B each, no float objects).
         self._samples = array("d")
         self.count = 0
@@ -34,49 +109,36 @@ class Reservoir:
         if len(samples) < self.capacity:
             samples.append(value)
             return
-        # Algorithm R's slot is uniform below ``count``: the stdlib's
-        # bounded draw -- reject ``getrandbits(count.bit_length())``
-        # until it lands below ``count`` -- spelled out, so the same
-        # Mersenne-Twister words are consumed without two Python frames
-        # per observation (docs/PERFORMANCE.md rule 3).
-        getrandbits = self._rng.getrandbits
-        bits = count.bit_length()
-        slot = getrandbits(bits)
-        while slot >= count:
-            slot = getrandbits(bits)
-        if slot < self.capacity:
-            samples[slot] = value
+        stream = self._stream
+        if count > stream.drawn:
+            stream.draw(count + _DRAW_AHEAD)
+        cursor = self._cursor
+        observations = stream.observations
+        if cursor < len(observations) and observations[cursor] == count:
+            samples[stream.slots[cursor]] = value
+            self._cursor = cursor + 1
 
     def add_run(self, value: float, n: int) -> None:
-        """``n`` observations of ``value``: the same samples, ``count``
-        and RNG draws, in the same order, as ``n`` calls of :meth:`add`
-        (one bounded draw per observation past the fill boundary is
-        what pins the reservoir's bytes).  The draw's bit width only
-        changes when ``count`` crosses a power of two, so it is hoisted
-        per such segment.  A negative ``n`` raises ``ValueError``."""
+        """``n`` observations of ``value``: the same samples and
+        ``count`` as ``n`` calls of :meth:`add` -- the run's landings
+        are found by bisecting the stream.  A negative ``n`` raises
+        ``ValueError``."""
         if n < 0:
             raise ValueError(f"a run of {n} observations")
         samples = self._samples
-        capacity = self.capacity
-        fill = min(n, capacity - len(samples))
+        fill = min(n, self.capacity - len(samples))
         # One C-level repeat of a one-element array: extending by
         # ``[value] * fill`` would convert every element back to a
         # double.
         samples += array("d", (value,)) * fill
-        getrandbits = self._rng.getrandbits
-        start = self.count + fill + 1
-        end = self.count + n + 1
-        while start < end:
-            bits = start.bit_length()
-            stop = min(end, 1 << bits)
-            for count in range(start, stop):
-                slot = getrandbits(bits)
-                while slot >= count:
-                    slot = getrandbits(bits)
-                if slot < capacity:
-                    samples[slot] = value
-            start = stop
-        self.count += n
+        self.count = end = self.count + n
+        stream = self._stream
+        if end > stream.drawn:
+            stream.draw(end)
+        cursor = self._cursor
+        self._cursor = stop = bisect_right(stream.observations, end, cursor)
+        for slot in stream.slots[cursor:stop]:
+            samples[slot] = value
 
     def percentile(self, q: float) -> float:
         """q in [0, 100], linearly interpolated between ranks.

@@ -128,7 +128,7 @@ class PhaseStats:
             self.samples.append(value)
         else:
             # The stdlib's bounded draw spelled out (same words, same
-            # slot, no frames): see ``cluster.stats.Reservoir.add``.
+            # slot, no frames): see ``cluster.stats.SlotStream.draw``.
             count = self.count
             getrandbits = rng.getrandbits
             bits = count.bit_length()

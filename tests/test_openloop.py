@@ -219,8 +219,10 @@ class TestReservoirAddRun:
     @pytest.mark.parametrize("n", [0, 1, 4, 9, 30])
     def test_add_run_is_n_adds(self, before, n):
         # Runs that start below, straddle and start above the fill
-        # boundary: same samples, same count, same RNG draws in order.
+        # boundary: same samples, same count.  Both reservoirs read one
+        # slot stream, and it holds the randrange model's draws.
         one_by_one, by_run = Reservoir(8, rng=5), Reservoir(8, rng=5)
+        assert by_run._stream is one_by_one._stream
         for reservoir in (one_by_one, by_run):
             for index in range(before):
                 reservoir.add(float(index))
@@ -229,7 +231,7 @@ class TestReservoirAddRun:
         by_run.add_run(-1.0, n)
         assert by_run._samples == one_by_one._samples
         assert by_run.count == one_by_one.count == before + n
-        assert by_run._rng.getstate() == one_by_one._rng.getstate()
+        assert_stream_is_the_randrange_stream(by_run, 5)
         assert by_run.summary() == one_by_one.summary()
 
     def test_negative_run_raises(self):
@@ -239,13 +241,19 @@ class TestReservoirAddRun:
             reservoir.add_run(1.0, -1)
         assert reservoir.count == 3 and list(reservoir._samples) == [1.0] * 3
 
+    def test_seed_is_an_int(self):
+        # A Random cannot key a shared stream.
+        with pytest.raises(TypeError):
+            Reservoir(8, rng=random.Random(5))
+
 
 class RandrangeReservoir:
     """Algorithm R as the stdlib spells it -- one ``rng.randrange`` per
-    observation past the fill boundary.  ``Reservoir`` writes that draw
-    out as its rejection loop over ``getrandbits`` (docs/PERFORMANCE.md
-    rule 3); this is the reference it must stay stream-exact with, on
-    every interpreter CI runs."""
+    observation past the fill boundary.  ``Reservoir`` reads that draw,
+    written out as its rejection loop over ``getrandbits``
+    (docs/PERFORMANCE.md rule 3), from a slot stream it shares with
+    every reservoir of its seed and capacity; this is the reference it
+    must stay sample-exact with, on every interpreter CI runs."""
 
     def __init__(self, capacity, seed):
         self.capacity = capacity
@@ -261,6 +269,27 @@ class RandrangeReservoir:
             slot = self.rng.randrange(self.count)
             if slot < self.capacity:
                 self.samples[slot] = value
+
+
+#: ``(seed, capacity)`` -> ``[Random(seed), n]``: the randrange model
+#: of that key's slot stream, advanced through observation ``n``.  The
+#: streams live as long as the process, so the models do too: no test
+#: may assume a stream is fresh.
+_STREAM_MODELS = {}
+
+
+def assert_stream_is_the_randrange_stream(reservoir, seed):
+    """The reservoir's stream RNG is where a ``Random(seed)`` calling
+    ``randrange(k)`` for observations ``capacity + 1 ... drawn`` is."""
+    stream = reservoir._stream
+    model = _STREAM_MODELS.setdefault(
+        (seed, reservoir.capacity),
+        [random.Random(seed), reservoir.capacity])
+    rng, through = model
+    for count in range(through + 1, stream.drawn + 1):
+        rng.randrange(count)
+    model[1] = stream.drawn
+    assert stream.rng.getstate() == rng.getstate()
 
 
 class TestReservoirDrawsTheRandrangeStream:
@@ -299,7 +328,52 @@ class TestReservoirDrawsTheRandrangeStream:
                 model.add(value)
             assert list(reservoir._samples) == model.samples
             assert reservoir.count == model.count
-            assert reservoir._rng.getstate() == model.rng.getstate()
+            assert_stream_is_the_randrange_stream(reservoir, seed)
+
+
+class TestReservoirsShareOneSlotStream:
+    """Every reservoir of one seed and capacity reads one slot stream,
+    whatever order they count in; a reservoir of another seed or
+    capacity reads its own."""
+
+    #: (reservoir index, "add" or "run", run length)
+    steps = st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(("add", "run")),
+                  st.integers(0, 120)),
+        min_size=1, max_size=30)
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 32), seed=st.integers(0, 2 ** 32),
+           sharing=st.integers(2, 4), steps=steps,
+           values=st.randoms(use_true_random=False))
+    def test_each_reservoir_is_its_own_algorithm_r(self, capacity, seed,
+                                                   sharing, steps, values):
+        # ``sharing`` reservoirs on one key, then one neighbour on the
+        # next capacity and one on the next seed.
+        keys = [(seed, capacity)] * sharing + [(seed, capacity + 1),
+                                               (seed + 1, capacity)]
+        reservoirs = [Reservoir(c, rng=s) for s, c in keys]
+        models = [RandrangeReservoir(c, s) for s, c in keys]
+        shared = reservoirs[0]._stream
+        assert all(r._stream is shared for r in reservoirs[:sharing])
+        assert len({id(r._stream) for r in reservoirs[sharing - 1:]}) == 3
+        for index, kind, size in steps:
+            index %= len(keys)
+            value = values.random()
+            if kind == "add":
+                n = 1
+                reservoirs[index].add(value)
+            else:
+                n = size
+                reservoirs[index].add_run(value, n)
+            for _ in range(n):
+                models[index].add(value)
+            for reservoir, model in zip(reservoirs, models):
+                assert list(reservoir._samples) == model.samples
+                assert reservoir.count == model.count
+        for reservoir, (key_seed, _) in zip(reservoirs[sharing - 1:],
+                                            keys[sharing - 1:]):
+            assert_stream_is_the_randrange_stream(reservoir, key_seed)
 
 
 SMALL_SCENARIO = {

@@ -40,6 +40,7 @@ import functools
 import hashlib
 import json
 import pstats
+import random
 import tracemalloc
 
 import pytest
@@ -47,6 +48,7 @@ import pytest
 from repro.bench.harness import run_dfaster_experiment
 from repro.cluster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig
+from repro.cluster.stats import Reservoir
 from repro.core.finder import ApproximateDprFinder
 from repro.core.libdpr import DprBatchHeader, DprServer
 from repro.core.state_object import InMemoryStateObject
@@ -407,16 +409,37 @@ class TestOpenLoopByteIdentity:
             f"the reservoirs (one randrange per observation, in order)")
 
 
-@functools.lru_cache(maxsize=None)
-def _profiled_cell(rate: float) -> pstats.Stats:
+def _profiled_run(rate: float):
     """cProfile of one overloaded open-loop cell (call counts and
-    caller edges are exact per seed)."""
+    caller edges are exact per seed), and the cell's stats."""
     cluster = DFasterCluster(DFasterConfig(
         n_client_machines=0, seed=7, **_D_FASTER))
     attach_open_loop(cluster, scenario=_overload(rate, 50_000))
     profiler = cProfile.Profile()
     profiler.enable()
-    cluster.run(0.3, warmup=0.1)
+    stats = cluster.run(0.3, warmup=0.1)
+    profiler.disable()
+    return pstats.Stats(profiler), stats
+
+
+@functools.lru_cache(maxsize=None)
+def _profiled_cell(rate: float) -> pstats.Stats:
+    return _profiled_run(rate)[0]
+
+
+def _slot_draws(stats: pstats.Stats, caller: str) -> int:
+    """``getrandbits`` calls made from the module whose path ends with
+    ``caller``."""
+    return sum(edge[1]
+               for (_path, _line, name), (*_, callers) in stats.stats.items()
+               if name.startswith("<method 'getrandbits'")
+               for site, edge in callers.items() if site[0].endswith(caller))
+
+
+def _profiled(call) -> pstats.Stats:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    call()
     profiler.disable()
     return pstats.Stats(profiler)
 
@@ -451,6 +474,36 @@ class TestOpenLoopScaling:
             for caller, edge in callers.items()
             if caller[0].endswith(samplers)}
         assert not entered, entered
+
+    def test_reservoirs_on_one_key_draw_the_largest_count_once(self):
+        # Every reservoir of one (seed, capacity) reads one slot stream:
+        # three of them cost the words one randrange reservoir spends
+        # reaching the largest count, not the three counts' sum.  The
+        # key is this test's own (streams live as long as the process).
+        seed, capacity, counts = 4004, 1000, (30_000, 50_000, 20_000)
+        reservoirs = [Reservoir(capacity, rng=seed) for _ in counts]
+        shared = _slot_draws(_profiled(lambda: [
+            reservoir.add_run(0.5, count)
+            for reservoir, count in zip(reservoirs, counts)]),
+            "/repro/cluster/stats.py")
+
+        def one_randrange_reservoir():
+            rng = random.Random(seed)
+            for count in range(capacity + 1, max(counts) + 1):
+                rng.randrange(count)
+
+        assert shared == _slot_draws(_profiled(one_randrange_reservoir),
+                                     "/random.py")
+
+    def test_a_repeated_cell_draws_no_slot(self):
+        # The cell's two reservoirs share the process's default stream,
+        # drawn as far as they have counted by the first run (here or
+        # earlier in the process): the second run reads it.
+        _profiled_cell(1e6)
+        stats, cluster_stats = _profiled_run(1e6)
+        assert cluster_stats.operation_latency.count > \
+            cluster_stats.operation_latency.capacity
+        assert _slot_draws(stats, "/repro/cluster/stats.py") == 0
 
 
 #: What 10 000 FASTER log records may retain, by ``tracemalloc``: a
@@ -504,14 +557,6 @@ class TestLibDprBatchCost:
         assert after - before <= FASTER_RECORDS_BYTES_BUDGET, (
             f"10 000 records retain {after - before} B, budget is "
             f"{FASTER_RECORDS_BYTES_BUDGET} B")
-
-
-def _profiled(call) -> pstats.Stats:
-    profiler = cProfile.Profile()
-    profiler.enable()
-    call()
-    profiler.disable()
-    return pstats.Stats(profiler)
 
 
 def _faster_frames(op) -> list:

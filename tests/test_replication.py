@@ -216,6 +216,26 @@ class TestChainGating:
         assert reader.reads_completed == 0
 
 
+class CachedRoutingReader(ReplicaReadClient):
+    """A prefix reader whose routing cache outlives a replica's pause
+    (refreshed each second, not each 20 ms), keeping each "behind"
+    bounce it folds in as ``(reply, cached durable, durable after)``."""
+
+    REFRESH_INTERVAL = 1.0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bounces = []
+
+    def _note_behind(self, primary, reply):
+        def cached():
+            return {replica: durable
+                    for replica, _applied, durable in self._records[primary]}
+        before = cached()[reply.replica_id]
+        super()._note_behind(primary, reply)
+        self.bounces.append((reply, before, cached()[reply.replica_id]))
+
+
 class TestStaleReplica:
     def test_replica_that_missed_entries_across_restart_goes_stale(self):
         cluster, client, reader = _rig(replication_factor=1)
@@ -246,6 +266,60 @@ class TestStaleReplica:
             type("R", (), {"read_id": 1, "keys": ("key",),
                            "min_version": 1})())
         assert refused.status == "behind"
+
+    def test_reader_routes_around_a_replica_that_went_stale(self):
+        # Both of worker-0's replicas pause and the crash falls back to
+        # §4.1.  One then loses its buffered tail and goes stale; the
+        # other resumes with its backlog.  A reader that last refreshed
+        # its routing before the pause still holds both as qualified:
+        # its first pick (seeded) is the stale one, which bounces the
+        # read "behind", and the re-route serves it from the other.
+        cluster, client, reader = _rig(replication_factor=2)
+        env = cluster.env
+        stale, healthy = cluster.replication.chains["worker-0"]
+        probe = CachedRoutingReader(env, cluster.net, "rclient-probe",
+                                    cluster.metadata, ["worker-0"], rng=3)
+        replies = []
+
+        def chaos():
+            yield 0.45
+            stale.apply_paused = healthy.apply_paused = True
+
+        def probing():
+            # The last routing refresh, then one read once it is stale.
+            yield 0.44
+            replies.append((yield from probe.read("worker-0", KEYS)))
+            while not stale.stale:
+                yield 1e-4
+            replies.append((env.now, (yield from probe.read("worker-0",
+                                                            KEYS))))
+
+        env.process(chaos(), name="chaos")
+        env.process(probing(), name="probing")
+        _drive(cluster, client, reader, crash_at=0.5, until=1.2)
+        assert cluster.manager.promotion_fallbacks == 1
+        assert replies[0].status == "ok"
+        stale._paused_backlog.clear()
+        stale.resume_apply()
+        healthy.resume_apply()
+        # The run ends with the oracle (core/audit.py) passing.
+        assert cluster.run(2.0) is cluster.stats
+        assert stale.stale and not healthy.stale
+        # The bounce happened, and folding it in dropped the stale
+        # replica's cached durable version to the reply's (0: a stale
+        # replica can serve no prefix).
+        assert probe.behind_bounces >= 1
+        [(reply, cached, folded)] = probe.bounces
+        assert reply.replica_id == stale.address
+        assert folded == reply.durable_version == 0 < cached
+        # The re-routed read was served, and nothing was ever returned
+        # by the stale replica once it had gone stale.
+        stale_at, served = replies[1]
+        assert served.status == "ok"
+        assert served.replica_id == healthy.address
+        assert not [entry for entry in probe.history
+                    if entry["replica"] == stale.address
+                    and entry["time"] >= stale_at]
 
     def test_reads_never_return_lost_values_through_fallback(self):
         cluster, client, reader = _rig(replication_factor=1)
