@@ -27,7 +27,7 @@ Approximations (all conservative for a may-analysis):
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 #: Sentinel node ids for the synthetic entry/exit of a function CFG.
 ENTRY = -1
@@ -54,9 +54,6 @@ class CFG:
     def _edge(self, src: int, dst: int) -> None:
         if dst not in self.succ[src]:
             self.succ[src].append(dst)
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self.stmt_of)
 
 
 class _Builder:

@@ -16,11 +16,12 @@ This module provides the machinery: :class:`Finding`, :class:`ModuleInfo`
 (one parsed file with its suppression comments), :class:`Project` (the
 whole parsed tree), the rule base classes and registry, and the
 :func:`run_lint` driver.  The rules themselves live in
-:mod:`repro.analysis.rules_determinism`,
-:mod:`repro.analysis.rules_protocol`,
-:mod:`repro.analysis.rules_concurrency`,
-:mod:`repro.analysis.rules_observability` and
-:mod:`repro.analysis.rules_hygiene`.
+:mod:`repro.analysis.rules_determinism` (DPR-D01, D02, D04),
+:mod:`repro.analysis.rules_protocol` (DPR-P02) and
+:mod:`repro.analysis.rules_concurrency` (DPR-A01).  Properties that are
+checked over what runs rather than over code shape (message dispatch,
+tracer purity, no host I/O in simulated code) are tier-1 tests; see
+``docs/ANALYSIS.md`` for where each retired rule went.
 
 Suppressions
 ------------
@@ -229,7 +230,7 @@ class ModuleRule(Rule):
 
 
 class ProjectRule(Rule):
-    """A rule needing a cross-module view (exhaustiveness, layering)."""
+    """A rule needing a cross-module view (set-typed fields, layering)."""
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         raise NotImplementedError
@@ -256,8 +257,6 @@ def all_rules() -> List[Rule]:
     from repro.analysis import (  # noqa: F401
         rules_concurrency,
         rules_determinism,
-        rules_hygiene,
-        rules_observability,
         rules_protocol,
     )
 

@@ -1,4 +1,4 @@
-"""Determinism rules (DPR-D01..D04).
+"""Determinism rules (DPR-D01, DPR-D02, DPR-D04).
 
 The discrete-event kernel promises that a whole-cluster experiment is
 *exactly reproducible* for a fixed seed: time only advances between
@@ -17,7 +17,7 @@ from an explicit seeded :class:`random.Random` (see
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
 from repro.analysis.framework import (
     PROTOCOL_SCOPE,
@@ -273,58 +273,6 @@ class NoUnsortedSetIterationRule(ProjectRule):
             f"iterating set-typed {reason} in hash order — wrap it in "
             f"sorted(...) so runs are PYTHONHASHSEED-independent",
         )
-
-
-# -- DPR-D03: real-world I/O in simulated processes --------------------------
-
-_BANNED_IO_CALLS = {
-    "time.sleep": "blocks the host thread; yield <seconds> instead",
-    "open": "touches the host filesystem; use repro.sim.storage devices",
-    "io.open": "touches the host filesystem; use repro.sim.storage devices",
-    "os.open": "touches the host filesystem; use repro.sim.storage devices",
-    "os.fdopen": "touches the host filesystem; use repro.sim.storage devices",
-    "input": "reads the host terminal inside simulated code",
-}
-
-_BANNED_IO_PREFIXES: Tuple[Tuple[str, str], ...] = (
-    ("socket.", "real network I/O; use repro.sim.network"),
-    ("subprocess.", "spawns host processes from simulated code"),
-    ("threading.", "host threads break single-threaded determinism"),
-    ("multiprocessing.", "host processes break determinism"),
-    ("asyncio.", "a second event loop conflicts with the sim kernel"),
-    ("urllib.", "real network I/O; use repro.sim.network"),
-    ("http.", "real network I/O; use repro.sim.network"),
-)
-
-
-@register
-class NoRealWorldIORule(ModuleRule):
-    """DPR-D03: no sleeps, sockets, threads or file I/O in sim code."""
-
-    id = "DPR-D03"
-    title = "real-world I/O or blocking call inside simulated code"
-    scope = PROTOCOL_SCOPE
-
-    def check_module(self, module: ModuleInfo,
-                     project: Project) -> Iterator[Finding]:
-        imports = module.import_map()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = resolve_name(node.func, imports)
-            if resolved is None:
-                continue
-            if resolved in _BANNED_IO_CALLS:
-                yield module.finding(
-                    self, node,
-                    f"{resolved}() — {_BANNED_IO_CALLS[resolved]}",
-                )
-                continue
-            for prefix, why in _BANNED_IO_PREFIXES:
-                if resolved.startswith(prefix):
-                    yield module.finding(self, node,
-                                         f"{resolved}() — {why}")
-                    break
 
 
 # -- DPR-D04: builtin hash() on protocol paths --------------------------------

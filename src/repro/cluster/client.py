@@ -415,7 +415,9 @@ class ReplicaReadClient:
         self._cut_versions: Dict[str, int] = {}
         #: primary -> [(replica_id, applied, durable)], last refresh.
         self._records: Dict[str, List[Tuple[str, int, int]]] = {}
-        self._last_refresh = -1.0
+        #: When routing was last read from the store; None forces a
+        #: refresh on the next attempt, whatever ``REFRESH_INTERVAL`` is.
+        self._last_refresh: Optional[float] = None
         self.reads_completed = 0
         self.reads_failed = 0
         #: "behind" bounces plus rounds with no qualified replica.
@@ -471,13 +473,14 @@ class ReplicaReadClient:
         env = self.env
         keys = tuple(keys)
         for _attempt in range(self.MAX_ATTEMPTS):
-            if env.now - self._last_refresh > self.REFRESH_INTERVAL:
+            if (self._last_refresh is None
+                    or env.now - self._last_refresh > self.REFRESH_INTERVAL):
                 yield self.metadata.access()
                 self._refresh_routing()
             target = self._pick_replica(primary)
             if target is None:
                 self.behind_bounces += 1
-                self._last_refresh = -1.0
+                self._last_refresh = None
                 yield RETRY_DELAY
                 continue
             self._next_read += 1
@@ -493,7 +496,7 @@ class ReplicaReadClient:
                     and payload.read_id == read_id))
             if reply is None:
                 # Lost in transit or the replica is down: re-route.
-                self._last_refresh = -1.0
+                self._last_refresh = None
                 continue
             if reply.status == "behind":
                 self.behind_bounces += 1

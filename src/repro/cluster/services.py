@@ -121,6 +121,9 @@ class FinderService:
                     "dpr.cut_lag",
                     (payload.object_id, payload.version),
                     self.env.now)
+        else:
+            raise TypeError(f"finder service {self.address} cannot handle "
+                            f"a {type(payload).__name__} message")
 
     def _tick_loop(self):
         env = self.env
@@ -454,6 +457,9 @@ class ClusterManager:
                 self._last_heartbeat[payload.worker_id] = self.env.now
         elif isinstance(payload, RollbackDone):
             self._absorb_rollback_done(payload)
+        else:
+            raise TypeError(f"cluster manager {self.address} cannot handle "
+                            f"a {type(payload).__name__} message")
 
     def _absorb_rollback_done(self, payload: RollbackDone) -> None:
         pending = self._pending.get(payload.world_line)

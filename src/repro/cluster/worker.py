@@ -160,7 +160,10 @@ class GateHost(LeaseHolder):
         elif isinstance(payload, ReplicaAck):
             if self.replication is not None:
                 self.replication.handle_ack(payload)
-        # RollbackDone / reports are for services, not hosts.
+        else:
+            # Reports and rollback acks are for services, not hosts.
+            raise TypeError(f"{self.address} cannot handle a "
+                            f"{type(payload).__name__} message")
 
     def _answer_duplicate(self, request: BatchRequest, cached) -> None:
         """The gate's memo refused ``request`` as a duplicate.

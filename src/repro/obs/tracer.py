@@ -10,11 +10,12 @@ repo's determinism fingerprints instead of undermining them.
 
 The tracer is strictly an *observer*: hooks accept values, record them,
 and return ``None``.  They never draw from simulation RNG streams,
-never schedule events, and never touch the objects that called them —
-dprlint rule DPR-O01 statically enforces the call-site half of that
-contract.  Components guard each hook with ``if tracer is not None``
-so a run without tracing pays one pointer test per hook and nothing
-else.
+never schedule events, and never touch the objects that called them.
+``tests/test_obs.py`` checks that contract over what runs: a faulted
+run with a promotion and a recovery has the same whole-run fingerprint
+with the tracer on and off.  Components guard each hook with ``if
+tracer is not None`` so a run without tracing pays one pointer test
+per hook and nothing else.
 
 Three record families:
 
@@ -305,7 +306,7 @@ class Tracer:
         self._phases: Dict[str, PhaseStats] = {}
         self._open: Dict[Tuple[str, Any], float] = {}
 
-    # -- hooks (all return None; see DPR-O01) --------------------------
+    # -- hooks (all return None; tests/test_obs.py checks purity) --------
 
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to a monotonic counter."""

@@ -6,8 +6,8 @@ packages under a tmp dir so the module-scoping logic (protocol packages
 vs. the bench allowlist) is exercised, not bypassed.  The CLI tests are
 the acceptance criteria: the shipped tree lints clean, and injecting a
 wall-clock call and an unsorted-set iteration into a ``repro.workloads``
-helper, plus an undispatched wire message, makes ``python -m
-repro.analysis`` fail at exactly those lines.  The whole tree is
+helper, plus a cluster-side poke at ``StateObject._sealed``, makes
+``python -m repro.analysis`` fail at exactly those lines.  The whole tree is
 analysed twice per session: once in process (shared by the clean and
 the timing checks) and once by the injected CLI run.
 """
@@ -75,8 +75,9 @@ def injected_cli(tmp_path_factory):
     """One CLI run over a copy of ``src/`` carrying three injections.
 
     A wall-clock read and an unsorted-set loop go into a
-    ``repro.workloads`` helper that cluster code calls, and a wire
-    message nothing dispatches goes into ``repro.cluster.messages``.
+    ``repro.workloads`` helper that cluster code calls, and a read of
+    ``StateObject._sealed`` from outside its owner goes into
+    ``repro.cluster.messages`` (a project-scope finding).
     Returns ({rule: [(file name, line)]}, {rule: injected line}).
     """
     target = tmp_path_factory.mktemp("injected") / "src"
@@ -94,10 +95,10 @@ def injected_cli(tmp_path_factory):
     first = text[:text.index(anchor)].count("\n") + 1
     messages = target / "repro/cluster/messages.py"
     text = messages.read_text(encoding="utf-8") + (
-        "\n\nclass InjectedProbe:\n    __slots__ = (\"flag\",)\n")
+        "\n\ndef injected_probe(engine):\n    return engine._sealed\n")
     messages.write_text(text, encoding="utf-8")
     lines = {"DPR-D01": first + 2, "DPR-D02": first + 3,
-             "DPR-P01": text.count("\n") - 1}
+             "DPR-P02": text.count("\n")}
 
     result = run_cli(["--format", "json", str(target)])
     assert result.returncode == 1, result.stderr
@@ -148,25 +149,19 @@ class TestFramework:
             "repro/core/multi.py": """\
                 import time
 
-                def f():
-                    return time.time()
+                def f(key):
+                    return time.time(), hash(key)
             """,
         })
         assert rules_found(run_lint([str(tmp_path)])) == {"DPR-D01",
-                                                          "DPR-H04"}
+                                                          "DPR-D04"}
         only_clock = run_lint([str(tmp_path)], select=["DPR-D01"])
         assert rules_found(only_clock) == {"DPR-D01"}
-        only_docs = run_lint([str(tmp_path)], select=["DPR-H04"])
-        assert rules_found(only_docs) == {"DPR-H04"}
+        only_hash = run_lint([str(tmp_path)], select=["DPR-D04"])
+        assert rules_found(only_hash) == {"DPR-D04"}
 
     def test_rule_catalog_is_complete(self):
-        expected = {
-            "DPR-A01",
-            "DPR-D01", "DPR-D02", "DPR-D03", "DPR-D04",
-            "DPR-P01", "DPR-P02", "DPR-P03", "DPR-P04",
-            "DPR-H02", "DPR-H04",
-            "DPR-O01",
-        }
+        expected = {"DPR-A01", "DPR-D01", "DPR-D02", "DPR-D04", "DPR-P02"}
         assert {rule.id for rule in all_rules()} == expected
 
 
@@ -302,32 +297,6 @@ class TestDeterminismRules:
         assert [Path(f.path).name for f in findings
                 if f.rule == "DPR-D02"] == ["checked.py"]
 
-    def test_d03_flags_sleep_open_and_sockets(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/bad.py": """\
-                import socket
-                import time
-
-                def process(env):
-                    time.sleep(0.1)
-                    handle = open("/tmp/x")
-                    conn = socket.socket()
-                    return handle, conn
-            """,
-        })
-        d03 = [f for f in findings if f.rule == "DPR-D03"]
-        assert len(d03) == 3
-
-    def test_d03_sim_primitives_are_clean(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/good.py": """\
-                def process(env, device):
-                    yield 0.1
-                    yield device.write(4096)
-            """,
-        })
-        assert "DPR-D03" not in rules_found(findings)
-
     def test_d04_flags_builtin_hash_in_protocol_code(self, tmp_path):
         findings = lint_fixture(tmp_path, {
             "repro/cluster/place.py": """\
@@ -364,7 +333,7 @@ class TestDeterminismRules:
 
 
 PROTOCOL_FIXTURE = {
-    # A miniature repro.core.state_object so P02/P03 registries resolve.
+    # A miniature repro.core.state_object so the P02 registry resolves.
     "repro/core/state_object.py": """\
         class StateObject:
             def __init__(self):
@@ -382,100 +351,6 @@ PROTOCOL_FIXTURE = {
 
 
 class TestProtocolRules:
-    def test_p01_flags_unhandled_message_dataclass(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/cluster/messages.py": """\
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class Known:
-                    x: int
-
-                @dataclass(frozen=True)
-                class Orphan:
-                    y: int
-            """,
-            "repro/cluster/worker.py": """\
-                from repro.cluster.messages import Known
-
-                def dispatch(payload):
-                    if isinstance(payload, Known):
-                        return "ok"
-            """,
-        })
-        p01 = [f for f in findings if f.rule == "DPR-P01"]
-        assert len(p01) == 1
-        assert "Orphan" in p01[0].message
-
-    def test_p01_all_messages_handled_is_clean(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/cluster/messages.py": """\
-                from dataclasses import dataclass
-
-                @dataclass(frozen=True)
-                class Known:
-                    x: int
-            """,
-            "repro/cluster/worker.py": """\
-                from repro.cluster.messages import Known
-
-                def dispatch(payload):
-                    if isinstance(payload, Known):
-                        return "ok"
-            """,
-        })
-        assert "DPR-P01" not in rules_found(findings)
-
-    def test_p01_flags_undispatched_slots_message(self, tmp_path):
-        # The real messages are __slots__ classes; a name reference that
-        # is not an isinstance arm (here: a construction) does not count.
-        findings = lint_fixture(tmp_path, {
-            "repro/cluster/messages.py": """\
-                class Known:
-                    __slots__ = ("x",)
-
-                class Orphan:
-                    __slots__ = ("y",)
-
-                class Allocator:
-                    def allocate(self):
-                        return 1
-            """,
-            "repro/cluster/replication.py": """\
-                from repro.cluster.messages import Known, Orphan
-
-                def dispatch(payload):
-                    if isinstance(payload, (int, Known)):
-                        return Orphan()
-            """,
-        })
-        p01 = [f for f in findings if f.rule == "DPR-P01"]
-        assert [f.message.split()[1] for f in p01] == ["Orphan"]
-
-    def test_p01_arms_anywhere_in_the_package_count(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/cluster/messages.py": """\
-                class Request:
-                    __slots__ = ("x",)
-
-                class Reply:
-                    __slots__ = ("y",)
-            """,
-            "repro/cluster/worker.py": """\
-                from repro.cluster import messages
-
-                def dispatch(payload):
-                    return isinstance(payload, messages.Request)
-            """,
-            "repro/cluster/client.py": """\
-                from repro.cluster.messages import Reply
-
-                def on_reply(payload):
-                    return isinstance(payload, Reply)
-            """,
-        })
-        assert "DPR-P01" not in rules_found(findings)
-
     def test_p02_flags_cross_module_private_access(self, tmp_path):
         files = dict(PROTOCOL_FIXTURE)
         files["repro/cluster/probe.py"] = """\
@@ -502,266 +377,6 @@ class TestProtocolRules:
         """
         findings = lint_fixture(tmp_path, files)
         assert "DPR-P02" not in rules_found(findings)
-
-    def test_p03_flags_subclass_writing_version_state(self, tmp_path):
-        files = dict(PROTOCOL_FIXTURE)
-        files["repro/faster/hacky.py"] = """\
-            from repro.core.state_object import StateObject
-
-            class HackyStore(StateObject):
-                def skip_ahead(self):
-                    self._version = 99
-                    self._sealed.clear()
-        """
-        findings = lint_fixture(tmp_path, files)
-        p03 = [f for f in findings if f.rule == "DPR-P03"]
-        assert len(p03) == 2
-
-    def test_p03_subclass_using_hooks_is_clean(self, tmp_path):
-        files = dict(PROTOCOL_FIXTURE)
-        files["repro/faster/good.py"] = """\
-            from repro.core.state_object import StateObject
-
-            class GoodStore(StateObject):
-                def checkpoint(self):
-                    self.seal_version()
-                    return self.sealed_descriptors()
-        """
-        findings = lint_fixture(tmp_path, files)
-        assert "DPR-P03" not in rules_found(findings)
-
-    def test_p04_flags_direct_inbox_put(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/cluster/shortcut.py": """\
-                def fast_path(net, payload):
-                    target = net.endpoint("worker-0")
-                    target.inbox.put(payload)
-
-                def aliased(endpoint, payload):
-                    inbox = endpoint.inbox
-                    inbox.put(payload)
-            """,
-        })
-        p04 = [f for f in findings if f.rule == "DPR-P04"]
-        assert len(p04) == 2
-
-    def test_p04_network_send_and_other_queues_are_clean(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/cluster/proper.py": """\
-                def send(net, payload):
-                    net.send("a", "b", payload, size_ops=1)
-
-                def local_work(worker, item):
-                    worker.work.put(item)
-            """,
-        })
-        assert "DPR-P04" not in rules_found(findings)
-
-    def test_p04_sim_network_itself_is_exempt(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/network.py": """\
-                def deliver(target, message):
-                    target.inbox.put(message)
-            """,
-        })
-        assert "DPR-P04" not in rules_found(findings)
-
-
-class TestHygieneRules:
-    def test_h02_bare_and_swallowing_excepts(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/util.py": """\
-                def swallow(fn):
-                    try:
-                        fn()
-                    except:
-                        pass
-                    try:
-                        fn()
-                    except Exception:
-                        return None
-                    try:
-                        fn()
-                    except Exception:
-                        raise
-                    try:
-                        fn()
-                    except ValueError:
-                        return None
-            """,
-        })
-        h02 = [f for f in findings if f.rule == "DPR-H02"]
-        assert len(h02) == 2
-
-    def test_h04_missing_module_docstring(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/util.py": "def f():\n    return 1\n",
-        })
-        h04 = [f for f in findings if f.rule == "DPR-H04"]
-        assert len(h04) == 1
-        assert "no docstring" in h04[0].message
-
-    def test_h04_empty_init_is_exempt(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/util.py": '"""Documented."""\n',
-        })
-        assert "DPR-H04" not in rules_found(findings)
-
-    def test_h04_stale_dotted_reference(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/core/probe.py": """\
-                \"\"\"Drives :class:`~repro.core.engine.Engine`.\"\"\"
-            """,
-            "repro/core/other.py": """\
-                \"\"\"Defines :func:`helper` and uses
-                :class:`~repro.core.other.Gone`.\"\"\"
-
-                def helper():
-                    return 1
-            """,
-        })
-        h04 = [f for f in findings if f.rule == "DPR-H04"]
-        messages = " | ".join(f.message for f in h04)
-        assert "repro.core.engine" in messages   # module gone
-        assert "`Gone`" in messages              # name gone
-        assert "`helper`" not in messages        # still defined
-
-    def test_h04_stale_bare_reference(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/core/probe.py": """\
-                \"\"\"Builds on :class:`Removed`.\"\"\"
-
-                class Kept:
-                    \"\"\"See :meth:`Kept.run` and :meth:`run`.\"\"\"
-
-                    def run(self):
-                        return 1
-            """,
-        })
-        h04 = [f for f in findings if f.rule == "DPR-H04"]
-        assert len(h04) == 1
-        assert "`Removed`" in h04[0].message
-
-    def test_h04_resolvable_references_are_clean(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/core/engine.py": """\
-                \"\"\"Defines :class:`Engine`.\"\"\"
-
-                class Engine:
-                    def start(self):
-                        self.started = True
-            """,
-            "repro/core/probe.py": """\
-                \"\"\"Uses :class:`~repro.core.engine.Engine`,
-                :meth:`~repro.core.engine.Engine.start`,
-                :attr:`~repro.core.engine.Engine.started`,
-                :class:`random.Random`, :exc:`ValueError`, and the
-                imported :class:`Engine` alias.\"\"\"
-
-                from repro.core.engine import Engine
-
-                class Sub(Engine):
-                    \"\"\"Inherits :meth:`Sub.start` from the base.\"\"\"
-            """,
-        })
-        assert "DPR-H04" not in rules_found(findings)
-
-
-class TestObservabilityRules:
-    def test_o01_obs_module_importing_protocol_code(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/obs/probe.py": """\
-                import json
-
-                from repro.sim.kernel import Environment
-
-                def snapshot(env):
-                    return json.dumps({"now": env.now})
-            """,
-        })
-        o01 = [f for f in findings if f.rule == "DPR-O01"]
-        assert len(o01) == 1
-        assert "repro.sim.kernel" in o01[0].message
-
-    def test_o01_obs_internal_and_stdlib_imports_are_clean(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/obs/probe.py": """\
-                import random
-
-                from repro.obs.tracer import Tracer
-                from .tracer import PhaseStats
-
-                def fresh():
-                    return Tracer(), PhaseStats(), random.Random(1)
-            """,
-        })
-        assert "DPR-O01" not in rules_found(findings)
-
-    def test_o01_hook_result_consumed(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/pump.py": """\
-                def drain(tracer, items):
-                    marker = tracer.counter("pump.drained", len(items))
-                    return marker
-            """,
-        })
-        o01 = [f for f in findings if f.rule == "DPR-O01"]
-        assert len(o01) == 1
-        assert "discarded" in o01[0].message
-
-    def test_o01_walrus_in_hook_argument(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/pump.py": """\
-                def drain(env, items):
-                    if env.tracer is not None:
-                        env.tracer.gauge("pump.depth", (n := len(items)))
-                    return items
-            """,
-        })
-        o01 = [f for f in findings if f.rule == "DPR-O01"]
-        assert len(o01) == 1
-        assert "walrus" in o01[0].message
-
-    def test_o01_mutator_call_in_hook_argument(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/pump.py": """\
-                def drain(env, items):
-                    if env.tracer is not None:
-                        env.tracer.queue_depth("pump", items.pop())
-                    return items
-            """,
-        })
-        o01 = [f for f in findings if f.rule == "DPR-O01"]
-        assert len(o01) == 1
-        assert ".pop()" in o01[0].message
-
-    def test_o01_guarded_pure_hook_sites_are_clean(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/pump.py": """\
-                def drain(env, self_tracer, items):
-                    tracer = env.tracer
-                    if tracer is not None:
-                        tracer.counter("pump.drained", len(items))
-                        tracer.queue_depth("pump", len(items))
-                        tracer.span("pump.drain", env.now, 0.0, src="p")
-                    if self_tracer is not None:
-                        self_tracer.end_spans(
-                            "pump.lag", env.now, lambda key: key >= 0)
-                    return items
-            """,
-        })
-        assert "DPR-O01" not in rules_found(findings)
-
-    def test_o01_non_tracer_receivers_are_ignored(self, tmp_path):
-        findings = lint_fixture(tmp_path, {
-            "repro/sim/pump.py": """\
-                def drain(registry, items):
-                    handle = registry.counter("pump")
-                    return handle.update(items)
-            """,
-        })
-        assert "DPR-O01" not in rules_found(findings)
-
 
 class TestCli:
     def test_shipped_tree_is_clean(self, shipped_lint):
@@ -837,11 +452,11 @@ class TestCli:
         found, lines = injected_cli
         assert found["DPR-D02"] == [("ycsb.py", lines["DPR-D02"])]
 
-    def test_injected_unhandled_message_fails(self, injected_cli):
+    def test_injected_private_state_poke_fails(self, injected_cli):
         found, lines = injected_cli
-        assert found["DPR-P01"] == [("messages.py", lines["DPR-P01"])]
+        assert found["DPR-P02"] == [("messages.py", lines["DPR-P02"])]
         # Nothing but the three injections is reported.
-        assert sorted(found) == ["DPR-D01", "DPR-D02", "DPR-P01"]
+        assert sorted(found) == ["DPR-D01", "DPR-D02", "DPR-P02"]
 
 
 class TestYieldAtomicityRule:

@@ -10,6 +10,10 @@ flowing after every fault window.
 Coverage is asserted through ``plan.injected``: a scenario that claims
 to test drops must actually have dropped something.
 
+``TestNoHostIO`` runs a D-FASTER chaos scenario and a D-Redis recovery
+with the host's sleep, socket, thread and file primitives patched to
+raise: simulated code must use the modelled clock, network and storage.
+
 Pre-hardening failure demonstration: scenario ``seed 404``
 (``test_partition_over_recovery``) deterministically *fails* against
 the pre-hardening protocol stack — the partition eats the manager's
@@ -177,6 +181,46 @@ class TestDRedisChaos:
         assert not cluster.finder.halted
         assert_every_session_commits(cluster)
         assert stats.committed.total(0.5, 1.0) > 0
+
+
+# ---------------------------------------------------------------------------
+# No host I/O: simulated code sleeps, sends and stores only in the model.
+# ---------------------------------------------------------------------------
+
+HOST_IO = ("time.sleep", "socket.socket", "threading.Thread", "builtins.open")
+
+
+@pytest.fixture
+def no_host_io(monkeypatch):
+    """Make every host blocking / I/O primitive raise while it is active:
+    a sleep, socket, thread or file on a simulated path would make the
+    run depend on the host, and here it fails the test instead."""
+    for target in HOST_IO:
+        def refuse(*args, _target=target, **kwargs):
+            raise AssertionError(f"simulated code called {_target}")
+        monkeypatch.setattr(target, refuse)
+
+
+class TestNoHostIO:
+    def test_dfaster_chaos_run(self, no_host_io):
+        plan = FaultPlan(
+            606,
+            links=[LinkFault(drop=0.01, duplicate=0.02, reorder=0.1)],
+            metadata_outages=[MetadataOutage(0.4, 0.42)],
+        )
+        cluster = DFasterCluster(DFasterConfig(**SMALL), faults=plan)
+        cluster.schedule_failure(0.3)
+        cluster.run(0.6, warmup=0.05)
+        assert plan.injected["dropped"] > 0
+        assert cluster.manager.recoveries
+        assert_every_session_commits(cluster)
+
+    def test_dredis_run(self, no_host_io):
+        cluster = DRedisCluster(DRedisConfig(**DREDIS_SMALL))
+        cluster.schedule_failure(0.3)
+        cluster.run(0.6, warmup=0.05)
+        assert cluster.manager.recoveries
+        assert_every_session_commits(cluster)
 
 
 # ---------------------------------------------------------------------------

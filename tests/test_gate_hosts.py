@@ -15,7 +15,11 @@ The server-side mirror of ``test_session_drivers.py``:
 - a property test over random execute / commit / persisted / restore /
   crash / duplicate interleavings on the bare gate: its reports replay
   into a fresh finder that passes ``audit_deployment``, and no batch is
-  ever applied twice.
+  ever applied twice;
+- misrouted payloads: every cluster receiver (the three networked
+  hosts, a standby replica, the finder service and the cluster
+  manager) raises ``TypeError`` on a payload it has no arm for, instead
+  of dropping it.
 """
 
 import random
@@ -25,19 +29,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.costmodel import CostModel
+from repro.cluster.dfaster import DFasterCluster, DFasterConfig
 from repro.cluster.dredis import DRedisCluster, DRedisConfig, RedisMode
 from repro.cluster.messages import (
     BatchReply,
     BatchRequest,
     CutBroadcast,
+    Heartbeat,
     PersistReport,
     RollbackCommand,
+    RollbackDone,
     SealReport,
 )
 from repro.cluster.metadata import MetadataStore
 from repro.cluster.modeled import ModeledStore
 from repro.cluster.ownership import OwnershipView
 from repro.cluster.replication import ReplicaNode
+from repro.cluster.shell import FINDER_ADDRESS, MANAGER_ADDRESS
 from repro.cluster.stats import ClusterStats
 from repro.cluster.worker import DFasterWorker
 from repro.core import InMemoryStateObject
@@ -218,7 +226,7 @@ def proxy_host():
                          cluster.proxies[0])
 
 
-def promoted_replica_host():
+def _replica_host(promoted):
     env = Environment()
     net = quiet_network(env)
     metadata = MetadataStore(env, rng=random.Random(2))
@@ -228,8 +236,20 @@ def promoted_replica_host():
         device=StorageDevice(env, StorageKind.LOCAL_SSD, rng=random.Random(1)), cost=CostModel(),
         stats=ClusterStats(), metadata=metadata, vcpus=2,
         checkpoint_interval=1e6)
-    node.promote("finder", "manager")
-    return NetworkedHost("promoted ReplicaNode", env, net, node)
+    if promoted:
+        node.promote("finder", "manager")
+    return NetworkedHost(("promoted" if promoted else "standby")
+                         + " ReplicaNode", env, net, node)
+
+
+def promoted_replica_host():
+    return _replica_host(promoted=True)
+
+
+def standby_replica_host():
+    """A replica that was never promoted: its dispatch falls through to
+    the host's control arms for anything but the replication stream."""
+    return _replica_host(promoted=False)
 
 
 HOSTS = [BareGate, worker_host, proxy_host, promoted_replica_host]
@@ -460,3 +480,43 @@ class TestGateProperty:
         for finder_cls in (ExactDprFinder, ApproximateDprFinder):
             finder = recorder.replay(finder_cls, objects, world_line)
             audit_deployment(finder, objects)
+
+
+class Foreign:
+    """A payload no cluster receiver knows."""
+
+
+class TestMisroutedPayloadsFailLoudly:
+    """A receiver with no arm for a payload raises instead of dropping
+    it: a message a new protocol step sends to the wrong place shows up
+    as the first failing run, not as a silently missing step."""
+
+    @pytest.mark.parametrize("build", [worker_host, proxy_host,
+                                       promoted_replica_host,
+                                       standby_replica_host])
+    @pytest.mark.parametrize("payload", [RollbackDone("w0", 1), Foreign()],
+                             ids=["RollbackDone", "Foreign"])
+    def test_gate_host_raises(self, build, payload):
+        host = build()
+        host.net.send("tester", host.host.address, payload)
+        with pytest.raises(TypeError, match=(
+                f"{host.host.address} cannot handle a "
+                f"{type(payload).__name__} message")):
+            host._settle()
+
+    @pytest.mark.parametrize("address, payload, receiver", [
+        (FINDER_ADDRESS, Heartbeat("worker-0"), "finder service"),
+        (FINDER_ADDRESS, Foreign(), "finder service"),
+        (MANAGER_ADDRESS, PersistReport("worker-0", 1), "cluster manager"),
+        (MANAGER_ADDRESS, Foreign(), "cluster manager"),
+    ], ids=["finder-Heartbeat", "finder-Foreign", "manager-PersistReport",
+            "manager-Foreign"])
+    def test_service_raises(self, address, payload, receiver):
+        cluster = DFasterCluster(DFasterConfig(n_workers=1,
+                                               n_client_machines=0))
+        cluster.net.register("tester")
+        cluster.net.send("tester", address, payload)
+        with pytest.raises(TypeError, match=(
+                f"{receiver} {address} cannot handle a "
+                f"{type(payload).__name__} message")):
+            cluster.env.run(until=SETTLE)

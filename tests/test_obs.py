@@ -1,13 +1,16 @@
 """The observability layer: deterministic, pure, and byte-stable.
 
-Three layers of coverage.  Unit tests pin the tracer primitives
+Four layers of coverage.  Unit tests pin the tracer primitives
 (counters, gauges, watermarks, spans in all four shapes, the event cap)
 and the percentile/merge math that BENCH artifacts depend on.  The
 integration test drives a traced D-FASTER run through a failure and
 checks every instrumented phase actually fires.  The determinism tests
-are the contract from ISSUE 3: a traced run's event stream is
+are the tracer's contract: a traced run's event stream is
 byte-identical across ``PYTHONHASHSEED`` values, and enabling tracing
-does not perturb the protocol (same stats with the tracer on or off).
+does not perturb the protocol (same stats, and the same whole-run
+fingerprint of a faulted run with a promotion and a recovery, with the
+tracer on or off).  The layering test imports ``repro.obs`` alone and
+requires that it load nothing else from ``repro``.
 """
 
 import json
@@ -566,6 +569,95 @@ class TestTracingDoesNotPerturbTheProtocol:
         assert traced.commit_latency == untraced.commit_latency
         assert traced.stats.completed.series(0.05) == \
             untraced.stats.completed.series(0.05)
+
+    def test_run_fingerprint_identical_with_tracing_on_and_off(self):
+        """Every hook site may be deleted without changing a byte of
+        the run: under a FaultPlan, a crash that resolves by promotion
+        and a later §4.1 recovery fire hooks in the kernel, network,
+        fault plan, workers, finder service and cluster manager, and the
+        whole-run fingerprint is the same with the tracer on and off."""
+        traced = run_with_hashseed(1, PURITY_SCENARIO.format(traced=True))
+        untraced = run_with_hashseed(1, PURITY_SCENARIO.format(traced=False))
+        fingerprint, hooks = traced.splitlines()
+        assert untraced.splitlines() == [fingerprint]
+        run = json.loads(fingerprint)
+        assert run["promotions"] and run["recoveries"]
+        assert run["injected"]["dropped"] > 0
+        phases, counters = json.loads(hooks)
+        assert {"manager.promotion", "recovery", "worker.rollback",
+                "finder.tick", "net.delivery"} <= set(phases)
+        assert {"faults.dropped", "faults.duplicated",
+                "faults.metadata_outages"} <= set(counters)
+
+
+PURITY_SCENARIO = """
+import json
+
+from repro.cluster import DFasterCluster, DFasterConfig
+from repro.obs import Tracer
+from repro.sim.faults import FaultPlan, LinkFault, MetadataOutage
+
+tracer = Tracer() if {traced} else None
+plan = FaultPlan(
+    909,
+    links=[LinkFault(drop=0.01, duplicate=0.02, reorder=0.1)],
+    metadata_outages=[MetadataOutage(0.3, 0.32)],
+)
+cluster = DFasterCluster(DFasterConfig(
+    n_workers=2, vcpus=2, n_client_machines=1, client_threads=2,
+    batch_size=32, checkpoint_interval=0.05, seed=99, finder="hybrid",
+    replication_factor=2, tracer=tracer), faults=plan)
+cluster.schedule_crash(0, at_time=0.15)
+cluster.schedule_failure(0.25)
+stats = cluster.run(0.4, warmup=0.05)
+sessions = [s.session for c in cluster.clients for s in c.sessions.values()]
+print(json.dumps({{
+    "sessions": [(s.committed_ops, s.aborted_ops) for s in sessions],
+    "injected": dict(plan.injected),
+    "promotions": cluster.manager.promotions,
+    "recoveries": cluster.manager.recoveries,
+    "world_line": cluster.manager.controller.world_line,
+    "chains": sorted(
+        (primary, replica_id, applied, durable)
+        for primary in ("worker-0", "worker-1")
+        for replica_id, applied, durable
+        in cluster.metadata.replicas_of(primary)),
+    "cut": str(cluster.finder.current_cut()),
+    "events": cluster.env.handles_scheduled,
+    "completed": stats.completed.series(0.05),
+    "committed": stats.committed.series(0.05),
+    "latency": [reservoir.percentile(q)
+                for reservoir in (stats.operation_latency,
+                                  stats.commit_latency)
+                for q in (50, 99)],
+}}, sort_keys=True))
+if tracer is not None:
+    print(json.dumps([sorted(tracer.phases()), sorted(tracer.counters)]))
+"""
+
+
+class TestObsLayering:
+    def test_import_repro_obs_loads_no_other_repro_package(self):
+        """``repro.obs`` sits below every protocol package: loaded on
+        its own (without running ``repro/__init__.py``, which pulls in
+        ``repro.core``), it imports nothing else from ``repro``."""
+        loaded = run_with_hashseed(0, OBS_ALONE)
+        assert loaded.split() == ["repro.obs", "repro.obs.tracer"]
+
+
+OBS_ALONE = """
+import importlib.util
+import sys
+import types
+
+bare = types.ModuleType("repro")
+bare.__path__ = list(importlib.util.find_spec("repro").submodule_search_locations)
+sys.modules["repro"] = bare
+import repro.obs  # noqa: E402
+
+print(" ".join(sorted(name for name in sys.modules
+                      if name.startswith("repro."))))
+"""
 
 
 TRACED_SCENARIO = """

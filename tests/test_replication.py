@@ -236,6 +236,35 @@ class CachedRoutingReader(ReplicaReadClient):
         self.bounces.append((reply, before, cached()[reply.replica_id]))
 
 
+class SlowRefreshReader(ReplicaReadClient):
+    """A prefix reader that re-reads routing only every ten seconds."""
+
+    REFRESH_INTERVAL = 10.0
+
+
+class TestRoutingRefresh:
+    def test_first_read_refreshes_whatever_the_interval(self):
+        """A reader that has never read routing (or just bounced) must
+        refresh it before picking a replica, however long its refresh
+        interval: a forced refresh is a flag, not a timestamp far enough
+        in the past for the default interval only."""
+        cluster, client, reader = _rig(replication_factor=1)
+        env = cluster.env
+        probe = SlowRefreshReader(env, cluster.net, "rclient-slow",
+                                  cluster.metadata, ["worker-0"], rng=3)
+        replies = []
+
+        def probing():
+            yield 0.3
+            replies.append((yield from probe.read("worker-0", KEYS)))
+
+        env.process(probing(), name="probing")
+        _drive(cluster, client, reader, crash_at=0.6, until=0.8)
+        assert replies and replies[0] is not None
+        assert replies[0].status == "ok"
+        assert probe.reads_completed == 1 and probe.reads_failed == 0
+
+
 class TestStaleReplica:
     def test_replica_that_missed_entries_across_restart_goes_stale(self):
         cluster, client, reader = _rig(replication_factor=1)

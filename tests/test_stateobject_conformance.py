@@ -1,15 +1,28 @@
 """StateObject conformance suite.
 
-Every cache-store integration — the in-memory reference, FASTER and
-the Redis clone — must honour the same DPR contract.  The suite drives each implementation through an
-implementation-agnostic key-value facade and checks the §3/§4
-obligations: version arithmetic, the dirty-seal invariant, cumulative
-restores, world-line behaviour, and commit/restore idempotence.
+Every cache-store integration — the in-memory reference, FASTER, the
+Redis clone and the benchmark's payload-free ``ModeledStore`` — must
+honour the same DPR contract.  The suite drives each implementation
+through an implementation-agnostic facade and checks the §3/§4
+obligations: version arithmetic, the dirty-seal invariant, world-line
+behaviour and durability accounting for every ``StateObject`` subclass
+in ``repro`` (a subclass that bypasses the base class's version
+machinery fails here), plus cumulative restores and commit/restore
+idempotence over the values of the stores that keep values.
 """
+
+import importlib
+import pkgutil
 
 import pytest
 
-from repro.core.state_object import InMemoryStateObject, WorldLineMismatch
+import repro
+from repro.cluster.modeled import ModeledStore
+from repro.core.state_object import (
+    InMemoryStateObject,
+    StateObject,
+    WorldLineMismatch,
+)
 from repro.core.versioning import Token
 from repro.faster.state_object import FasterStateObject
 from repro.redisclone.state_object import RedisStateObject
@@ -24,6 +37,8 @@ class _KvFacade:
     def put(self, key, value, **kwargs):
         if isinstance(self.obj, RedisStateObject):
             return self.obj.execute(("SET", key, value), **kwargs)
+        if isinstance(self.obj, ModeledStore):
+            return self.obj.execute(("batch", 1, 1), **kwargs)
         return self.obj.execute(("set", key, value), **kwargs)
 
     def get(self, key):
@@ -32,6 +47,7 @@ class _KvFacade:
         return self.obj.execute(("get", key)).value
 
 
+#: Stores that keep values: the value-level restore tests read them back.
 IMPLEMENTATIONS = [
     pytest.param(lambda: InMemoryStateObject("X"), id="in-memory"),
     pytest.param(lambda: FasterStateObject("X", bucket_count=16),
@@ -39,10 +55,35 @@ IMPLEMENTATIONS = [
     pytest.param(lambda: RedisStateObject("X"), id="redis"),
 ]
 
+#: Every StateObject subclass in ``repro``: the version-level suites.
+VERSIONED = IMPLEMENTATIONS + [
+    pytest.param(lambda: ModeledStore("X"), id="modeled"),
+]
 
-@pytest.fixture(params=IMPLEMENTATIONS)
+
+@pytest.fixture(params=VERSIONED)
 def kv(request):
     return _KvFacade(request.param())
+
+
+@pytest.fixture(params=IMPLEMENTATIONS)
+def kv_values(request):
+    return _KvFacade(request.param())
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_state_object_subclass_is_in_the_suite():
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    shipped = {cls for cls in _subclasses(StateObject)
+               if cls.__module__.startswith("repro.")}
+    assert {type(param.values[0]()) for param in VERSIONED} == shipped
 
 
 class TestVersionContract:
@@ -78,38 +119,38 @@ class TestVersionContract:
 
 
 class TestRestoreContract:
-    def test_restore_erases_uncommitted(self, kv):
-        kv.put("k", "committed")
-        kv.obj.commit()
-        kv.put("k", "uncommitted")
-        kv.obj.restore(1)
-        assert kv.get("k") == "committed"
+    def test_restore_erases_uncommitted(self, kv_values):
+        kv_values.put("k", "committed")
+        kv_values.obj.commit()
+        kv_values.put("k", "uncommitted")
+        kv_values.obj.restore(1)
+        assert kv_values.get("k") == "committed"
 
-    def test_restore_is_cumulative(self, kv):
+    def test_restore_is_cumulative(self, kv_values):
         for index in range(3):
-            kv.put(f"k{index}", f"v{index}")
-            kv.obj.commit()
-        kv.obj.restore(2)
-        assert kv.get("k0") == "v0"
-        assert kv.get("k1") == "v1"
-        assert kv.get("k2") is None
+            kv_values.put(f"k{index}", f"v{index}")
+            kv_values.obj.commit()
+        kv_values.obj.restore(2)
+        assert kv_values.get("k0") == "v0"
+        assert kv_values.get("k1") == "v1"
+        assert kv_values.get("k2") is None
 
-    def test_restore_resolves_to_covering_checkpoint(self, kv):
-        kv.put("k", "first")
-        kv.obj.commit()          # checkpoint 1
-        kv.obj.fast_forward(10)
-        kv.put("k", "second")
-        kv.obj.commit()          # checkpoint 10
-        for _ in kv.obj.drain_sealed():
+    def test_restore_resolves_to_covering_checkpoint(self, kv_values):
+        kv_values.put("k", "first")
+        kv_values.obj.commit()          # checkpoint 1
+        kv_values.obj.fast_forward(10)
+        kv_values.put("k", "second")
+        kv_values.obj.commit()          # checkpoint 10
+        for _ in kv_values.obj.drain_sealed():
             pass
-        assert kv.obj.restore(7) == 1
-        assert kv.get("k") == "first"
+        assert kv_values.obj.restore(7) == 1
+        assert kv_values.get("k") == "first"
 
-    def test_restore_to_zero_empties(self, kv):
-        kv.put("k", "v")
-        kv.obj.commit()
-        kv.obj.restore(0)
-        assert kv.get("k") is None
+    def test_restore_to_zero_empties(self, kv_values):
+        kv_values.put("k", "v")
+        kv_values.obj.commit()
+        kv_values.obj.restore(0)
+        assert kv_values.get("k") is None
 
     def test_version_strictly_advances_across_restore(self, kv):
         kv.put("k", "v")
@@ -118,13 +159,13 @@ class TestRestoreContract:
         kv.obj.restore(1)
         assert kv.obj.version > before
 
-    def test_double_restore_idempotent_state(self, kv):
-        kv.put("k", "stable")
-        kv.obj.commit()
-        kv.put("k", "junk")
-        kv.obj.restore(1)
-        kv.obj.restore(1)
-        assert kv.get("k") == "stable"
+    def test_double_restore_idempotent_state(self, kv_values):
+        kv_values.put("k", "stable")
+        kv_values.obj.commit()
+        kv_values.put("k", "junk")
+        kv_values.obj.restore(1)
+        kv_values.obj.restore(1)
+        assert kv_values.get("k") == "stable"
 
 
 class TestWorldLineContract:
