@@ -95,22 +95,6 @@ class CostModel:
     #: Eventual-durability background append per op (amortized).
     AOF_BACKGROUND = 0.15e-6
 
-    def __init__(self) -> None:
-        # Per-instance memo tables for the batch-cost lookups below.
-        # Every entry is keyed on the *exact* argument tuple and holds
-        # the float the plain computation would return, so memoization
-        # is bit-for-bit invisible; the tables are per-instance (one
-        # per cluster) so runs never share them.  Size caps bound
-        # memory on workloads with non-discrete inputs; eviction is a
-        # deterministic function of the call sequence.
-        self._batch_cache: dict = {}
-        self._redis_cache: dict = {}
-        self._proxy_cache: dict = {}
-        self._send_cache: dict = {}
-
-    #: Entries per memo table before it is cleared and rebuilt.
-    _CACHE_LIMIT = 65536
-
     # -- RCU re-copy model -----------------------------------------------------------
 
     def rcu_probability(self, writes_since_checkpoint: float,
@@ -135,30 +119,13 @@ class CostModel:
     def server_batch_time(self, ops: int, write_fraction: float,
                           rcu_probability: float, slowdown: float,
                           dpr: bool = True) -> float:
-        """Simulated service time of one batch on a server thread.
-
-        Memoized on ``(ops, write_fraction * rcu_probability, slowdown,
-        dpr)`` — the cost depends on the two fractions only through
-        their product, which the original expression computed as an
-        intermediate anyway, so the cached float is bit-identical.
-        Read-only and non-checkpointing workloads collapse to a product
-        of 0.0 and hit almost always.
-        """
-        product = write_fraction * rcu_probability
-        key = (ops, product, slowdown, dpr)
-        cache = self._batch_cache
-        value = cache.get(key)
-        if value is None:
-            per_op = self.OP_BASE + self.REMOTE_OP_EXTRA
-            per_op += product * self.RCU_EXTRA
-            total = self.MESSAGE_FIXED + ops * per_op
-            if dpr:
-                total += self.DPR_BATCH_OVERHEAD
-            value = total * slowdown
-            if len(cache) >= self._CACHE_LIMIT:
-                cache.clear()
-            cache[key] = value
-        return value
+        """Simulated service time of one batch on a server thread."""
+        per_op = self.OP_BASE + self.REMOTE_OP_EXTRA
+        per_op += write_fraction * rcu_probability * self.RCU_EXTRA
+        total = self.MESSAGE_FIXED + ops * per_op
+        if dpr:
+            total += self.DPR_BATCH_OVERHEAD
+        return total * slowdown
 
     def colocated_local_time(self, ops: int, write_fraction: float,
                              rcu_probability: float,
@@ -169,51 +136,22 @@ class CostModel:
         return ops * per_op * slowdown
 
     def colocated_remote_send(self, ops: int) -> float:
-        """Client-side cost of building and handling one remote batch.
-
-        Memoized: ``ops`` takes a handful of discrete batch sizes.
-        """
-        cache = self._send_cache
-        value = cache.get(ops)
-        if value is None:
-            value = self.MESSAGE_FIXED + ops * self.COLOCATED_REMOTE_CLIENT_OP
-            if len(cache) >= self._CACHE_LIMIT:
-                cache.clear()
-            cache[ops] = value
-        return value
+        """Client-side cost of building and handling one remote batch."""
+        return self.MESSAGE_FIXED + ops * self.COLOCATED_REMOTE_CLIENT_OP
 
     def redis_batch_time(self, ops: int, aof_always: bool = False,
                          aof_eventual: bool = False) -> float:
-        """Service time of one batch on the single Redis thread.
-
-        Memoized: the argument domain is batch sizes crossed with two
-        booleans, so the table stays tiny.
-        """
-        key = (ops, aof_always, aof_eventual)
-        cache = self._redis_cache
-        value = cache.get(key)
-        if value is None:
-            per_op = self.REDIS_OP
-            if aof_always:
-                per_op += self.AOF_FSYNC
-            elif aof_eventual:
-                per_op += self.AOF_BACKGROUND
-            value = self.REDIS_MESSAGE_FIXED + ops * per_op
-            if len(cache) >= self._CACHE_LIMIT:
-                cache.clear()
-            cache[key] = value
-        return value
+        """Service time of one batch on the single Redis thread."""
+        per_op = self.REDIS_OP
+        if aof_always:
+            per_op += self.AOF_FSYNC
+        elif aof_eventual:
+            per_op += self.AOF_BACKGROUND
+        return self.REDIS_MESSAGE_FIXED + ops * per_op
 
     def proxy_time(self, ops: int, dpr: bool = True) -> float:
-        """Per-direction forwarding cost at the D-Redis proxy (memoized)."""
-        key = (ops, dpr)
-        cache = self._proxy_cache
-        value = cache.get(key)
-        if value is None:
-            value = self.PROXY_MESSAGE_FIXED + ops * self.PROXY_OP
-            if dpr:
-                value += self.DPR_BATCH_OVERHEAD
-            if len(cache) >= self._CACHE_LIMIT:
-                cache.clear()
-            cache[key] = value
+        """Per-direction forwarding cost at the D-Redis proxy."""
+        value = self.PROXY_MESSAGE_FIXED + ops * self.PROXY_OP
+        if dpr:
+            value += self.DPR_BATCH_OVERHEAD
         return value

@@ -78,7 +78,7 @@ class ClusterShell:
         elif overrides:
             config = replace(config, **overrides)
         self.config = config
-        #: One calibrated cost model (and its memo tables) per cluster.
+        #: One calibrated cost model per cluster.
         self.cost = CostModel()
         self.env = Environment(tracer=config.tracer)
         self._rng = make_rng(config.seed)

@@ -188,15 +188,16 @@ def audit_rollback(error: RollbackError, cut: DprCut,
             f"{error.survived_seqno} survived, but {cut} guarantees "
             f"{expected}"
         )
-    for seqno in error.lost:
+    lost = error.lost
+    for seqno in lost:
         if guarantee.survives(session_id, seqno):
             raise InvariantViolation(
                 f"rollback: session {session_id} lost seqno {seqno}, "
                 f"which {cut} guarantees"
             )
-    lost = set(error.lost)
+    dropped = set(lost)
     for seqno, object_id, version in ops:
-        if seqno not in lost and not cut.covers(Token(object_id, version)):
+        if seqno not in dropped and not cut.covers(Token(object_id, version)):
             raise InvariantViolation(
                 f"rollback: session {session_id} kept seqno {seqno}, but "
                 f"{cut} does not cover {object_id}-{version}"

@@ -100,22 +100,35 @@ class RollbackError(RuntimeError):
     survived the failure"): every seqno up to ``survived_seqno`` not in
     ``lost``.  ``committed`` / ``aborted`` are the same split as spans
     (newly covered by the recovery cut / cut off) for drivers' stats.
+    ``lost`` is derived from ``aborted`` on first read unless given, so
+    a rollback costs its spans, not its ops.
     """
 
     def __init__(self, session_id: str, survived_seqno: int,
-                 lost: Tuple[int, ...], new_world_line: int,
+                 lost: Optional[Tuple[int, ...]], new_world_line: int,
                  committed: Sequence[Span] = (),
                  aborted: Sequence[Span] = ()):
+        lost_ops = (len(lost) if lost is not None
+                    else sum(span.op_count for span in aborted))
         super().__init__(
             f"session {session_id}: rolled back to seqno {survived_seqno}; "
-            f"lost {len(lost)} operation(s); now on world-line {new_world_line}"
+            f"lost {lost_ops} operation(s); now on world-line {new_world_line}"
         )
         self.session_id = session_id
         self.survived_seqno = survived_seqno
-        self.lost = lost
+        self._lost = lost
         self.new_world_line = new_world_line
         self.committed = committed
         self.aborted = aborted
+
+    @property
+    def lost(self) -> Tuple[int, ...]:
+        """Every seqno the failure cut off, in span order."""
+        if self._lost is None:
+            self._lost = tuple(
+                seqno for span in self.aborted
+                for seqno in range(span.seqno, span.seqno + span.op_count))
+        return self._lost
 
 
 class Session:
@@ -385,9 +398,7 @@ class Session:
             cut = DprCut(self._last_cut or {})
         committed = self.refresh_commit(cut, now)
         aborted = list(self.window.values())
-        lost: List[int] = []
         for span in aborted:
-            lost.extend(range(span.seqno, span.seqno + span.op_count))
             self.aborted_ops += span.op_count
         self.window.clear()
         self.outstanding_ops = 0
@@ -404,7 +415,7 @@ class Session:
         self.retry_attempts = 0
         self.status = SessionStatus.BROKEN
         self._rollback = RollbackError(
-            self.session_id, self.committed_seqno, tuple(lost),
+            self.session_id, self.committed_seqno, None,
             self.world_line.current, committed, aborted)
         return self._rollback
 

@@ -340,7 +340,8 @@ class Tracer:
         if phase is None:
             phase = self._phases[name] = PhaseStats(self.SAMPLE_CAPACITY)
         # ``phase.add(duration, self._rng)`` written out, then the
-        # common case of ``_record``: one frame per span, not three.
+        # common cases of ``_record`` (a full log, a known shape): one
+        # frame per span, not three.
         count = phase.count
         if count == 0:
             phase.minimum = phase.maximum = duration
@@ -363,8 +364,10 @@ class Tracer:
             if slot < phase.capacity:
                 samples[slot] = duration
         codes = self._codes
-        if (len(codes) < self.MAX_EVENTS
-                and type(t) is float and type(duration) is float):
+        if len(codes) >= self.MAX_EVENTS:
+            self.events_dropped += 1
+            return
+        if type(t) is float and type(duration) is float:
             for label in labels.values():
                 if type(label) is not str and type(label) is not int:
                     break
@@ -508,8 +511,9 @@ def merge_phase_stats(tracers: Iterable[Optional[Tracer]],
     for tracer in tracers:
         if tracer is None:
             continue
-        for name in sorted(tracer.phases()):
-            stats = tracer.phases()[name]
+        phases = tracer.phases()
+        for name in sorted(phases):
+            stats = phases[name]
             into = merged.get(name)
             if into is None:
                 into = merged[name] = PhaseStats(stats.capacity)

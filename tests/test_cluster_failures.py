@@ -74,6 +74,36 @@ class TestCrashRestart:
         assert persisted and min(persisted) > in_flight
         assert f"flusher:{worker.address}" in waits
 
+    def test_storage_fault_under_a_live_worker(self):
+        """The device fails under a flush while the worker stays up and
+        is repaired a few ms later: the write fails into the flusher,
+        the in-flight version never persists, later versions do, and the
+        cut passes the failed one (a later checkpoint holds it)."""
+        cluster = DFasterCluster(DFasterConfig(
+            n_workers=2, n_client_machines=2, vcpus=4,
+            storage=StorageKind.CLOUD_SSD, seed=7))
+        worker = cluster.workers[1]
+        now = 0.0
+        while not worker._flushing:
+            now += 1e-3
+            cluster.env.run(until=now)
+        [in_flight] = worker.engine.sealed_descriptors()
+        worker.device.fail()
+        while worker._flushing:  # the failed write reaches the flusher
+            now += 1e-3
+            cluster.env.run(until=now)
+        assert worker.engine.persisted_versions() == []
+        cluster.env.run(until=now + 5e-3)
+        worker.device.repair()
+        cluster.run(1.0)  # ends with the run-end audit
+        assert not worker.crashed
+        assert cluster.manager.detected_crashes == []
+        persisted = worker.engine.persisted_versions()
+        assert in_flight not in persisted
+        assert persisted and min(persisted) > in_flight
+        cut = cluster.finder.current_cut()
+        assert cut.version_of(worker.engine.object_id) > in_flight
+
     def test_crash_triggers_worldline_recovery(self):
         cluster = DFasterCluster(DFasterConfig(**SMALL))
         cluster.schedule_crash(worker_index=0, at_time=0.3)

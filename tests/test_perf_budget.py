@@ -14,7 +14,9 @@ offered.  So does the libDPR server: its DPR bookkeeping runs once per
 batch whatever the batch's size, and a FASTER log record costs its
 slots, not a dict.  So do the stores under it: a hot FASTER op is one
 chain walk in one frame, and a Redis-clone BGSAVE costs the same calls
-whatever the keyspace's size.
+whatever the keyspace's size.  And what a run retains scales with its
+batches: a rollback allocates per lost span, not per lost op, and the
+cost model keeps nothing per call.
 
 **Byte-identity anchors** pin sha256 digests of full trace streams
 captured *before* the array-core refactor landed.  The refactor's
@@ -47,10 +49,13 @@ import pytest
 
 from repro.bench.harness import run_dfaster_experiment
 from repro.cluster import DFasterCluster, DFasterConfig
+from repro.cluster.costmodel import CostModel
 from repro.cluster.dredis import DRedisCluster, DRedisConfig
 from repro.cluster.stats import Reservoir
+from repro.core.cuts import DprCut
 from repro.core.finder import ApproximateDprFinder
 from repro.core.libdpr import DprBatchHeader, DprServer
+from repro.core.session import Session
 from repro.core.state_object import InMemoryStateObject
 from repro.core.versioning import Token
 from repro.faster.hybrid_log import HybridLog
@@ -105,6 +110,17 @@ TRACER_BYTES_PER_EVENT_BUDGET = 32
 #: (measured: 8.4 B over the smoke cell's 6,932 samples).  A list of
 #: boxed floats spent 32 B (an 8 B slot and a 24 B float object).
 SAMPLE_BYTES_BUDGET = 12
+
+#: What a world-line bump over 16 in-flight spans of 1,024 ops may
+#: allocate at its peak, by ``tracemalloc``: the error and its span
+#: lists, a few hundred bytes per span.  Building one int per lost op
+#: peaked at ~0.8 MB.
+ROLLBACK_PEAK_BYTES_BUDGET = 64 * 1024
+
+#: What ``CostModel`` may still hold after 10,000 batch costs with
+#: distinct arguments, by ``tracemalloc``.  A memo entry per distinct
+#: argument tuple held ~150 B each.
+COSTMODEL_RETAINED_BYTES_BUDGET = 4096
 
 #: Pre-refactor digests of the full chaos and replication scenario
 #: fingerprints from tests/test_determinism_hashseed.py — protocol
@@ -393,6 +409,43 @@ class TestTracerMemoryBudget:
         assert links == {f"client-{c}>worker-{w}"
                          for c in range(2) for w in range(3)}
         assert len({id(labels[0][1]) for *_, labels in deliveries}) == 6
+
+
+class TestRetainedPerBatch:
+    """What a simulated run retains scales with its batches: a rollback
+    costs its spans, not its ops, and a batch's cost is computed, not
+    kept."""
+
+    def test_a_rollback_allocates_per_span_not_per_op(self):
+        session = Session("s")
+        for _ in range(16):
+            session.issue("A", count=1024)
+        tracemalloc.start()
+        try:
+            error = session.observe_failure(1, DprCut())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ROLLBACK_PEAK_BYTES_BUDGET, (
+            f"a rollback of 16 spans peaked at {peak} B, budget is "
+            f"{ROLLBACK_PEAK_BYTES_BUDGET} B")
+        assert error.lost == tuple(range(1, 16 * 1024 + 1))
+        assert "lost 16384 operation(s)" in str(error)
+
+    def test_the_cost_model_keeps_nothing_per_call(self):
+        cost = CostModel()
+        batch_time = cost.server_batch_time
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for index in range(10_000):
+                batch_time(1024, 0.5, index / 10_000, 1.0)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before <= COSTMODEL_RETAINED_BYTES_BUDGET, (
+            f"10,000 batch costs left {after - before} B behind, budget "
+            f"is {COSTMODEL_RETAINED_BYTES_BUDGET} B")
 
 
 class TestOpenLoopByteIdentity:

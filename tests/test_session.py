@@ -85,6 +85,16 @@ class TestSpanIssue:
         error = session.observe_failure(1, DprCut())
         assert error.lost == (1, 2, 3)
 
+    def test_lost_is_derived_once_and_read_only(self, session):
+        session.issue("A", count=2)
+        session.issue("B", count=3)
+        error = session.observe_failure(1, DprCut())
+        assert "lost 5 operation(s)" in str(error)
+        assert error.lost == (1, 2, 3, 4, 5)
+        assert error.lost is error.lost
+        with pytest.raises(AttributeError):
+            error.lost = ()
+
     def test_complete_rebinds_executing_object(self, session):
         # §5.3 live rebalancing: issued against A, executed on B after
         # an ownership transfer — commit tracking must follow B's cut.
